@@ -308,197 +308,6 @@ def test_e11_batched_vs_sequential(benchmark, record_result, record_json):
     assert median_ratio > 0.95
 
 
-def test_e11b_journal_allocation_diet(benchmark, record_result):
-    """E11b — the tuple+arena undo journal vs the closure-journal oracle.
-
-    The journal allocation diet (ROADMAP part 2): undo entries are
-    tuple opcodes replayed by one dispatch loop, living on a reusable
-    per-scheduler arena, instead of a closure per mutation on fresh
-    per-request containers. Three measurements:
-
-    1. *Per-entry allocation calibration* (tracemalloc): build 10k undo
-       entries in each representation and count allocated blocks/bytes.
-       A closure entry costs a function object + closure tuple + cells;
-       a tuple entry is one tuple. This is the exact per-entry price,
-       independent of scheduler noise.
-    2. *Atomic-batch footprint*: drive churn-storm through atomic
-       batch-64 bursts under tracemalloc and record the per-batch
-       transient peak (reset_peak before each burst). The batch journal
-       lives for the whole burst, so this is where the diet shows up as
-       resident bytes — and, with the GC enabled, as collector pressure.
-    3. *Paired-segment timing* (E11's protocol, GC enabled — the
-       closure journal's GC promotion inside batches is real workload
-       cost, so it is measured, not disabled away): closure vs arena on
-       the same stream, sequential apply and atomic batch-64.
-
-    Both sides record the same number of journal entries (asserted —
-    the representation is the only difference) and end bit-identical
-    (placements + ledgers). Honest expectation: allocations per entry
-    drop ~3x and per-batch transient peak ~20-25%; wall time moves a
-    few percent (the journal's allocation share, not its whole 15-20%
-    bookkeeping share — attach/detach and entry recording remain).
-    """
-    import statistics
-    import time
-    import tracemalloc
-
-    from repro.core.requests import iter_batches
-    from repro.reservation.interval import Interval
-    from repro.reservation.journal import OP_ASSIGN
-    from repro.sim.report import experiment_header, format_table
-    from repro.workloads.scenarios import churn_storm_sequence
-
-    seq = list(churn_storm_sequence(requests=8000, seed=0))
-    batch_size = 64
-    segments = 20
-    seg = len(seq) // segments
-
-    def paired(drive_closure, drive_arena):
-        """E11 paired-segment protocol; returns (t_closure, t_arena, median)."""
-        t_c = t_a = 0.0
-        ratios = []
-        pt = time.process_time
-        for i in range(segments):
-            chunk = (seq[i * seg:(i + 1) * seg] if i < segments - 1
-                     else seq[(segments - 1) * seg:])
-            seg_times = [0.0, 0.0]
-            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                t0 = pt()
-                (drive_closure if side == 0 else drive_arena)(chunk)
-                seg_times[side] = pt() - t0
-            t_c += seg_times[0]
-            t_a += seg_times[1]
-            ratios.append(seg_times[0] / seg_times[1])
-        return t_c, t_a, statistics.median(ratios)
-
-    def batch_driver(sched):
-        def drive(chunk):
-            for b in iter_batches(chunk, batch_size):
-                res = sched.apply_batch(b, atomic=True)
-                if res.failed:
-                    raise AssertionError(res.failure)
-        return drive
-
-    def seq_driver(sched):
-        def drive(chunk):
-            for r in chunk:
-                sched.apply(r)
-        return drive
-
-    def peak_per_batch(sched):
-        """Median/max transient tracemalloc peak per atomic burst."""
-        peaks = []
-        tracemalloc.start()
-        try:
-            for b in iter_batches(seq, batch_size):
-                tracemalloc.reset_peak()
-                cur0, _ = tracemalloc.get_traced_memory()
-                res = sched.apply_batch(b, atomic=True)
-                if res.failed:
-                    raise AssertionError(res.failure)
-                _, peak = tracemalloc.get_traced_memory()
-                peaks.append(peak - cur0)
-        finally:
-            tracemalloc.stop()
-        return statistics.median(peaks), max(peaks)
-
-    def journal_entries(sched):
-        return sum(m.journal_entries_total
-                   for m in sched.machine_schedulers())
-
-    results = {}
-
-    def kernel():
-        # 1. per-entry calibration (identical payloads on both sides, so
-        #    the captured-int cost cancels in the comparison)
-        n = 10_000
-        iv = Interval(level=1, index=0, lo=0, hi=64,
-                      enclosing_spans=(64, 128))
-        tracemalloc.start()
-        base = tracemalloc.take_snapshot()
-        closure_entries = [iv._closure_assign(0, s) for s in range(n)]
-        after_closures = tracemalloc.take_snapshot()
-        tuple_entries = [(OP_ASSIGN, iv, 0, s) for s in range(n)]
-        after_tuples = tracemalloc.take_snapshot()
-        tracemalloc.stop()
-
-        def delta(a, b):
-            stats = b.compare_to(a, "filename")
-            return (sum(s.count_diff for s in stats),
-                    sum(s.size_diff for s in stats))
-        results["closure_entry"] = delta(base, after_closures)
-        results["tuple_entry"] = delta(after_closures, after_tuples)
-        del closure_entries, tuple_entries
-
-        # 2. atomic-batch transient footprint (untimed, tracemalloc on)
-        results["closure_peak"] = peak_per_batch(
-            ReservationScheduler(1, gamma=8, journal="closure"))
-        results["arena_peak"] = peak_per_batch(
-            ReservationScheduler(1, gamma=8))
-
-        # 3a. paired timing, sequential apply
-        s_c = ReservationScheduler(1, gamma=8, journal="closure")
-        s_a = ReservationScheduler(1, gamma=8)
-        results["seq_times"] = paired(seq_driver(s_c), seq_driver(s_a))
-        assert dict(s_c.placements) == dict(s_a.placements)
-        assert s_c.ledger.entries == s_a.ledger.entries
-        results["seq_entries"] = (journal_entries(s_c), journal_entries(s_a))
-
-        # 3b. paired timing, atomic batch 64
-        b_c = ReservationScheduler(1, gamma=8, journal="closure")
-        b_a = ReservationScheduler(1, gamma=8)
-        results["bat_times"] = paired(batch_driver(b_c), batch_driver(b_a))
-        assert dict(b_c.placements) == dict(b_a.placements)
-        assert b_c.ledger.entries == b_a.ledger.entries
-        results["bat_entries"] = (journal_entries(b_c), journal_entries(b_a))
-
-    benchmark.pedantic(kernel, rounds=1, iterations=1)
-    cb, csz = results["closure_entry"]
-    tb, tsz = results["tuple_entry"]
-    n = 10_000
-    seq_med = results["seq_times"][2]
-    bat_med = results["bat_times"][2]
-    rows = [
-        ["closure entry (oracle)", f"{cb / n:.2f}", f"{csz / n:.0f}",
-         results["closure_peak"][0], "-"],
-        ["tuple entry (arena)", f"{tb / n:.2f}", f"{tsz / n:.0f}",
-         results["arena_peak"][0], "-"],
-        ["sequential apply", "-", "-", "-", f"{seq_med:.3f}x"],
-        [f"apply_batch({batch_size}, atomic)", "-", "-", "-",
-         f"{bat_med:.3f}x"],
-    ]
-    table = format_table(
-        ["journal", "blocks/entry", "B/entry", "median peak B/batch",
-         "closure/arena time"],
-        rows,
-        title=experiment_header(
-            "E11b", "journal allocation diet: tuple+arena vs closure "
-            f"oracle on churn-storm ({len(seq)} requests; "
-            f"{results['bat_entries'][1]} journal entries per side, "
-            "identical placements+ledgers)",
-        ),
-    )
-    record_result("e11b_journal_diet", table)
-    benchmark.extra_info["blocks_per_closure_entry"] = cb / n
-    benchmark.extra_info["blocks_per_tuple_entry"] = tb / n
-    benchmark.extra_info["closure_peak_median"] = results["closure_peak"][0]
-    benchmark.extra_info["arena_peak_median"] = results["arena_peak"][0]
-    benchmark.extra_info["seq_closure_over_arena_median"] = seq_med
-    benchmark.extra_info["bat_closure_over_arena_median"] = bat_med
-    # Representation is the only difference: same journal entry counts.
-    assert results["seq_entries"][0] == results["seq_entries"][1]
-    assert results["bat_entries"][0] == results["bat_entries"][1]
-    # The diet's win condition: strictly fewer allocations per entry and
-    # a strictly lower transient footprint inside atomic batches.
-    assert tb < cb and tsz < csz
-    assert results["arena_peak"][0] < results["closure_peak"][0]
-    # Timing floor only: per-segment ratios on a contended single-core
-    # container swing ~±10% run to run (measured 0.89-1.05x), so this
-    # is a catastrophic-regression guard, not the deliverable — the
-    # allocation metrics above are the deterministic win condition.
-    assert seq_med > 0.8 and bat_med > 0.8
-
-
 @pytest.mark.parametrize("scenario", ["churn-storm", "burst-arrivals"])
 def test_e12_backend_comparison_m3(benchmark, record_result, record_json,
                                    scenario):

@@ -26,9 +26,8 @@ standing contracts, firing only on functions the call graph tags *hot*
 All five are **ratcheted** (``Rule.ratcheted``): they run via ``repro
 lint --ratchet`` against ``staticcheck_baseline.json`` instead of the
 strict gate, so the existing debt is enumerated and burned down rather
-than suppressed. The closure-journal oracle (``_closure_*``) and
-repr/debug methods are exempt by name — they trade speed for fidelity
-by design.
+than suppressed. Undo helpers (``_undo_*``) and repr/debug methods are
+exempt by name — they run off the per-request fast path.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from .report import Finding
 #: shared-artifact key for the per-run program (see Rule.prepare)
 _PROGRAM_KEY = "hotpath:program"
 
-#: hot functions exempt from every hot-path rule: the closure-journal
-#: oracle keeps lambdas by contract, undo/debug paths are off the
-#: per-request fast path
-EXEMPT_FUNCTIONS = ("_closure_*", "_undo_*", "__repr__", "__str__")
+#: hot functions exempt from every hot-path rule: undo/debug paths are
+#: off the per-request fast path
+EXEMPT_FUNCTIONS = ("_undo_*", "__repr__", "__str__")
 
 #: journaled dicts / placement maps with an O(changes) alternative
 #: (SlotIndex, touched-log, or incremental mirror)

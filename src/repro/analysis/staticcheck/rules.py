@@ -210,7 +210,7 @@ SCHEDULER_ATTRS = INTERVAL_ATTRS | frozenset({
 })
 
 COMMON_EXEMPT = (
-    "__init__", "__getstate__", "__setstate__", "_undo_*", "_closure_*",
+    "__init__", "__getstate__", "__setstate__", "_undo_*",
 )
 
 #: class name -> contract; applies to classes with these names in any
@@ -392,7 +392,7 @@ RESOURCE_CTORS = frozenset({
 })
 
 
-def _closure_factory_methods(cls: ast.ClassDef) -> set[str]:
+def _factory_methods(cls: ast.ClassDef) -> set[str]:
     """Methods that build and hand out closures (nested def / lambda)."""
     factories: set[str] = set()
     for method in _class_methods(cls):
@@ -447,7 +447,7 @@ class PickleBoundaryRule(Rule):
             names = {m.name for m in _class_methods(cls)}
             if "__getstate__" in names or "__setstate__" in names:
                 continue
-            factories = _closure_factory_methods(cls)
+            factories = _factory_methods(cls)
             for method, attr, value, node in _self_attr_assignments(cls):
                 nested = {
                     n.name for n in ast.walk(method)

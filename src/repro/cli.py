@@ -27,8 +27,7 @@ placement-identical), and ``--backend
 delegating scheduler stacks. ``--shard-workers {serial,threads,
 processes}`` picks the worker flavor (``processes`` keeps each
 machine's sub-scheduler resident in a worker process across bursts —
-the flavor with real parallelism); the old boolean ``--shard-parallel``
-is a deprecated alias for ``--shard-workers threads``.
+the flavor with real parallelism).
 
 ``engine`` and ``sweep`` support resumable runs: ``--trace FILE`` /
 ``--trace-dir DIR`` write the session's JSONL checkpoint trace,
@@ -84,21 +83,6 @@ def _require_single(m: int) -> None:
         raise SystemExit("the naive pecking scheduler is single-machine only")
 
 
-def resolve_shard_workers(args) -> str:
-    """Effective ``--shard-workers`` mode, honoring the deprecated alias.
-
-    An explicit ``--shard-workers`` always wins; ``--shard-parallel``
-    alone maps to ``threads`` with a deprecation warning.
-    """
-    if args.shard_workers is not None:
-        return args.shard_workers
-    if args.shard_parallel:
-        print("warning: --shard-parallel is deprecated; "
-              "use --shard-workers threads", file=sys.stderr)
-        return "threads"
-    return "serial"
-
-
 def _make_workload(args) -> RequestSequence:
     cfg = AlignedWorkloadConfig(
         num_requests=args.requests,
@@ -118,7 +102,7 @@ def cmd_demo(args) -> int:
                           atomic_batches=args.atomic_batches,
                           batch_semantics=args.batch_semantics,
                           backend=args.backend,
-                          shard_workers=resolve_shard_workers(args))
+                          shard_workers=args.shard_workers)
     rows = [[k, v] for k, v in result.summary.items()]
     title = f"Theorem 1 scheduler on {len(seq)} requests"
     if args.batch_size > 1:
@@ -180,7 +164,7 @@ def cmd_engine(args) -> int:
         atomic_batches=args.atomic_batches,
         batch_semantics=args.batch_semantics,
         backend=args.backend,
-        shard_workers=resolve_shard_workers(args),
+        shard_workers=args.shard_workers,
         verify=args.verify,
         checkpoint_every=args.checkpoint_every,
         on_checkpoint=progress if args.checkpoint_every else None,
@@ -225,7 +209,7 @@ def cmd_sweep(args) -> int:
                         atomic_batches=args.atomic_batches,
                         batch_semantics=args.batch_semantics,
                         backend=args.backend,
-                        shard_workers=resolve_shard_workers(args),
+                        shard_workers=args.shard_workers,
                         stop_after=args.stop_after,
                         trace_dir=args.trace_dir or None,
                         resume=args.resume)
@@ -301,20 +285,9 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-DEPRECATION_EPILOG = """\
-deprecated options:
-  --shard-parallel      superseded by --shard-workers; it maps to
-                        --shard-workers threads and warns. Use
-                        --shard-workers {serial,threads,processes}
-                        instead ('processes' is the flavor with real
-                        parallelism). The alias will be removed once
-                        downstream scripts have migrated.
-"""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro", description=__doc__, epilog=DEPRECATION_EPILOG,
+        prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,16 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="session drive backend; 'sharded' hands each "
                             "burst's per-machine sub-batches to shard "
                             "workers (delegating stacks only)")
-        p.add_argument("--shard-workers", default=None,
+        p.add_argument("--shard-workers", default="serial",
                        dest="shard_workers",
                        choices=list(SHARD_WORKER_MODES),
                        help="sharded backend: worker flavor — 'serial' "
                             "(default), 'threads' (GIL-bound pool), or "
                             "'processes' (per-machine sub-schedulers "
                             "resident in worker processes across bursts)")
-        p.add_argument("--shard-parallel", action="store_true",
-                       dest="shard_parallel",
-                       help="DEPRECATED: alias for --shard-workers threads")
 
     def add_trace_args(p, directory=False):
         if directory:
@@ -376,13 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="end the run gracefully after this many "
                             "requests this session (0 = run to the end)")
 
-    def add_batch_parser(name, help_text):
-        p = sub.add_parser(
-            name, help=help_text, epilog=DEPRECATION_EPILOG,
-            formatter_class=argparse.RawDescriptionHelpFormatter)
-        return p
-
-    p = add_batch_parser("demo", "run the Theorem 1 scheduler once")
+    p = sub.add_parser("demo", help="run the Theorem 1 scheduler once")
     add_workload_args(p)
     add_batch_args(p)
     p.set_defaults(func=cmd_demo)
@@ -394,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{sorted(SCHEDULERS)}")
     p.set_defaults(func=cmd_compare)
 
-    p = add_batch_parser("engine", "run one scenario through the batch engine")
+    p = sub.add_parser("engine", help="run one scenario through the batch engine")
     p.add_argument("--scenario", default="steady-state",
                    help=f"one of {sorted(SCENARIOS)}")
     p.add_argument("--scheduler", default="reservation")
@@ -409,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_args(p)
     p.set_defaults(func=cmd_engine)
 
-    p = add_batch_parser("sweep", "run every scenario x scheduler cell")
+    p = sub.add_parser("sweep", help="run every scenario x scheduler cell")
     p.add_argument("--scenarios", default="",
                    help=f"comma-separated subset of {sorted(SCENARIOS)}")
     p.add_argument("--schedulers", default="",

@@ -59,13 +59,12 @@ class ReservationScheduler(ReallocatingScheduler):
         (2*gamma-underallocated instances) and aligned spans >= 2, so
         original windows must have span >= 5 to survive ALIGNED().
     journal:
-        Undo-journal representation of the per-machine reservation
-        schedulers: ``"arena"`` (default — tuple-opcode entries on a
-        reusable arena), ``"closure"`` (the original closure journal,
-        kept as the rollback-equivalence test oracle), or
-        ``"arena-sanitize"`` (arena plus checking container proxies,
-        the runtime journal-coverage oracle; also selected by
-        ``REPRO_SANITIZE=1`` in the environment).
+        Undo-journal mode of the per-machine reservation schedulers:
+        ``"arena"`` (default — tuple-opcode entries on a reusable
+        arena) or ``"arena-sanitize"`` (arena plus checking container
+        proxies, the runtime journal-coverage oracle; also selected by
+        ``REPRO_SANITIZE=1`` in the environment). Any other value
+        raises :class:`ValueError`.
 
     Example
     -------
@@ -215,7 +214,6 @@ class ReservationScheduler(ReallocatingScheduler):
         requests: Batch | Iterable[Request],
         *,
         workers: str | None = None,
-        parallel: bool = False,
         semantics: str = "strict",
     ) -> BatchResult:
         """Drive a burst shard-first through the delegation layer.
@@ -242,7 +240,7 @@ class ReservationScheduler(ReallocatingScheduler):
             for r in batch
         ])
         inner = self.delegator.apply_batch_sharded(
-            aligned, workers=workers, parallel=parallel, record=False,
+            aligned, workers=workers, record=False,
             semantics=semantics)
         if inner.failed:
             return BatchResult(

@@ -114,28 +114,14 @@ def resolve_batch_semantics(semantics: str) -> str:
     return semantics
 
 
-def resolve_shard_worker_mode(workers: str | None,
-                              parallel: bool = False) -> str:
-    """Fold the deprecated ``parallel`` flag into one validated mode.
+def resolve_shard_worker_mode(workers: str | None) -> str:
+    """Validate a shard worker mode (``None`` means ``"serial"``).
 
-    An explicit ``workers`` always wins; ``parallel=True`` alone is the
-    legacy spelling of ``"threads"`` and raises a
-    :class:`DeprecationWarning` pointing at ``workers=`` (the CLI's
-    ``--shard-parallel`` alias warns the same way toward
-    ``--shard-workers``). Every ``workers=`` entry point (delegation,
-    session backend, execution plan) resolves through here, so a new
-    mode needs adding in exactly one place.
+    Every ``workers=`` entry point (delegation, session backend,
+    execution plan) resolves through here, so a new mode needs adding
+    in exactly one place.
     """
-    if workers is None and parallel:
-        import warnings
-
-        warnings.warn(
-            "parallel=True is deprecated; use workers='threads' "
-            "(or workers='processes' for real parallelism)",
-            DeprecationWarning, stacklevel=3,
-        )
-    mode = workers if workers is not None else (
-        "threads" if parallel else "serial")
+    mode = "serial" if workers is None else workers
     if mode not in SHARD_WORKER_MODES:
         raise ValueError(
             f"workers must be one of {SHARD_WORKER_MODES}, got {mode!r}")
@@ -741,7 +727,6 @@ class ReallocatingScheduler(abc.ABC):
         requests: Batch | Iterable[Request],
         *,
         workers: str | None = None,
-        parallel: bool = False,
         semantics: str = "strict",
     ) -> BatchResult:
         """Apply a burst via per-shard workers (delegating stacks only).
@@ -751,8 +736,7 @@ class ReallocatingScheduler(abc.ABC):
         tracking, with whole-burst rollback on any shard failure.
         ``workers`` selects the worker mode (``"serial"``, ``"threads"``,
         or ``"processes"`` — persistent worker processes holding the
-        per-machine sub-schedulers across bursts); ``parallel=True`` is
-        the deprecated spelling of ``workers="threads"``.
+        per-machine sub-schedulers across bursts).
         ``semantics="flexible"`` plans the burst jointly first (the
         bounds-equivalence contract), with per-request costs reported
         at arrival positions exactly as :meth:`apply_batch` does.

@@ -655,7 +655,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         requests: Batch | Iterable[Request],
         *,
         workers: str | None = None,
-        parallel: bool = False,
         record: bool = True,
         semantics: str = "strict",
     ) -> BatchResult:
@@ -684,9 +683,6 @@ class DelegatingScheduler(ReallocatingScheduler):
           entry point syncs the state back (or
           :meth:`close_shard_workers` is called).
 
-        ``parallel=True`` is the deprecated spelling of
-        ``workers="threads"``.
-
         Sharded bursts are always transactional: a failure on any shard
         aborts every shard's batch context and reports
         ``rolled_back=True`` with the earliest failing request's index,
@@ -708,7 +704,7 @@ class DelegatingScheduler(ReallocatingScheduler):
         pairs as zero-cost entries) before recording, so callers see
         one cost per submitted request either way.
         """
-        mode = resolve_shard_worker_mode(workers, parallel)
+        mode = resolve_shard_worker_mode(workers)
         resolve_batch_semantics(semantics)
         batch = requests if isinstance(requests, Batch) else Batch(requests)
         if self._batch is not None:

@@ -53,11 +53,7 @@ exits O(1)-early when nothing changed since the last reconciliation.
 When ``undo_log`` is set every mutation appends its exact inverse — the
 scheduler's failed-request rollback journal. Journal entries are tuple
 opcodes addressing state positionally (one allocation each, dispatched
-by :func:`~repro.reservation.journal.replay_entries`); setting
-``closure_undo`` switches an interval to the original closure-per-entry
-representation, kept as the rollback-equivalence oracle (the
-``_closure_*`` helpers are out-of-line so the hot path pays no
-cell-variable setup for them).
+by :func:`~repro.reservation.journal.replay_entries`).
 """
 
 from __future__ import annotations
@@ -84,8 +80,7 @@ class Interval:
                  enclosing_spans: tuple[int, ...],
                  on_assign: Callable | None = None,
                  on_release: Callable | None = None,
-                 undo_log: list | None = None,
-                 closure_undo: bool = False) -> None:
+                 undo_log: list | None = None) -> None:
         self.level = level
         self.index = index
         self.lo = lo
@@ -102,9 +97,6 @@ class Interval:
         #: when set (by the scheduler, per request), every mutation appends
         #: its inverse here — replayed in reverse to roll back a failure
         self.undo_log = undo_log
-        #: True switches undo entries from tuple opcodes to the original
-        #: per-mutation closures (the journal-equivalence test oracle)
-        self.closure_undo = closure_undo
         span = hi - lo
         npos = len(enclosing_spans)
         #: enclosing-window tuple, one per ladder position (immutable)
@@ -345,9 +337,7 @@ class Interval:
         dyn[pos] = new
         log = self.undo_log
         if log is not None:
-            log.append(self._closure_dynamic(pos, delta)
-                       if self.closure_undo
-                       else (OP_DYNAMIC, self, pos, delta))
+            log.append((OP_DYNAMIC, self, pos, delta))
         # memo maintenance, inlined from the former _note_dyn_changed
         # (this is the single hottest interval mutation): under slack
         # (allowance covers every demand, before and after) the target
@@ -367,9 +357,6 @@ class Interval:
         else:
             self._dirty_all = True
         self._stale = True
-
-    def _closure_dynamic(self, pos: int, delta: int) -> Callable[[], None]:
-        return lambda: self._undo_dynamic(pos, delta)
 
     def _undo_dynamic(self, pos: int, delta: int) -> None:
         self._dyn[pos] -= delta
@@ -392,17 +379,12 @@ class Interval:
         # the append would leave the assign invisible to rollback
         log = self.undo_log
         if log is not None:
-            log.append(self._closure_assign(pos, slot)
-                       if self.closure_undo
-                       else (OP_ASSIGN, self, pos, slot))
+            log.append((OP_ASSIGN, self, pos, slot))
         on_assign = self.on_assign
         if on_assign is not None:
             ws = self._ws[pos]
             if ws is not None:
                 on_assign(ws, slot)
-
-    def _closure_assign(self, pos: int, slot: int) -> Callable[[], None]:
-        return lambda: self._undo_assign(pos, slot)
 
     def _undo_assign(self, pos: int, slot: int) -> None:
         self._aslots[pos].discard(slot)
@@ -421,17 +403,12 @@ class Interval:
         # _do_assign: a raising hook must find the release journaled
         log = self.undo_log
         if log is not None:
-            log.append(self._closure_release(pos, slot)
-                       if self.closure_undo
-                       else (OP_RELEASE, self, pos, slot))
+            log.append((OP_RELEASE, self, pos, slot))
         on_release = self.on_release
         if on_release is not None:
             ws = self._ws[pos]
             if ws is not None:
                 on_release(ws, slot)
-
-    def _closure_release(self, pos: int, slot: int) -> Callable[[], None]:
-        return lambda: self._undo_release(pos, slot)
 
     def _undo_release(self, pos: int, slot: int) -> None:
         self._aslots[pos].add(slot)
@@ -467,18 +444,13 @@ class Interval:
             self._free_discard(slot)
         log = self.undo_log
         if log is not None:
-            log.append(self._closure_slot_lowered(slot, opos)
-                       if self.closure_undo
-                       else (OP_LOWERED, self, slot, opos))
+            log.append((OP_LOWERED, self, slot, opos))
         self._note_allowance_shrunk(opos >= 0)
         on_release = self.on_release
         if opos >= 0 and on_release is not None:
             ws = self._ws[opos]
             if ws is not None:
                 on_release(ws, slot)
-
-    def _closure_slot_lowered(self, slot: int, opos: int) -> Callable[[], None]:
-        return lambda: self._undo_slot_lowered(slot, opos)
 
     def _undo_slot_lowered(self, slot: int, opos: int) -> None:
         i = slot - self.lo
@@ -509,12 +481,7 @@ class Interval:
         self._free_add(slot)
         log = self.undo_log
         if log is not None:
-            log.append(self._closure_slot_raised(slot)
-                       if self.closure_undo
-                       else (OP_RAISED, self, slot))
-
-    def _closure_slot_raised(self, slot: int) -> Callable[[], None]:
-        return lambda: self._undo_slot_raised(slot)
+            log.append((OP_RAISED, self, slot))
 
     def _undo_slot_raised(self, slot: int) -> None:
         self._lower[slot - self.lo] = 1
@@ -686,11 +653,7 @@ class Interval:
         if log is not None:
             # the raw swap is an involution; hooks are not refired on
             # undo (the scheduler's window-state journal restores those)
-            log.append(self._closure_swap(s1, s2) if self.closure_undo
-                       else (OP_SWAP, self, s1, s2))
-
-    def _closure_swap(self, s1: int, s2: int) -> Callable[[], None]:
-        return lambda: self._swap_raw(s1, s2, fire_hooks=False)
+            log.append((OP_SWAP, self, s1, s2))
 
     def _swap_raw(self, s1: int, s2: int, *, fire_hooks: bool) -> None:
         lo = self.lo

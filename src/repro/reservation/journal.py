@@ -1,26 +1,14 @@
-"""Tuple-opcode undo journals on a reusable arena (the allocation diet).
+"""Tuple-opcode undo journals on a reusable arena.
 
 Every failed-request and atomic-batch rollback in the reservation stack
 replays an *undo journal*: a sequence of entries, each restoring one
-mutation, replayed in reverse. The original implementation recorded a
-closure per mutation (``lambda: self._undo_assign(window, pos, slot)``).
-Closures are semantically perfect and allocation-expensive: each one
-costs a function object plus a closure tuple, and — worse — CPython
-creates the captured variables' cells at *every* call of the enclosing
-method, so the closure representation taxed the mutation hot path even
-when no journal was attached. Inside atomic batches the journal lives
-for the whole burst, so those objects survived a GC generation and got
-promoted (bench E11's ~10-20% bookkeeping share).
-
-This module is the replacement:
+mutation, replayed in reverse. The representation is chosen for
+allocation cost:
 
 - **Tuple opcodes** — a journal entry is a plain tuple
-  ``(opcode, target, *args)``; one allocation, no cells, immutable.
-  :func:`replay_entries` is the single dispatch loop that replays any
-  journal backwards. It also accepts callables, so the closure-journal
-  oracle (kept for the equivalence property tests — see
-  ``AlignedReservationScheduler(journal="closure")``) replays through
-  the same loop.
+  ``(opcode, target, *args)``; one allocation, no closure cells,
+  immutable. :func:`replay_entries` is the single dispatch loop that
+  replays any journal backwards.
 - **Arena** — :class:`UndoArena` owns the journal's container objects
   (entry list, first-touch dedup set, attached-interval list, and the
   atomic batch log's snapshot lists) once per scheduler instead of
@@ -61,13 +49,16 @@ objects, so recording an entry never hashes a window. ``OP_PLACE`` /
 ``OP_UNPLACE`` are the placement-map fold: one combined entry replaces
 the three per-map ``OP_SET``/``OP_POP`` entries a placement mutation
 used to record, exploiting that the three maps only ever change
-together through ``_set_placement`` / ``_clear_placement``.
+together through ``_set_placement`` / ``_clear_placement``. They are
+recorded only when no touched log is live (dense-costing schedulers);
+otherwise the rollback rewinds the maps from the touched log.
 
-The undone state is byte-for-byte what the closure implementation
-produced — both call the same ``Interval._undo_*`` primitives — which
-the property tests in ``tests/test_journal_arena.py`` pin across
-poisoned requests, deep atomic aborts, trimming rebuilds, and
-process-worker crash rollback.
+Rollback must restore the exact pre-request (or pre-burst) state. The
+property tests in ``tests/test_journal_arena.py`` check that directly:
+they fingerprint the deep scheduler state before a failing request or
+burst and compare it with the state after the abort, across poisoned
+requests, deep atomic aborts, trimming rebuilds, and process-worker
+crash rollback.
 """
 
 from __future__ import annotations
@@ -91,16 +82,10 @@ def replay_entries(entries: list, stop: int = 0) -> None:
     """Replay journal entries above watermark ``stop`` in reverse.
 
     The single dispatch loop shared by failed-request rollback and
-    atomic-batch abort. Tuple entries dispatch on their opcode; callable
-    entries (closure-journal oracle mode) are simply invoked — both
-    representations replay through here so the equivalence tests
-    exercise one replay path.
+    atomic-batch abort; each entry dispatches on its opcode.
     """
     for i in range(len(entries) - 1, stop - 1, -1):
         e = entries[i]
-        if e.__class__ is not tuple:
-            e()
-            continue
         op = e[0]
         if op == OP_ASSIGN:
             e[1]._undo_assign(e[2], e[3])
@@ -141,15 +126,12 @@ class UndoArena:
     (per-request journals and the batch log never coexist: atomic
     batches switch the per-request journal off). Scopes append above a
     watermark and release by truncating back to it; the container
-    objects themselves — the per-request ``[], set(), []`` triple the
-    closure implementation allocated on every request — are never
-    reallocated.
+    objects themselves are never reallocated.
 
     Attributes
     ----------
     entries:
-        The append-only journal (tuple opcodes; closures in oracle
-        mode). Intervals append to this list directly via their
+        The append-only journal of tuple opcodes. Intervals append to this list directly via their
         ``undo_log`` reference, at C speed.
     seen:
         First-touch dedup tokens (``(id(mapping), key)`` per-request,
@@ -162,7 +144,7 @@ class UndoArena:
         table shallow-copies, mid-batch interval materializations).
     entries_total:
         Diagnostic: total journal entries recorded over the arena's
-        lifetime (read by bench E11b's allocation accounting).
+        lifetime (the end-to-end benchmark reports it per request).
     """
 
     __slots__ = ("entries", "seen", "intervals", "windows", "dicts",

@@ -63,21 +63,19 @@ are the only mutators of the three placement maps and always record
 the touched job first, so whenever a live touched log exists the
 failed-request rollback rewinds the maps from it
 (:meth:`AlignedReservationScheduler._rollback`) and the journal skips
-them entirely; when no touched log is live (``emit_touched=False``
-rebuild inners), one combined ``OP_PLACE`` / ``OP_UNPLACE`` entry per
-mutation replaces the three per-map entries. Setting
-``_placement_diet = False`` restores full per-map journaling — the
-equivalence oracle for the diet's property tests.
+them entirely; when no touched log is live (dense-costing schedulers),
+one combined ``OP_PLACE`` / ``OP_UNPLACE`` entry per mutation records
+the three-map change.
 
-Journal representation (the allocation diet): undo entries are tuple
-opcodes replayed by one dispatch loop, and both the per-request journal
-and the atomic batch log live on a per-scheduler
+Journal representation: undo entries are tuple opcodes replayed by one
+dispatch loop, and both the per-request journal and the atomic batch
+log live on a per-scheduler
 :class:`~repro.reservation.journal.UndoArena` — reusable containers
 with watermark truncation, so steady-state request processing allocates
-one tuple per recorded mutation and nothing else. Constructing with
-``journal="closure"`` selects the original closure-per-entry journal
-with fresh per-request containers, kept as the rollback-equivalence
-oracle for the property tests and bench E11b.
+one tuple per recorded mutation and nothing else. The rollback oracle
+lives in the tests: ``tests/test_journal_arena.py`` fingerprints the
+deep state before each failing request or burst and checks the abort
+restores it exactly.
 
 The scheduler requires *aligned* windows and sufficient underallocation
 (Lemma 8 needs 8-underallocation); when slack runs out it raises
@@ -129,42 +127,6 @@ def flexible_span_order(job: Job) -> tuple[int, int, str]:
     return (job.span, job.release, str(job.id))
 
 
-def _closure_pop(d: dict, key: Hashable) -> Callable[[], None]:
-    """Closure-journal oracle entry equivalent to ``(OP_POP, d, key)``."""
-    return lambda: d.pop(key, None)
-
-
-def _closure_place(sched: "AlignedReservationScheduler", job_id: JobId,
-                   slot: int) -> Callable[[], None]:
-    """Closure-journal oracle entry equivalent to ``(OP_PLACE, ...)``."""
-    return lambda: sched._undo_place(job_id, slot)
-
-
-def _closure_unplace(sched: "AlignedReservationScheduler", job_id: JobId,
-                     slot: int) -> Callable[[], None]:
-    """Closure-journal oracle entry equivalent to ``(OP_UNPLACE, ...)``."""
-    return lambda: sched._undo_unplace(job_id, slot)
-
-
-def _closure_set(d: dict, key: Hashable, old: object) -> Callable[[], None]:
-    """Closure-journal oracle entry equivalent to ``(OP_SET, d, key, old)``."""
-    return lambda: d.__setitem__(key, old)
-
-
-def _closure_window_state(ws: WindowState) -> Callable[[], None]:
-    """Closure-journal oracle entry restoring a window state snapshot."""
-    jobs = set(ws.jobs)
-    empty = ws.backed_empty.snapshot()
-    covered = ws.backed_covered.snapshot()
-
-    def undo() -> None:
-        ws.jobs = jobs
-        ws.backed_empty.restore(empty)
-        ws.backed_covered.restore(covered)
-
-    return undo
-
-
 class _AtomicBatchLog:
     """Batch-scoped rollback log for atomic batches.
 
@@ -178,19 +140,18 @@ class _AtomicBatchLog:
     log. :meth:`AlignedReservationScheduler._batch_restore` replays the
     journal backwards and reinstates the snapshots on abort.
 
-    When an :class:`~repro.reservation.journal.UndoArena` is supplied
-    the log borrows the arena's containers instead of allocating fresh
-    ones — worker-resident schedulers open one atomic context per burst,
-    so the same storage serves every burst of a worker's lifetime.
-    Ephemeral (discard-on-abort) schedulers and the closure-journal
-    oracle keep cheap private containers.
+    The log borrows the scheduler's
+    :class:`~repro.reservation.journal.UndoArena` containers instead of
+    allocating fresh ones — worker-resident schedulers open one atomic
+    context per burst, so the same storage serves every burst of a
+    worker's lifetime. Ephemeral (discard-on-abort) schedulers record
+    nothing and keep cheap private containers.
     """
 
     __slots__ = ("seen", "journal", "journal_ivs", "windows", "dicts",
                  "created", "track", "arena")
 
-    def __init__(self, arena: UndoArena | None = None, *,
-                 track: bool = True) -> None:
+    def __init__(self, arena: UndoArena, *, track: bool = True) -> None:
         #: False for ephemeral (discard-on-abort) schedulers: the
         #: journal stays off and nothing is recorded either
         self.track = track
@@ -226,14 +187,12 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     tracer:
         Optional :class:`EventTracer` receiving fine-grained events.
     journal:
-        Undo-journal representation: ``"arena"`` (default — tuple
-        opcodes on a reusable :class:`UndoArena`), ``"closure"`` (the
-        original closure-per-entry journal with fresh per-request
-        containers, kept as the rollback-equivalence oracle), or
-        ``"arena-sanitize"`` (arena plus checking container proxies
-        that raise on unjournaled mutation inside an open scope — the
-        runtime oracle for the static exception-flow rules; also
-        selected by ``REPRO_SANITIZE=1`` in the environment).
+        Undo-journal mode: ``"arena"`` (default — tuple opcodes on a
+        reusable :class:`UndoArena`) or ``"arena-sanitize"`` (arena
+        plus checking container proxies that raise on unjournaled
+        mutation inside an open scope — the runtime oracle for the
+        static exception-flow rules; also selected by
+        ``REPRO_SANITIZE=1`` in the environment).
     """
 
     _sparse_costing = True
@@ -245,25 +204,17 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     #: scheduler regardless, so per-survivor journal work is pure waste.
     _journal_enabled = True
 
-    #: True (default) skips placement-map journaling whenever the live
-    #: touched log alone can rewind the three maps (the journal diet);
-    #: False records the full per-mutation entries — the equivalence
-    #: oracle for the diet's property tests.
-    _placement_diet = True
-
     def __init__(self, policy: LevelPolicy = PAPER_POLICY, *,
                  tracer: EventTracer | NullTracer | None = None,
                  journal: str = "arena") -> None:
         super().__init__(num_machines=1)
         if journal == "arena" and sanitize_enabled():
             journal = "arena-sanitize"
-        if journal not in ("arena", "closure", "arena-sanitize"):
+        if journal not in ("arena", "arena-sanitize"):
             raise ValueError(
-                "journal must be 'arena', 'closure', or "
-                f"'arena-sanitize', got {journal!r}")
+                f"journal must be 'arena' or 'arena-sanitize', got {journal!r}")
         self.policy = policy
         self.tracer = tracer if tracer is not None else NullTracer()
-        self._closure_journal = journal == "closure"
         #: sanitizer-oracle mode: journaled containers are wrapped in
         #: checking proxies that raise on unjournaled mutation inside
         #: an open request/batch scope (see repro.analysis.sanitize)
@@ -271,9 +222,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         #: reusable journal storage (per-request and per-atomic-batch);
         #: process-local scratch, rebuilt fresh after unpickling
         self._arena = UndoArena()
-        #: oracle-mode share of the journal-entry diagnostic counter
-        #: (arena mode counts in ``self._arena.entries_total``)
-        self._journal_entries_closure = 0
         #: slot -> job id (single machine, so slots are global)
         self.slot_job: dict[int, JobId] = {}
         #: job id -> slot
@@ -416,41 +364,31 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     # undo journal (failed-request rollback)
     # ------------------------------------------------------------------
     def _journal_acquire(self) -> None:
-        """Open the per-request journal scope.
-
-        Arena mode borrows the scheduler's reusable containers (no
-        allocations); the closure oracle allocates the original fresh
-        ``[], set(), []`` triple per request.
-        """
-        if self._closure_journal:
-            self._journal, self._jseen, self._jtouched = [], set(), []
-        else:
-            arena = self._arena
-            self._journal = arena.entries
-            self._jseen = arena.seen
-            self._jtouched = arena.intervals
+        """Open the per-request journal scope on the scheduler's arena
+        (its reusable containers: no allocations)."""
+        arena = self._arena
+        self._journal = arena.entries
+        self._jseen = arena.seen
+        self._jtouched = arena.intervals
 
     def _journal_release(self) -> None:
         """Close the per-request journal scope (detach + truncate)."""
         for iv in self._jtouched:
             iv.undo_log = None
-        if self._closure_journal:
-            self._journal_entries_closure += len(self._journal)
-        else:
-            self._arena.truncate()
+        self._arena.truncate()
         self._journal = self._jseen = self._jtouched = None
 
     def _rollback(self) -> None:
         """Replay the undo journal in reverse, restoring pre-request state.
 
-        When the request ran under a live touched log and the placement
-        diet is on, the journal holds no placement-map entries: the
-        three maps rewind from the touched log instead, exactly as the
-        atomic-batch abort does (``_batch_restore``).
+        When the request ran under a live touched log, the journal holds
+        no placement-map entries: the three maps rewind from the touched
+        log instead, exactly as the atomic-batch abort does
+        (``_batch_restore``).
         """
         replay_entries(self._journal)
         touched = self._touched
-        if touched is not None and self._placement_diet:
+        if touched is not None:
             # Same orphan-safety argument as _batch_restore: any slot
             # now held by a job it did not hold pre-request belongs to
             # a touched job, so clearing touched jobs first cannot
@@ -473,20 +411,16 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def journal_entries_total(self) -> int:
         """Undo-journal entries recorded over this scheduler's lifetime.
 
-        Diagnostic counter for the allocation-diet accounting (bench
-        E11b): each entry is one tuple in arena mode versus one closure
-        (function object + closure tuple + cells) in oracle mode.
-        Process-local (resets when a scheduler crosses a pickle
-        boundary).
+        Diagnostic counter (one tuple allocation per entry; the
+        end-to-end benchmark reports it per request). Process-local
+        (resets when a scheduler crosses a pickle boundary).
         """
-        return self._arena.entries_total + self._journal_entries_closure
+        return self._arena.entries_total
 
     @property
     def journal_impl(self) -> str:
-        """The journal representation in use: ``"arena"``,
-        ``"closure"``, or ``"arena-sanitize"`` (checking proxies)."""
-        if self._closure_journal:
-            return "closure"
+        """The journal mode in use: ``"arena"`` or ``"arena-sanitize"``
+        (checking proxies)."""
         return "arena-sanitize" if self._sanitize else "arena"
 
     def _jdict(self, d: dict, key: Hashable) -> None:
@@ -500,10 +434,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             return
         seen.add(token)
         old = d.get(key, _MISSING)
-        if self._closure_journal:
-            journal.append(_closure_pop(d, key) if old is _MISSING
-                           else _closure_set(d, key, old))
-        elif old is _MISSING:
+        if old is _MISSING:
             journal.append((OP_POP, d, key))
         else:
             journal.append((OP_SET, d, key, old))
@@ -540,12 +471,9 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             if token in seen:
                 return
             seen.add(token)
-            if self._closure_journal:
-                journal.append(_closure_window_state(ws))
-            else:
-                journal.append((OP_WINDOW_STATE, ws, set(ws.jobs),
-                                ws.backed_empty.snapshot(),
-                                ws.backed_covered.snapshot()))
+            journal.append((OP_WINDOW_STATE, ws, set(ws.jobs),
+                            ws.backed_empty.snapshot(),
+                            ws.backed_covered.snapshot()))
             return
         ab = self._abatch
         if ab is not None and ab.track and id(ws) not in ab.seen:
@@ -563,16 +491,12 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         per ladder position in practice.
         """
         journal = self._journal
-        if journal is not None:
-            journal.append(_closure_set(iv._ws, pos, iv._ws[pos])
-                           if self._closure_journal
-                           else (OP_SET, iv._ws, pos, iv._ws[pos]))
-            return
-        ab = self._abatch
-        if ab is not None and ab.track:
-            ab.journal.append(_closure_set(iv._ws, pos, iv._ws[pos])
-                              if self._closure_journal
-                              else (OP_SET, iv._ws, pos, iv._ws[pos]))
+        if journal is None:
+            ab = self._abatch
+            if ab is None or not ab.track:
+                return
+            journal = ab.journal
+        journal.append((OP_SET, iv._ws, pos, iv._ws[pos]))
 
     def _jstates_dict(self, states: dict) -> None:
         """Capture a window-state table before structural change (atomic).
@@ -603,9 +527,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                              emit_touched=emit_touched)
         if atomic:
             self._batch.saved["poisoned"] = self._poisoned
-            self._abatch = _AtomicBatchLog(
-                None if self._closure_journal else self._arena,
-                track=not ephemeral)
+            self._abatch = _AtomicBatchLog(self._arena, track=not ephemeral)
 
     def _release_batch_log(self, ab: _AtomicBatchLog) -> None:
         """Detach the batch journal and release its arena scope."""
@@ -613,8 +535,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             iv.undo_log = None
         if ab.arena is not None:
             ab.arena.truncate()
-        else:
-            self._journal_entries_closure += len(ab.journal)
 
     def _batch_commit(self) -> None:
         super()._batch_commit()
@@ -676,20 +596,17 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def _set_placement(self, job_id: JobId, slot: int) -> None:
         self._log_touch(job_id)
         journal = self._journal
-        if journal is not None and (self._touched is None
-                                    or not self._placement_diet):
+        if journal is not None and self._touched is None:
             # One combined entry for the three-map mutation. When a
-            # live touched log exists (and the diet is on) even this is
-            # skipped: _rollback rewinds the maps from the touched log,
-            # as _batch_restore does for atomic batches. The dedup
-            # tokens keep the sanitizer's first-touch accounting exact.
+            # live touched log exists even this is skipped: _rollback
+            # rewinds the maps from the touched log, as _batch_restore
+            # does for atomic batches. The dedup tokens keep the
+            # sanitizer's first-touch accounting exact.
             seen = self._jseen
             seen.add((id(self._placements), job_id))
             seen.add((id(self.job_slot), job_id))
             seen.add((id(self.slot_job), slot))
-            journal.append(_closure_place(self, job_id, slot)
-                           if self._closure_journal
-                           else (OP_PLACE, self, job_id, slot))
+            journal.append((OP_PLACE, self, job_id, slot))
         self.slot_job[slot] = job_id
         self.job_slot[job_id] = slot
         self._placements[job_id] = Placement(0, slot)
@@ -697,15 +614,12 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def _clear_placement(self, job_id: JobId, slot: int) -> None:
         self._log_touch(job_id)
         journal = self._journal
-        if journal is not None and (self._touched is None
-                                    or not self._placement_diet):
+        if journal is not None and self._touched is None:
             seen = self._jseen
             seen.add((id(self._placements), job_id))
             seen.add((id(self.job_slot), job_id))
             seen.add((id(self.slot_job), slot))
-            journal.append(_closure_unplace(self, job_id, slot)
-                           if self._closure_journal
-                           else (OP_UNPLACE, self, job_id, slot))
+            journal.append((OP_UNPLACE, self, job_id, slot))
         del self.slot_job[slot]
         del self.job_slot[job_id]
         del self._placements[job_id]
@@ -1122,7 +1036,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             enclosing_spans=tuple(self.policy.enclosing_spans(level)),
             on_assign=self._on_assign,
             on_release=self._on_release,
-            closure_undo=self._closure_journal,
         )
         slot_job = self.slot_job
         levels = self._job_levels
@@ -1140,9 +1053,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 ws_list[pos] = states.get(w)
         journal = self._journal
         if journal is not None:
-            journal.append(_closure_pop(table, index)
-                           if self._closure_journal
-                           else (OP_POP, table, index))
+            journal.append((OP_POP, table, index))
         elif self._abatch is not None and self._abatch.track:
             self._abatch.created.append((table, index))
         table[index] = iv

@@ -19,6 +19,12 @@ window: an aligned window's power-of-two prefix is itself aligned, so
 the inner scheduler's alignment requirement is preserved, and the
 trimmed window nests inside the original, so any feasible placement for
 the trimmed instance is feasible for the true instance.
+
+Non-atomic rebuilds run journal-free: the fresh inner's survivor
+re-inserts skip the per-request undo journal, because a failed rebuild
+poisons the scheduler regardless (a half-built inner is unusable
+either way). Atomic batches run rebuilds on an ephemeral inner that an
+abort discards wholesale.
 """
 
 from __future__ import annotations
@@ -60,23 +66,13 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
     min_n_star:
         Floor for the n* estimate (avoids degenerate trims at tiny n).
     journal:
-        Undo-journal representation of the inner schedulers (``"arena"``
-        default, ``"closure"`` oracle — see
+        Undo-journal mode of the inner schedulers (``"arena"`` default
+        or ``"arena-sanitize"`` — see
         :class:`AlignedReservationScheduler`). Rebuilds carry it to the
         fresh inner.
     """
 
     _sparse_costing = True
-
-    #: Rebuild journal diet: survivor re-inserts during a *non-atomic*
-    #: rebuild skip the per-request undo journal entirely. The journal
-    #: exists to restore pre-request state when a request fails — but a
-    #: failed rebuild poisons the scheduler regardless (half-built
-    #: inners are unusable either way), so the per-survivor journal
-    #: work is pure waste; the atomic-batch path already runs rebuilds
-    #: rollback-free by discarding the fresh inner wholesale on abort.
-    #: Class-level so the equivalence test can pin the journaled oracle.
-    rebuild_journal_diet = True
 
     def __init__(
         self,
@@ -172,10 +168,10 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
             self.inner._batch_begin(atomic=ctx.atomic, top=False,
                                     ephemeral=ctx.atomic or ctx.ephemeral,
                                     emit_touched=False)
-        if self.rebuild_journal_diet and (ctx is None or not ctx.atomic):
-            # Journal diet: a failed rebuild poisons regardless, so the
-            # fresh inner's survivor inserts run journal-free (atomic
-            # batches already do, via the ephemeral discard-on-abort path).
+        if ctx is None or not ctx.atomic:
+            # A failed rebuild poisons regardless, so the fresh inner's
+            # survivor inserts run journal-free (atomic batches already
+            # do, via the ephemeral discard-on-abort path).
             self.inner._journal_enabled = False
         # Deterministic rebuild order: short spans first, then by release.
         survivors.sort(key=lambda j: (j.span, j.release, str(j.id)))

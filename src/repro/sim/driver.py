@@ -86,7 +86,6 @@ def run_sequence(
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
     shard_workers: str | None = None,
-    shard_parallel: bool = False,
     verify_each: bool = True,
     verify_mode: str = "incremental",
     full_audit_every: int | None = None,
@@ -144,7 +143,6 @@ def run_sequence(
         batch_semantics=batch_semantics,
         backend=backend,
         shard_workers=shard_workers,
-        shard_parallel=shard_parallel,
         verify=verify_mode if verify_each else "off",
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -175,7 +173,6 @@ def run_comparison(
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
     shard_workers: str | None = None,
-    shard_parallel: bool = False,
     verify_each: bool = True,
     verify_mode: str = "incremental",
     validate_each: Callable[[ReallocatingScheduler], None] | None = None,
@@ -191,7 +188,6 @@ def run_comparison(
             batch_semantics=batch_semantics,
             backend=backend,
             shard_workers=shard_workers,
-            shard_parallel=shard_parallel,
             verify_each=verify_each,
             verify_mode=verify_mode,
             validate_each=validate_each,

@@ -142,7 +142,6 @@ def run_engine(
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
     shard_workers: str | None = None,
-    shard_parallel: bool = False,
     verify: str = "incremental",
     full_audit_every: int | None = None,
     validator: Callable[[ReallocatingScheduler], None] | None = None,
@@ -179,8 +178,6 @@ def run_engine(
         ``"threads"`` (GIL-bound thread pool), or ``"processes"``
         (process-resident per-machine sub-schedulers; the session
         releases them, syncing state back, when the run ends).
-    shard_parallel:
-        Deprecated alias for ``shard_workers="threads"``.
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -208,7 +205,6 @@ def run_engine(
         batch_semantics=batch_semantics,
         backend=backend,
         shard_workers=shard_workers,
-        shard_parallel=shard_parallel,
         verify=verify,
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -276,7 +272,6 @@ def run_sweep(
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
     shard_workers: str | None = None,
-    shard_parallel: bool = False,
     verify: str = "incremental",
     full_audit_every: int | None = None,
     checkpoint_every: int = 0,
@@ -324,7 +319,6 @@ def run_sweep(
                 batch_semantics=batch_semantics,
                 backend=backend,
                 shard_workers=shard_workers,
-                shard_parallel=shard_parallel,
                 verify=verify,
                 full_audit_every=full_audit_every,
                 checkpoint_every=checkpoint_every,

@@ -154,9 +154,6 @@ class ExecutionPlan:
         (process-resident per-machine sub-schedulers, the flavor with
         real parallelism — see bench E13 and the module docstring for
         lifecycle and failure semantics).
-    shard_parallel:
-        Deprecated alias: ``True`` means ``shard_workers="threads"``
-        (ignored when ``shard_workers`` is set explicitly).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -190,7 +187,6 @@ class ExecutionPlan:
     batch_semantics: str = "strict"
     backend: "str | DriveBackend" = "auto"
     shard_workers: str | None = None
-    shard_parallel: bool = False
     verify: str = "incremental"
     full_audit_every: int = DEFAULT_FULL_AUDIT_EVERY
     validator: Callable[[ReallocatingScheduler], None] | None = None
@@ -221,9 +217,8 @@ class ExecutionPlan:
 
     @property
     def resolved_shard_workers(self) -> str:
-        """The effective worker mode (deprecated flag folded in)."""
-        return resolve_shard_worker_mode(self.shard_workers,
-                                         self.shard_parallel)
+        """The effective worker mode (``None`` means ``"serial"``)."""
+        return resolve_shard_worker_mode(self.shard_workers)
 
 
 @dataclass
@@ -339,9 +334,8 @@ class ShardedBackend(DriveBackend):
     chunked = True
 
     def __init__(self, *, workers: str | None = None,
-                 parallel: bool = False,
                  semantics: str = "strict") -> None:
-        self.workers = resolve_shard_worker_mode(workers, parallel)
+        self.workers = resolve_shard_worker_mode(workers)
         self.semantics = resolve_batch_semantics(semantics)
 
     def prepare(self, scheduler: ReallocatingScheduler,

@@ -1,11 +1,10 @@
-"""Tuple+arena undo journal vs the closure-journal oracle.
+"""Undo-journal rollback restores the exact pre-request state.
 
-The journal representation (tuple opcodes on a reusable arena,
-``journal="arena"``) is free to change because the paper's guarantees
-depend only on *what* a rollback restores, never *how* — but "free to
-change" must be proven, not assumed. These tests pin the arena
-journal's abort state bit-identical to the closure-journal oracle
-(``journal="closure"``, the pre-arena implementation kept verbatim)
+The journal representation (tuple opcodes on a reusable arena) is free
+to change because the paper's guarantees depend only on *what* a
+rollback restores, never *how*. Theorem 1 bounds the reallocations of
+the requests that happen, so a failed request (or aborted burst) must
+leave the schedule exactly as it was. These tests check that directly
 across every rollback path in the stack:
 
 - failed-request rollback (poisoned schedulers keep exact pre-request
@@ -15,25 +14,47 @@ across every rollback path in the stack:
 - process-worker crash rollback (whole-burst abort + worker re-seed,
   exercising arena reuse across bursts and across pickling).
 
-"Bit-identical" is a deep structural fingerprint: placements, job
-tables, per-interval reservations/assignments/allowances, and
-window-state backed indexes — not just the public placement map.
+Each rollback case asserts two things: the deep state fingerprint after
+the abort equals the fingerprint taken before the failing request or
+burst (the poison flag aside), and continuing the run matches a twin
+stack that never saw the failure. Deep failures come from fault
+injection: an ``UnderallocationError`` raised at the k-th call of a
+scheduler method that runs mid-request (``INJECTION_POINTS``), so
+the abort has real mutations to undo. The fingerprint is structural:
+placements, job tables, per-interval reservations/assignments/
+allowances, and window-state backed indexes — not just the public
+placement map.
 """
 
 from __future__ import annotations
 
+import itertools
+import pickle
 import random
 
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.core.exceptions import ReproError, WorkerCrashError
+from repro.core.exceptions import (
+    ReproError,
+    UnderallocationError,
+    WorkerCrashError,
+)
 from repro.core.job import Job
 from repro.core.requests import DeleteJob, InsertJob, iter_batches
 from repro.core.window import Window
+from repro.levels.policy import PAPER_POLICY
 from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation import AlignedReservationScheduler
-from repro.reservation.journal import OP_POP, UndoArena, replay_entries
+from repro.reservation.interval import Interval
+from repro.reservation.journal import (
+    OP_LOWERED,
+    OP_POP,
+    OP_RAISED,
+    OP_SWAP,
+    UndoArena,
+    replay_entries,
+)
 from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.reservation.validation import validate_scheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
@@ -45,6 +66,14 @@ def make_workload(num_requests=400, seed=0, machines=1):
         horizon=1 << 11, max_span=1 << 11, delete_fraction=0.35,
     )
     return list(random_aligned_sequence(cfg, seed=seed))
+
+
+class DenseAligned(AlignedReservationScheduler):
+    """Dense (full-snapshot) costing: no touched log is ever live, so
+    every placement mutation journals one ``OP_PLACE``/``OP_UNPLACE``
+    entry instead of rewinding from the touched log."""
+
+    _sparse_costing = False
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +88,8 @@ def aligned_fingerprint(s: AlignedReservationScheduler):
 
     Lazy caches (memoized targets, free-slot indexes) are deliberately
     excluded — ``validate_scheduler`` cross-checks them against
-    recomputation separately.
+    recomputation separately — and so is the poison flag, which a
+    failed request sets on purpose (tests assert it separately).
     """
     intervals = tuple(
         (lv, idx, iv.lo, iv.hi, frozenset(iv.lower_occupied),
@@ -80,7 +110,7 @@ def aligned_fingerprint(s: AlignedReservationScheduler):
     )
     return (
         dict(s.placements), dict(s.slot_job), dict(s.job_slot),
-        dict(s._job_levels), set(s.jobs), s._poisoned,
+        dict(s._job_levels), set(s.jobs),
         s._max_span_cache, dict(s._span_counts), intervals, window_states,
     )
 
@@ -108,9 +138,72 @@ def stack_fingerprint(s):
     raise AssertionError(f"no fingerprint for {type(s).__name__}")
 
 
-def make_pair(factory):
-    """(arena, closure-oracle) instances of the same stack."""
-    return factory("arena"), factory("closure")
+def assert_poisoned_at_pre_state(sched, pre, poison):
+    """``poison`` fails, rolls back to ``pre``, and poisons ``sched``."""
+    with pytest.raises(ReproError):
+        sched.insert(poison)
+    assert sched.poisoned
+    validate_scheduler(sched)
+    assert stack_fingerprint(sched) == pre
+    # poisoned means unusable: every later request is refused
+    with pytest.raises(ReproError):
+        sched.insert(Job("after-poison", Window(512, 1024)))
+    assert stack_fingerprint(sched) == pre
+
+
+#: scheduler methods that run inside a request's journal scope, after
+#: some of its mutations: placement, MOVE, backed-index refresh, and
+#: the interval assignment hooks (which fire after the interval
+#: journaled its own change)
+INJECTION_POINTS = ("_occupy", "_move", "_reclassify_backed",
+                    "_on_assign", "_on_release")
+
+
+def _fail_at(mp, method, k, in_batch=False):
+    """Make ``method`` raise UnderallocationError on its k-th call
+    (with ``in_batch``, counting only calls inside a batch context)."""
+    orig = getattr(AlignedReservationScheduler, method)
+    calls = 0
+
+    def flaky(self, *args):
+        nonlocal calls
+        if in_batch and self._abatch is None:
+            return orig(self, *args)
+        calls += 1
+        if calls == k:
+            raise UnderallocationError(f"injected at {method} call {k}")
+        return orig(self, *args)
+
+    mp.setattr(AlignedReservationScheduler, method, flaky)
+
+
+def check_injected_rollbacks(base, request, monkeypatch,
+                             methods=INJECTION_POINTS):
+    """Fail ``request`` at every call of every injection point, each on
+    a fresh clone of ``base``: every failure must poison the clone and
+    roll it back to ``base``'s state. ``base`` itself is the twin that
+    never saw a failure. Returns the number of failures injected."""
+    pre = stack_fingerprint(base)
+    injected = 0
+    for method in methods:
+        for k in itertools.count(1):
+            with monkeypatch.context() as mp:
+                _fail_at(mp, method, k)
+                # clone under the patch: unpickling rebinds the interval
+                # hooks to the (patched) scheduler methods
+                clone = pickle.loads(pickle.dumps(base))
+                try:
+                    clone.apply(request)
+                except UnderallocationError as exc:
+                    assert "injected" in str(exc)
+                else:
+                    break  # fewer than k calls: nothing left to inject
+            assert clone.poisoned
+            assert stack_fingerprint(clone) == pre, (method, k, request)
+            if k == 1:
+                validate_scheduler(clone)
+            injected += 1
+    return injected
 
 
 # ----------------------------------------------------------------------
@@ -137,21 +230,65 @@ def test_arena_watermark_truncation_and_counter():
     assert arena.entries_total == 2
 
 
-def test_replay_dispatches_closures_too():
-    calls = []
-    d = {"k": "old"}
-    replay_entries([lambda: calls.append(1), (OP_POP, d, "k")])
-    assert calls == [1] and d == {}
+def _interval_state(iv):
+    """An interval's semantic state (the memo flags are excluded: undo
+    invalidates them on purpose rather than restoring them)."""
+    return (frozenset(iv.lower_occupied), iv.dynamic_res,
+            {w: frozenset(s) for w, s in iv.assigned.items()},
+            iv.slot_owner, list(iv.free_slots()), list(iv._counts),
+            iv._n_lower, iv._dyn_total)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interval_mutations_replay_to_pre_state(seed):
+    """Every interval mutator's journal entry undoes it exactly: random
+    reservation, allowance, swap, and rebalance traffic replays back to
+    the pre-scope interval state. (Swaps are rare at the scheduler
+    level, so this is where ``OP_SWAP`` gets its rollback coverage.)"""
+    rng = random.Random(seed)
+    span = PAPER_POLICY.interval_span(1)
+    iv = Interval(level=1, index=0, lo=0, hi=span,
+                  enclosing_spans=tuple(PAPER_POLICY.enclosing_spans(1)))
+    windows = iv.enclosing_windows()
+
+    def churn(steps):
+        for _ in range(steps):
+            op = rng.randrange(4)
+            if op == 0:
+                w = rng.choice(windows)
+                delta = rng.choice([-1, 1, 2])
+                if iv.dynamic_res.get(w, 0) + delta >= 0:
+                    iv.add_dynamic(w, delta)
+            elif op == 1:
+                iv.slot_lowered(rng.randrange(span))
+            elif op == 2:
+                iv.slot_raised(rng.randrange(span))
+            else:
+                iv.swap_slots(rng.randrange(span), rng.randrange(span))
+            iv.rebalance(lambda s: None, lambda s: True)
+
+    churn(60)
+    pre = _interval_state(iv)
+    iv.undo_log = log = []
+    churn(60)
+    iv.undo_log = None
+    assert {e[0] for e in log} >= {OP_SWAP, OP_LOWERED, OP_RAISED}
+    replay_entries(log)
+    assert _interval_state(iv) == pre
 
 
 def test_journal_param_validation_and_introspection():
-    with pytest.raises(ValueError):
-        AlignedReservationScheduler(journal="nope")
+    for bad in ("nope", "closure"):
+        with pytest.raises(ValueError):
+            AlignedReservationScheduler(journal=bad)
+        with pytest.raises(ValueError):
+            TrimmedReservationScheduler(journal=bad)
+        with pytest.raises(ValueError):
+            ReservationScheduler(1, journal=bad)
     assert AlignedReservationScheduler().journal_impl == "arena"
-    assert AlignedReservationScheduler(journal="closure").journal_impl == "closure"
-    assert TrimmedReservationScheduler(journal="closure").inner.journal_impl == "closure"
-    facade = ReservationScheduler(2, gamma=8, journal="closure")
-    assert all(m.journal_impl == "closure" for m in facade.machine_schedulers())
+    facade = ReservationScheduler(2, gamma=8, journal="arena-sanitize")
+    assert all(m.inner.journal_impl == "arena-sanitize"
+               for m in facade.machine_schedulers())
 
 
 def test_journal_entry_counter_survives_aborted_rebuild():
@@ -204,234 +341,106 @@ def test_deamortized_counter_exists_and_carries_phases():
 
 
 def test_journal_entry_counter_counts_both_modes():
+    """The sanitizer mode records exactly the entries the plain arena
+    does (its proxies check coverage, they journal nothing extra)."""
     seq = make_workload(120, seed=21)
-    arena, closure = make_pair(
-        lambda j: AlignedReservationScheduler(journal=j))
+    plain = AlignedReservationScheduler(journal="arena")
+    checked = AlignedReservationScheduler(journal="arena-sanitize")
     for r in seq:
-        arena.apply(r)
-        closure.apply(r)
-    assert arena.journal_entries_total > 0
-    assert arena.journal_entries_total == closure.journal_entries_total
+        plain.apply(r)
+        checked.apply(r)
+    assert plain.journal_entries_total > 0
+    assert plain.journal_entries_total == checked.journal_entries_total
+    assert stack_fingerprint(plain) == stack_fingerprint(checked)
 
 
 # ----------------------------------------------------------------------
 # failed-request rollback (poisoned schedulers)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 7, 23])
-def test_poisoned_request_state_identical(seed):
-    """A deep infeasible insert rolls both journals back to the same
-    bit-identical pre-request state, then poisons both."""
-    seq = make_workload(250, seed=seed)
-    arena, closure = make_pair(
-        lambda j: AlignedReservationScheduler(journal=j))
-    for s in (arena, closure):
-        s.insert(Job("fill", Window(0, 1)))  # [0,1) is now full
-    for r in seq:
-        arena.apply(r)
-        closure.apply(r)
-    pre = stack_fingerprint(arena)
-    assert pre == stack_fingerprint(closure)
-    poison = Job(f"poison-{seed}", Window(0, 1))
-    for s in (arena, closure):
-        with pytest.raises(ReproError):
-            s.insert(poison)
-        assert s.poisoned
-        validate_scheduler(s)
-    post = stack_fingerprint(arena)
-    assert post == stack_fingerprint(closure)
-    # rollback restored everything except the poison flag
-    assert post[1][:5] == pre[1][:5] and post[1][6:] == pre[1][6:]
+def test_poisoned_request_state_identical(seed, monkeypatch):
+    """Requests failed deep inside their journal scope — at every call
+    of every injection point — roll back to the bit-identical
+    pre-request state and poison the scheduler; so does a genuinely
+    infeasible insert."""
+    seq = make_workload(262, seed=seed)
+    sched = AlignedReservationScheduler()
+    sched.insert(Job("fill", Window(0, 1)))  # [0,1) is now full
+    for r in seq[:250]:
+        sched.apply(r)
+    injected = 0
+    for r in seq[250:]:
+        injected += check_injected_rollbacks(sched, r, monkeypatch)
+        sched.apply(r)
+    assert injected >= 20
+    pre = stack_fingerprint(sched)
+    assert_poisoned_at_pre_state(sched, pre, Job(f"poison-{seed}", Window(0, 1)))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_random_failing_deletes_and_inserts_identical(seed):
-    """Random churn with interleaved invalid requests: both journals
-    agree on every success, every failure, and every intermediate
-    state fingerprint."""
+def test_random_failing_deletes_and_inserts_identical(seed, monkeypatch):
+    """Random churn with interleaved failures. Invalid requests leave
+    the pre-request fingerprint intact and the run continues in
+    lockstep with a twin that never saw them; requests failed at a
+    random injection point roll back to the pre-request state."""
     rng = random.Random(seed)
     seq = make_workload(300, seed=seed)
-    arena, closure = make_pair(
-        lambda j: AlignedReservationScheduler(journal=j))
-    for i, r in enumerate(seq):
-        outcomes = []
-        for s in (arena, closure):
-            try:
-                s.apply(r)
-                outcomes.append("ok")
-            except ReproError as exc:
-                outcomes.append(type(exc).__name__)
-        assert outcomes[0] == outcomes[1]
-        if outcomes[0] != "ok":
-            break
-        if rng.random() < 0.1:
-            bad = DeleteJob(f"ghost-{i}")
-            for s in (arena, closure):
-                with pytest.raises(ReproError):
-                    s.apply(bad)
-        if i % 25 == 0:
-            assert stack_fingerprint(arena) == stack_fingerprint(closure)
-    assert stack_fingerprint(arena) == stack_fingerprint(closure)
-
-
-# ----------------------------------------------------------------------
-# deep atomic aborts
-# ----------------------------------------------------------------------
-STACKS = [
-    ("aligned", 1, lambda j: AlignedReservationScheduler(journal=j)),
-    ("theorem1-m1", 1, lambda j: ReservationScheduler(1, gamma=8, journal=j)),
-    ("theorem1-m3", 3, lambda j: ReservationScheduler(3, gamma=8, journal=j)),
-]
-
-
-@pytest.mark.parametrize("name,machines,factory", STACKS)
-def test_atomic_abort_state_identical(name, machines, factory):
-    """A failing atomic batch aborts both representations to the same
-    deep state, equal to a scheduler that never saw the batch; both
-    continue to a bit-identical end state."""
-    seq = make_workload(420, seed=9, machines=machines)
-    prefix, inside, after = seq[:200], seq[200:260], seq[260:]
-    arena, closure = make_pair(factory)
-    untouched = factory("arena")
-    for r in prefix:
-        arena.apply(r)
-        closure.apply(r)
-        untouched.apply(r)
-    # duplicate insert fails at the last request — deep abort after the
-    # whole burst (trimming rebuilds included) already applied
-    bad = inside + [InsertJob(Job("dup", Window(0, 64))),
-                    InsertJob(Job("dup", Window(0, 64)))]
-    for s in (arena, closure):
-        result = s.apply_batch(bad, atomic=True)
-        assert result.failed and result.rolled_back
-    fp = stack_fingerprint(arena)
-    assert fp == stack_fingerprint(closure)
-    assert fp[1:] == stack_fingerprint(untouched)[1:]  # same type tag anyway
-    for r in inside + after:
-        arena.apply(r)
-        closure.apply(r)
-    assert stack_fingerprint(arena) == stack_fingerprint(closure)
-
-
-def test_trimming_rebuild_abort_identical():
-    """An atomic batch that replaces the trimming inner mid-batch and
-    then aborts: the pre-batch inner swaps back identically in both
-    representations, and the discarded rebuild inner cost no journal
-    entries in either."""
-    arena, closure = make_pair(
-        lambda j: TrimmedReservationScheduler(gamma=8, min_n_star=4,
-                                              journal=j))
-    warm = make_workload(60, seed=13)
-    for r in warm:
-        arena.apply(r)
-        closure.apply(r)
-    pre = stack_fingerprint(arena)
-    assert pre == stack_fingerprint(closure)
-    n_star = arena.n_star
-    # enough inserts to force a doubling rebuild inside the batch, then
-    # a guaranteed failure (duplicate id)
-    grow = [InsertJob(Job(f"grow-{i}", Window(0, 1 << 10)))
-            for i in range(2 * n_star + 4)]
-    bad = grow + [InsertJob(Job("grow-0", Window(0, 1 << 10)))]
-    for s in (arena, closure):
-        entries_before = s.journal_entries_total
-        result = s.apply_batch(bad, atomic=True)
-        assert result.failed and result.rolled_back
-        assert s.rebuilds == 0 or s.n_star == n_star  # rebuild discarded
-        # atomic batches journal interval mutations but the ephemeral
-        # rebuild inner records nothing
-        assert s.journal_entries_total >= entries_before
-    assert stack_fingerprint(arena) == pre
-    assert stack_fingerprint(closure) == pre
-    # rebuilds still work after the abort, identically
-    for r in grow:
-        arena.apply(r)
-        closure.apply(r)
-    assert arena.rebuilds == closure.rebuilds > 0
-    assert stack_fingerprint(arena) == stack_fingerprint(closure)
-
-
-def test_sequential_rebuild_journal_diet_oracle_unchanged():
-    """The PR 3 journal-diet equivalence still holds on top of the
-    arena: non-atomic rebuilds skip the journal entirely in both
-    representations and end bit-identical to the journaled oracle."""
-    seq = make_workload(400, seed=17)
-    diet = TrimmedReservationScheduler(gamma=8)
-    oracle = TrimmedReservationScheduler(gamma=8, journal="closure")
-    oracle.rebuild_journal_diet = False  # instance-level: full journaling
-    for r in seq:
-        diet.apply(r)
-        oracle.apply(r)
-    assert diet.rebuilds == oracle.rebuilds > 0
-    assert stack_fingerprint(diet) == stack_fingerprint(oracle)
-
-
-# ----------------------------------------------------------------------
-# process-worker crash rollback
-# ----------------------------------------------------------------------
-def test_procworker_crash_rollback_identical():
-    """A worker process dying mid-burst rolls the whole burst back to
-    the same deep state in both representations (the arena crossing the
-    pickle boundary and being reused across bursts), and both recover
-    to a bit-identical end state."""
-    seq = make_workload(500, seed=19, machines=3)
-    prefix, burst, rest = seq[:256], seq[256:288], seq[288:]
-    arena, closure = make_pair(
-        lambda j: ReservationScheduler(3, gamma=8, journal=j))
-    try:
-        for s in (arena, closure):
-            for chunk in iter_batches(prefix, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-            s.delegator._shard_pool.crash_worker_after(1, 2)
-            result = s.apply_batch_sharded(burst, workers="processes")
-            assert result.failed and result.rolled_back
-            assert isinstance(result.error, WorkerCrashError)
-        # sync both back and compare the rolled-back state deeply
-        arena.close_shard_workers()
-        closure.close_shard_workers()
-        assert stack_fingerprint(arena) == stack_fingerprint(closure)
-        assert all(m.journal_impl == "closure"
-                   for m in closure.machine_schedulers())
-        # the same burst retries cleanly on the re-seeded workers
-        for s in (arena, closure):
-            for chunk in iter_batches(burst + rest, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-        arena.close_shard_workers()
-        closure.close_shard_workers()
-        assert stack_fingerprint(arena) == stack_fingerprint(closure)
-        reference = ReservationScheduler(3, gamma=8)
-        for r in seq:
-            reference.apply(r)
-        assert dict(arena.placements) == dict(reference.placements)
-        assert arena.ledger.entries == reference.ledger.entries
-    finally:
-        arena.close_shard_workers()
-        closure.close_shard_workers()
-
-
-def test_unpickled_scheduler_gets_fresh_arena():
-    import pickle
-
     sched = AlignedReservationScheduler()
-    for r in make_workload(80, seed=2):
+    twin = AlignedReservationScheduler()
+    invalid = injected = 0
+    for i, r in enumerate(seq):
+        if rng.random() < 0.1:
+            injected += check_injected_rollbacks(
+                sched, r, monkeypatch, methods=(rng.choice(INJECTION_POINTS),))
         sched.apply(r)
-    clone = pickle.loads(pickle.dumps(sched))
-    assert clone._arena is not sched._arena
-    assert not clone._arena.entries and clone._arena.entries_total == 0
-    # the restored scheduler journals and rolls back normally
-    clone.insert(Job("fill2", Window(2, 3)))
-    assert aligned_fingerprint(clone)[:5] != aligned_fingerprint(sched)[:5]
+        twin.apply(r)
+        if rng.random() < 0.15:
+            active = sorted(sched.jobs)
+            bad = rng.choice([
+                DeleteJob(f"ghost-{i}"),
+                InsertJob(Job(f"unaligned-{i}", Window(1, 4))),
+                InsertJob(sched.jobs[active[0]]) if active
+                else DeleteJob(f"ghost-{i}"),
+            ])
+            pre = stack_fingerprint(sched)
+            with pytest.raises(ReproError):
+                sched.apply(bad)
+            invalid += 1
+            assert not sched.poisoned
+            assert stack_fingerprint(sched) == pre
+        if i % 25 == 0:
+            assert stack_fingerprint(sched) == stack_fingerprint(twin)
+    assert invalid > 0 and injected > 0
+    assert stack_fingerprint(sched) == stack_fingerprint(twin)
 
 
-# ----------------------------------------------------------------------
-# placement-map journal diet (touched-log rewind replaces per-map entries)
-# ----------------------------------------------------------------------
-def _counting_scheduler(deltas, **kwargs):
-    """Aligned scheduler recording journal-entry deltas per placement
+@pytest.mark.parametrize("seed", [5, 23])
+def test_placement_diet_poisoned_request_identical(seed, monkeypatch):
+    """Both placement-map rollback protocols restore the pre-request
+    state after deep failures: the touched-log rewind (sparse costing,
+    no placement entries) and the folded ``OP_PLACE``/``OP_UNPLACE``
+    journal (dense costing, checked by the sanitizer proxies)."""
+    seq = make_workload(258, seed=seed)
+    scheds = (AlignedReservationScheduler(),
+              DenseAligned(journal="arena-sanitize"))
+    for s in scheds:
+        for r in seq[:250]:
+            s.apply(r)
+    assert stack_fingerprint(scheds[0]) == stack_fingerprint(scheds[1])
+    for r in seq[250:]:
+        injected = [check_injected_rollbacks(s, r, monkeypatch)
+                    for s in scheds]
+        assert injected[0] == injected[1]
+        for s in scheds:
+            s.apply(r)
+    assert stack_fingerprint(scheds[0]) == stack_fingerprint(scheds[1])
+
+
+def _counting_scheduler(cls, deltas):
+    """Scheduler of ``cls`` recording journal-entry deltas per placement
     mutation (only while a request journal is open)."""
 
-    class Counting(AlignedReservationScheduler):
+    class Counting(cls):
         def _set_placement(self, job_id, slot):
             before = None if self._journal is None else len(self._journal)
             super()._set_placement(job_id, slot)
@@ -444,115 +453,205 @@ def _counting_scheduler(deltas, **kwargs):
             if before is not None:
                 deltas.append(len(self._journal) - before)
 
-    return Counting(**kwargs)
+    return Counting()
 
 
 def test_placement_fold_journals_one_entry_not_three():
-    """Entry-count pin for the fold: with the diet disabled every
-    placement mutation journals exactly ONE combined opcode (previously
-    three per-map entries); with the diet on (live touched log) it
+    """Entry-count pin for the fold: without a live touched log (dense
+    costing) every placement mutation journals exactly ONE combined
+    opcode, not three per-map entries; with one (sparse costing) it
     journals none at all."""
     seq = make_workload(200, seed=7)
 
-    diet_deltas: list[int] = []
-    diet = _counting_scheduler(diet_deltas)
-    full_deltas: list[int] = []
-    full = _counting_scheduler(full_deltas)
-    full._placement_diet = False
+    sparse_deltas: list[int] = []
+    sparse = _counting_scheduler(AlignedReservationScheduler, sparse_deltas)
+    dense_deltas: list[int] = []
+    dense = _counting_scheduler(DenseAligned, dense_deltas)
 
     for r in seq:
-        diet.apply(r)
-        full.apply(r)
+        sparse.apply(r)
+        dense.apply(r)
 
-    assert stack_fingerprint(diet) == stack_fingerprint(full)
+    assert stack_fingerprint(sparse) == stack_fingerprint(dense)
     # both saw the same (nonzero) placement mutation traffic
-    assert len(diet_deltas) == len(full_deltas) > 0
-    assert set(diet_deltas) == {0}, "diet must skip placement journaling"
-    assert set(full_deltas) == {1}, "fold must journal one combined entry"
+    assert len(sparse_deltas) == len(dense_deltas) > 0
+    assert set(sparse_deltas) == {0}, "touched log must replace journaling"
+    assert set(dense_deltas) == {1}, "fold must journal one combined entry"
 
 
-@pytest.mark.parametrize("seed", [5, 23])
-def test_placement_diet_poisoned_request_identical(seed):
-    """A deep infeasible insert rolls the diet scheduler (touched-log
-    rewind) and the full-journaling oracle back to bit-identical
-    states, in both journal representations."""
-    seq = make_workload(250, seed=seed)
-    diet = AlignedReservationScheduler(journal="arena")
-    full_arena = AlignedReservationScheduler(journal="arena")
-    full_arena._placement_diet = False
-    full_closure = AlignedReservationScheduler(journal="closure")
-    full_closure._placement_diet = False
-    scheds = (diet, full_arena, full_closure)
-    for s in scheds:
-        s.insert(Job("fill", Window(0, 1)))  # [0,1) is now full
-    for r in seq:
-        for s in scheds:
-            s.apply(r)
-    poison = Job(f"poison-{seed}", Window(0, 1))
-    for s in scheds:
-        with pytest.raises(ReproError):
-            s.insert(poison)
-        assert s.poisoned
-        validate_scheduler(s)
-    fp = stack_fingerprint(diet)
-    assert fp == stack_fingerprint(full_arena)
-    assert fp == stack_fingerprint(full_closure)
+# ----------------------------------------------------------------------
+# deep atomic aborts
+# ----------------------------------------------------------------------
+STACKS = [
+    ("aligned", 1, lambda: AlignedReservationScheduler()),
+    ("theorem1-m1", 1, lambda: ReservationScheduler(1, gamma=8)),
+    ("theorem1-m3", 3, lambda: ReservationScheduler(3, gamma=8)),
+]
 
 
 @pytest.mark.parametrize("name,machines,factory", STACKS)
-def test_placement_diet_atomic_abort_identical(name, machines, factory,
-                                               monkeypatch):
-    """A failing atomic batch aborts to the same deep state with the
-    placement diet on (default) and off (full per-map journaling),
-    through every scheduler stack."""
-    seq = make_workload(420, seed=29, machines=machines)
+def test_atomic_abort_state_identical(name, machines, factory):
+    """A failing atomic batch aborts to the pre-burst deep state, and
+    the run then continues bit-identically to a twin that never saw
+    the burst."""
+    seq = make_workload(420, seed=9, machines=machines)
     prefix, inside, after = seq[:200], seq[200:260], seq[260:]
+    sched, twin = factory(), factory()
+    for r in prefix:
+        sched.apply(r)
+        twin.apply(r)
+    pre = stack_fingerprint(sched)
+    # duplicate insert fails at the last request — deep abort after the
+    # whole burst (trimming rebuilds included) already applied
     bad = inside + [InsertJob(Job("dup", Window(0, 64))),
                     InsertJob(Job("dup", Window(0, 64)))]
+    result = sched.apply_batch(bad, atomic=True)
+    assert result.failed and result.rolled_back
+    assert stack_fingerprint(sched) == pre
+    for r in inside + after:
+        sched.apply(r)
+        twin.apply(r)
+    assert stack_fingerprint(sched) == stack_fingerprint(twin)
 
-    def run(diet: bool):
-        monkeypatch.setattr(AlignedReservationScheduler,
-                            "_placement_diet", diet)
-        s = factory("arena")
+
+@pytest.mark.parametrize("name,machines,factory", STACKS)
+def test_injected_atomic_abort_restores_pre_burst(name, machines, factory,
+                                                  monkeypatch):
+    """Bursts failed deep inside — at sampled calls of every injection
+    point, anywhere in the burst — abort to the pre-burst state; the
+    same burst then commits exactly as on a twin that never failed."""
+    seq = make_workload(190, seed=41, machines=machines)
+    prefix, burst = seq[:150], seq[150:]
+
+    def fresh():
+        s = factory()
         for r in prefix:
             s.apply(r)
-        result = s.apply_batch(bad, atomic=True)
-        assert result.failed and result.rolled_back
-        mid = stack_fingerprint(s)
-        for r in inside + after:
-            s.apply(r)
-        return mid, stack_fingerprint(s)
+        return s
 
-    assert run(True) == run(False)
+    pre = stack_fingerprint(fresh())
+    twin = fresh()
+    assert not twin.apply_batch(burst, atomic=True).failed
+    post = stack_fingerprint(twin)
+    injected = 0
+    for method in INJECTION_POINTS:
+        for k in (1, 4, 16, 64):
+            with monkeypatch.context() as mp:
+                # patch before building: intervals bind the hooks then
+                _fail_at(mp, method, k, in_batch=True)
+                sched = fresh()
+                result = sched.apply_batch(burst, atomic=True)
+                if not result.failed:
+                    break  # fewer than k calls in the burst
+                assert result.rolled_back and "injected" in result.failure
+                assert stack_fingerprint(sched) == pre, (method, k)
+                injected += 1
+                assert not sched.apply_batch(burst, atomic=True).failed
+                assert stack_fingerprint(sched) == post
+    assert injected >= 8
 
 
-def test_placement_diet_procworker_crash_identical(monkeypatch):
+def test_trimming_rebuild_abort_identical():
+    """An atomic batch that replaces the trimming inner mid-batch and
+    then aborts: the pre-batch inner swaps back with the pre-burst
+    state, and later rebuilds match a twin that never saw the burst."""
+    sched = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+    twin = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+    warm = make_workload(60, seed=13)
+    for r in warm:
+        sched.apply(r)
+        twin.apply(r)
+    pre = stack_fingerprint(sched)
+    n_star, inner = sched.n_star, sched.inner
+    # enough inserts to force a doubling rebuild inside the batch, then
+    # a guaranteed failure (duplicate id)
+    grow = [InsertJob(Job(f"grow-{i}", Window(0, 1 << 10)))
+            for i in range(2 * n_star + 4)]
+    bad = grow + [InsertJob(Job("grow-0", Window(0, 1 << 10)))]
+    result = sched.apply_batch(bad, atomic=True)
+    assert result.failed and result.rolled_back
+    assert sched.inner is inner and sched.n_star == n_star
+    assert stack_fingerprint(sched) == pre
+    # rebuilds still work after the abort, exactly as on the twin
+    for r in grow:
+        sched.apply(r)
+        twin.apply(r)
+    assert sched.rebuilds == twin.rebuilds > 0
+    assert stack_fingerprint(sched) == stack_fingerprint(twin)
+
+
+def test_sequential_rebuild_journal_diet_oracle_unchanged(monkeypatch):
+    """Non-atomic rebuilds run journal-free and end bit-identical to a
+    stack whose rebuilds journal every survivor re-insert."""
+    seq = make_workload(400, seed=17)
+    diet = TrimmedReservationScheduler(gamma=8)
+    for r in seq:
+        diet.apply(r)
+    # test-only oracle: the per-request journal cannot be switched off
+    monkeypatch.setattr(AlignedReservationScheduler, "_journal_enabled",
+                        property(lambda self: True, lambda self, value: None))
+    oracle = TrimmedReservationScheduler(gamma=8)
+    for r in seq:
+        oracle.apply(r)
+    assert diet.rebuilds == oracle.rebuilds > 0
+    assert stack_fingerprint(diet) == stack_fingerprint(oracle)
+    # the journal-free rebuilds recorded strictly fewer entries
+    assert diet.journal_entries_total < oracle.journal_entries_total
+
+
+# ----------------------------------------------------------------------
+# process-worker crash rollback
+# ----------------------------------------------------------------------
+def test_procworker_crash_rollback_identical():
     """A worker process dying mid-burst rolls the whole burst back to
-    the same deep state with the diet on and off (workers fork with the
-    flag applied), and both recover to a bit-identical end state."""
-    seq = make_workload(400, seed=31, machines=3)
-    prefix, burst, rest = seq[:192], seq[192:224], seq[224:]
-
-    def run(diet: bool):
-        monkeypatch.setattr(AlignedReservationScheduler,
-                            "_placement_diet", diet)
-        s = ReservationScheduler(3, gamma=8, journal="arena")
-        try:
+    the pre-burst deep state (the arena crossing the pickle boundary
+    and being reused across bursts); the burst then retries cleanly on
+    the re-seeded workers and the run matches a twin that never
+    crashed."""
+    seq = make_workload(500, seed=19, machines=3)
+    prefix, burst, rest = seq[:256], seq[256:288], seq[288:]
+    sched = ReservationScheduler(3, gamma=8)
+    twin = ReservationScheduler(3, gamma=8)
+    try:
+        for s in (sched, twin):
             for chunk in iter_batches(prefix, 32):
                 result = s.apply_batch_sharded(chunk, workers="processes")
                 assert not result.failed, result.failure
-            s.delegator._shard_pool.crash_worker_after(1, 2)
-            result = s.apply_batch_sharded(burst, workers="processes")
-            assert result.failed and result.rolled_back
-            assert isinstance(result.error, WorkerCrashError)
-            s.close_shard_workers()
-            mid = stack_fingerprint(s)
+        # sync back to fingerprint the pre-burst state, then re-open
+        # the pool (re-seeded from that state) to arm the crash
+        sched.close_shard_workers()
+        pre = stack_fingerprint(sched)
+        sched.delegator._ensure_shard_pool().crash_worker_after(1, 2)
+        result = sched.apply_batch_sharded(burst, workers="processes")
+        assert result.failed and result.rolled_back
+        assert isinstance(result.error, WorkerCrashError)
+        sched.close_shard_workers()
+        assert stack_fingerprint(sched) == pre
+        for s in (sched, twin):
             for chunk in iter_batches(burst + rest, 32):
                 result = s.apply_batch_sharded(chunk, workers="processes")
                 assert not result.failed, result.failure
             s.close_shard_workers()
-            return mid, stack_fingerprint(s)
-        finally:
-            s.close_shard_workers()
+        assert stack_fingerprint(sched) == stack_fingerprint(twin)
+        reference = ReservationScheduler(3, gamma=8)
+        for r in seq:
+            reference.apply(r)
+        assert dict(sched.placements) == dict(reference.placements)
+        assert sched.ledger.entries == reference.ledger.entries
+    finally:
+        sched.close_shard_workers()
+        twin.close_shard_workers()
 
-    assert run(True) == run(False)
+
+def test_unpickled_scheduler_gets_fresh_arena():
+    sched = AlignedReservationScheduler()
+    for r in make_workload(80, seed=2):
+        sched.apply(r)
+    clone = pickle.loads(pickle.dumps(sched))
+    assert clone._arena is not sched._arena
+    assert not clone._arena.entries and clone._arena.entries_total == 0
+    # the restored scheduler journals and rolls back normally
+    clone.insert(Job("fill2", Window(2, 3)))
+    assert aligned_fingerprint(clone)[:5] != aligned_fingerprint(sched)[:5]
+    pre = stack_fingerprint(clone)
+    assert_poisoned_at_pre_state(clone, pre, Job("poison", Window(2, 3)))

@@ -15,14 +15,14 @@ What the tentpole must guarantee (procworkers module docstring):
   from the last checkpoint to a bit-identical final state.
 
 Plus the CLI satellite: ``--shard-workers {serial,threads,processes}``
-with ``--shard-parallel`` as a deprecated alias.
+(default ``serial``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, resolve_shard_workers
+from repro.cli import build_parser
 from repro.core.api import ReservationScheduler
 from repro.core.exceptions import WorkerCrashError
 from repro.core.requests import iter_batches
@@ -339,22 +339,10 @@ def _parse(argv):
 
 def test_shard_workers_flag_mapping(capsys):
     # default: serial, no warning
-    args = _parse(["engine"])
-    assert resolve_shard_workers(args) == "serial"
-    assert capsys.readouterr().err == ""
+    assert _parse(["engine"]).shard_workers == "serial"
     # explicit modes pass through
     for mode in ("serial", "threads", "processes"):
-        args = _parse(["engine", "--shard-workers", mode])
-        assert resolve_shard_workers(args) == mode
-    assert capsys.readouterr().err == ""
-    # deprecated alias maps to threads with a warning
-    args = _parse(["engine", "--shard-parallel"])
-    assert resolve_shard_workers(args) == "threads"
-    assert "deprecated" in capsys.readouterr().err
-    # explicit flag wins over the alias (and still warns nothing new)
-    args = _parse(["engine", "--shard-parallel",
-                   "--shard-workers", "processes"])
-    assert resolve_shard_workers(args) == "processes"
+        assert _parse(["engine", "--shard-workers", mode]).shard_workers == mode
     assert capsys.readouterr().err == ""
 
 
@@ -368,10 +356,5 @@ def test_plan_validates_shard_workers():
     with pytest.raises(ValueError):
         ExecutionPlan(shard_workers="fibers")
     assert ExecutionPlan().resolved_shard_workers == "serial"
-    # the deprecated spelling still resolves, and warns toward workers=
-    with pytest.deprecated_call():
-        assert (ExecutionPlan(shard_parallel=True).resolved_shard_workers
-                == "threads")
-    # an explicit workers= wins silently
-    assert ExecutionPlan(shard_workers="processes",
-                         shard_parallel=True).resolved_shard_workers == "processes"
+    assert ExecutionPlan(
+        shard_workers="processes").resolved_shard_workers == "processes"

@@ -16,7 +16,11 @@ import json
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.core.exceptions import InvalidRequestError
+from repro.core.exceptions import (
+    InvalidRequestError,
+    ReproError,
+    UnderallocationError,
+)
 from repro.core.job import Job
 from repro.core.requests import Batch, DeleteJob, InsertJob, insert, iter_batches
 from repro.core.window import Window
@@ -59,12 +63,11 @@ BACKEND_PLANS = [
     ("batched-atomic", dict(backend="batched", batch_size=32,
                             atomic_batches=True)),
     ("sharded", dict(backend="sharded", batch_size=32)),
-    ("sharded-parallel", dict(backend="sharded", batch_size=32,
-                              shard_parallel=True)),
+    ("sharded-threads", dict(backend="sharded", batch_size=32,
+                             shard_workers="threads")),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sharded-parallel case
 @pytest.mark.parametrize("machines", [1, 3])
 def test_all_backends_identical_on_theorem1(machines):
     """Sequential, batched, and sharded backends produce identical
@@ -389,19 +392,58 @@ def test_sequential_rebuild_runs_journal_free(monkeypatch):
     assert sched.inner._journal_enabled  # diet scoped to the rebuild loop
 
 
-def test_rebuild_journal_diet_is_pure_bookkeeping():
-    """The diet changes allocation work only: placements, ledger, and
-    trim state stay identical to the journaled oracle."""
+def test_rebuild_journal_diet_is_pure_bookkeeping(monkeypatch):
+    """Journal-free rebuilds change allocation work only: placements,
+    ledger, and trim state stay identical to a stack whose rebuilds
+    journal every survivor re-insert."""
     seq = make_workload(600, seed=7)
     diet = TrimmedReservationScheduler(gamma=8)
-    oracle = TrimmedReservationScheduler(gamma=8)
-    oracle.rebuild_journal_diet = False
     for r in seq:
         diet.apply(r)
+    # test-only oracle: the per-request journal cannot be switched off
+    monkeypatch.setattr(_ARS, "_journal_enabled",
+                        property(lambda self: True, lambda self, value: None))
+    oracle = TrimmedReservationScheduler(gamma=8)
+    for r in seq:
         oracle.apply(r)
     assert_equivalent(diet, oracle)
     assert diet.rebuilds == oracle.rebuilds and diet.rebuilds > 0
     assert diet.n_star == oracle.n_star
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_failed_journal_free_rebuild_poisons(monkeypatch, k):
+    """The premise behind journal-free rebuilds: a rebuild that fails
+    part-way poisons the trimmed scheduler, so the half-built inner
+    (nothing journaled, nothing rolled back) is never used again."""
+    placements = []
+    orig = _ARS._occupy
+
+    def flaky(self, job_id, level, slot):
+        if not self._journal_enabled:  # a survivor re-insert placement
+            placements.append(job_id)
+            if len(placements) == k:
+                raise UnderallocationError("injected rebuild failure",
+                                           level=level)
+        return orig(self, job_id, level, slot)
+
+    monkeypatch.setattr(_ARS, "_occupy", flaky)
+    sched = TrimmedReservationScheduler(gamma=8)
+    seq = make_workload(400, seed=6)
+    with pytest.raises(UnderallocationError, match="injected"):
+        for r in seq:
+            sched.apply(r)
+    assert len(placements) == k
+    assert sched.rebuilds > 0 and sched.poisoned
+    active = sorted(sched.jobs)
+    assert len(active) > k  # some survivors were never re-inserted
+    for i in range(4):
+        with pytest.raises(ReproError):
+            sched.insert(Job(f"late-{i}", Window(0, 1 << 10)))
+    for job_id in (active[0], active[-1]):
+        with pytest.raises(ReproError):
+            sched.delete(job_id)
+    assert sched.poisoned and sorted(sched.jobs) == active
 
 
 # ----------------------------------------------------------------------
