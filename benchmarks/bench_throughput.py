@@ -7,7 +7,7 @@ work per request; the rebuild baselines pay O(n log n) (EDF/LLF) or
 O(n^3) (matching) per request, so their throughput collapses as n
 grows. pytest-benchmark provides the timing statistics.
 
-Throughput is reported from ``RunResult.scheduler_time_s`` — the time
+Throughput is reported from ``SessionResult.scheduler_time_s`` — the time
 spent inside ``scheduler.apply`` only. Earlier revisions divided by the
 whole loop wall time, which silently charged the driver's audit hooks
 to the scheduler.

@@ -83,7 +83,7 @@ def main() -> None:
     # Each machine's sub-scheduler lives in a worker process for the
     # whole session; only per-burst op streams and touched logs cross
     # the pipe. On multicore hardware this is the backend with real
-    # parallelism (the others are GIL-bound); results stay bit-identical
+    # parallelism (the others run in-process); results stay bit-identical
     # regardless. The session's finish hook syncs the worker state back,
     # so the scheduler is normal in-memory state afterwards.
     sched = ReservationScheduler(MACHINES, gamma=8)

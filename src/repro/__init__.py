@@ -20,7 +20,7 @@ Public API quick reference
   request surface: ``scheduler.apply_batch(batch, atomic=True)``
   applies a whole burst transactionally under one cost/journal context;
   delegating stacks additionally offer ``apply_batch_sharded`` (one
-  shard worker per machine — serial, threaded, or resident in a worker
+  shard worker per machine — serial, or resident in a worker
   *process* across bursts via ``workers="processes"`` — with merged
   touched logs and whole-burst rollback).
 """

@@ -24,8 +24,8 @@ placed in span order; bounds-equivalent rather than
 placement-identical), and ``--backend
 {auto,sequential,batched,sharded}`` — the session drive backend;
 ``sharded`` fans each burst out to per-machine shard workers on
-delegating scheduler stacks. ``--shard-workers {serial,threads,
-processes}`` picks the worker flavor (``processes`` keeps each
+delegating scheduler stacks. ``--shard-workers {serial,processes}``
+picks the worker flavor (``processes`` keeps each
 machine's sub-scheduler resident in a worker process across bursts —
 the flavor with real parallelism).
 
@@ -325,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="shard_workers",
                        choices=list(SHARD_WORKER_MODES),
                        help="sharded backend: worker flavor — 'serial' "
-                            "(default), 'threads' (GIL-bound pool), or "
-                            "'processes' (per-machine sub-schedulers "
+                            "(default) or 'processes' (per-machine sub-schedulers "
                             "resident in worker processes across bursts)")
 
     def add_trace_args(p, directory=False):

@@ -221,7 +221,7 @@ class ReservationScheduler(ReallocatingScheduler):
         The alignment step is a pure per-job function, so the whole
         burst is pre-aligned here and handed to
         :meth:`~repro.multimachine.delegation.DelegatingScheduler.
-        apply_batch_sharded` (``workers`` selects serial / thread /
+        apply_batch_sharded` (``workers`` selects serial or
         process-resident shard workers); this layer then re-costs each
         request against its own view (original jobs, hence original —
         not aligned — max spans) exactly as sequential processing would,

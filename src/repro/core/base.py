@@ -97,7 +97,7 @@ from .requests import Batch, DeleteJob, InsertJob, Request
 #: the worker flavors of ``apply_batch_sharded`` — defined once here
 #: (the hook-point layer) and imported by the delegation layer, the
 #: session backends, and the CLI's argparse choices
-SHARD_WORKER_MODES = ("serial", "threads", "processes")
+SHARD_WORKER_MODES = ("serial", "processes")
 
 #: batch placement semantics — ``"strict"`` pins placements/ledger to
 #: sequential equivalence; ``"flexible"`` keeps only the
@@ -734,8 +734,8 @@ class ReallocatingScheduler(abc.ABC):
         Semantics match :meth:`apply_batch` with ``atomic=True`` applied
         per burst: identical placements, ledger entries, and max-span
         tracking, with whole-burst rollback on any shard failure.
-        ``workers`` selects the worker mode (``"serial"``, ``"threads"``,
-        or ``"processes"`` — persistent worker processes holding the
+        ``workers`` selects the worker mode (``"serial"`` or
+        ``"processes"`` — persistent worker processes holding the
         per-machine sub-schedulers across bursts).
         ``semantics="flexible"`` plans the burst jointly first (the
         bounds-equivalence contract), with per-request costs reported

@@ -22,18 +22,18 @@ Sharded burst execution: because machines never share scheduler state
 burst can be resolved up front into independent per-machine op streams
 (:meth:`DelegatingScheduler.plan_shard_execution` — the richer sibling
 of :meth:`DelegatingScheduler.machine_sub_batches`) and applied by one
-:class:`ShardWorker` per machine — serially, on a thread pool, or by
+:class:`ShardWorker` per machine — serially in-process, or by
 *process-resident* workers (``workers="processes"``): each machine's
 sub-scheduler then lives persistently in a worker process across bursts
-(:mod:`repro.multimachine.procworkers`), the only path that escapes the
-GIL. :meth:`DelegatingScheduler.apply_batch_sharded` then merges the
+(:mod:`repro.multimachine.procworkers`), the path with real
+parallelism. :meth:`DelegatingScheduler.apply_batch_sharded` then merges the
 per-shard touched-placement logs back into the machine-tagged placement
 map, balancer, and ledger in global request order — bit-identical to
 sequential processing, with whole-burst rollback on any shard failure
 (including a worker process dying mid-burst, after which the worker is
 re-seeded from a state snapshot). While a process pool is open, the
 in-memory ``machines`` are stale; any in-memory entry point
-(``apply``, ``apply_batch``, serial/thread sharded bursts) syncs the
+(``apply``, ``apply_batch``, serial sharded bursts) syncs the
 worker state back and closes the pool first, and
 :meth:`DelegatingScheduler.close_shard_workers` does so explicitly.
 The sharded drive backend (:mod:`repro.sim.session`) is its consumer.
@@ -42,7 +42,6 @@ The sharded drive backend (:mod:`repro.sim.session`) is its consumer.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from ..core.base import (
@@ -325,9 +324,9 @@ class ShardWorker:
     Workers are mutually independent: each touches only its own
     sub-scheduler (whose atomic batch context the caller opened — the
     context's rollback journal lives on that sub-scheduler's own
-    arena, so thread-pool workers share no journal state and
-    consecutive bursts reuse each sub's storage), so m workers can run
-    serially or on a thread pool with identical results. Per op the worker records exactly what
+    arena, so workers share no journal state and consecutive bursts
+    reuse each sub's storage), so m workers can run in any order with
+    identical results. Per op the worker records exactly what
     :meth:`DelegatingScheduler._sync_machine` would read live — the
     changed job ids (``last_touched`` for sparse subs, the request cost
     for non-sparse ones, the subject always included) and their post-op
@@ -672,8 +671,6 @@ class DelegatingScheduler(ReallocatingScheduler):
 
         - ``"serial"`` (default) — one in-process :class:`ShardWorker`
           per machine, run back to back;
-        - ``"threads"`` — the same workers on a thread pool (identical
-          results; GIL-bound, an architecture demonstration);
         - ``"processes"`` — *process-resident* workers
           (:class:`~repro.multimachine.procworkers.ProcessShardPool`):
           each machine's sub-scheduler lives persistently in a worker
@@ -766,7 +763,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         if mode == "processes":
             return self._sharded_burst_processes(batch, record=record)
         self._leave_process_mode()
-        parallel = mode == "threads"
         try:
             plan = self.plan_shard_execution(batch)
         except ReproError as exc:
@@ -781,12 +777,8 @@ class DelegatingScheduler(ReallocatingScheduler):
         for worker in workers:
             worker.sub._batch_begin(atomic=True, top=False)
         try:
-            if parallel and len(workers) > 1:
-                with ThreadPoolExecutor(max_workers=len(workers)) as pool:
-                    list(pool.map(ShardWorker.run, workers))
-            else:
-                for worker in workers:
-                    worker.run()
+            for worker in workers:
+                worker.run()
         except BaseException:
             # Unexpected (non-ReproError) failure: nothing has merged,
             # so an all-shard abort restores the pre-burst state exactly.
@@ -835,7 +827,7 @@ class DelegatingScheduler(ReallocatingScheduler):
         """Sync worker-resident state back and close the process pool.
 
         Called by every in-memory entry point (``_apply_insert`` /
-        ``_apply_delete`` / ``_batch_begin`` / serial and thread sharded
+        ``_apply_delete`` / ``_batch_begin`` / serial sharded
         bursts): while a process pool is open, the authoritative
         sub-scheduler state lives in the workers, so it must be pulled
         back before ``self.machines`` is used again. No-op when no pool

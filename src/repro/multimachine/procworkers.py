@@ -1,8 +1,7 @@
 """Process-resident shard workers: true parallelism for sharded bursts.
 
-The thread/serial shard workers of :mod:`repro.multimachine.delegation`
-proved exact m-way independence per burst, but CPython's GIL keeps them
-on one core (bench E12: ~1.08x sequential). This module turns that
+The serial shard workers of :mod:`repro.multimachine.delegation`
+prove exact m-way independence per burst, but run on one core. This module turns that
 measured independence into wall-clock speedup: each machine's
 single-machine sub-scheduler lives *persistently* in a worker process
 across bursts — state never ships per burst — and the coordinator

@@ -1,14 +1,19 @@
-"""Simulation harness: drivers, engine, metrics, growth fitting, reports."""
+"""Simulation harness: drivers, engine, metrics, growth fitting, reports.
+
+Every drive surface returns one result type, :class:`SessionResult`, and
+records one trace format, :class:`SessionTrace`.
+"""
 
 from .breakdown import breakdown_table, by_level, cascade_depths, movement_breakdown
-from .driver import RunResult, run_comparison, run_sequence
-from .engine import Checkpoint, EngineResult, run_engine, run_sweep, sweep_table
+from .driver import run_comparison, run_sequence
+from .engine import run_engine, run_sweep, sweep_table
 from .incremental import IncrementalVerifier
 from .metrics import GrowthFit, doubling_series, fit_growth, summarize_series
-from .replay import ExecutionTrace, shrink_failing_prefix
+from .replay import replay_and_diff, shrink_failing_prefix
 from .report import experiment_header, format_series, format_table, sparkline
 from .session import (
     BatchedBackend,
+    Checkpoint,
     DEFAULT_FULL_AUDIT_EVERY,
     DriveBackend,
     ExecutionPlan,
@@ -24,13 +29,11 @@ __all__ = [
     "by_level",
     "cascade_depths",
     "movement_breakdown",
-    "ExecutionTrace",
+    "replay_and_diff",
     "shrink_failing_prefix",
-    "RunResult",
     "run_comparison",
     "run_sequence",
     "Checkpoint",
-    "EngineResult",
     "IncrementalVerifier",
     "run_engine",
     "run_sweep",

@@ -3,8 +3,8 @@
 :func:`run_sequence` is the small-run entry point — feed a
 :class:`~repro.core.requests.RequestSequence` to any
 :class:`~repro.core.base.ReallocatingScheduler`, get a
-:class:`RunResult` back. Since the unified execution API landed, it no
-longer owns a drive loop: it builds an
+:class:`~repro.sim.session.SessionResult` back — the one result type of
+every drive surface. It owns no drive loop: it builds an
 :class:`~repro.sim.session.ExecutionPlan` and delegates to
 :class:`~repro.sim.session.Session`, which carries the one shared loop
 (timing split, verifier wiring, failure handling) for this module,
@@ -20,7 +20,8 @@ for the full surface (drive backends, traces, resume); use
   feasibility checker; the full-audit period defaults to the one
   shared :data:`~repro.sim.session.DEFAULT_FULL_AUDIT_EVERY`.
 - timing stays split by phase: ``scheduler_time_s`` is the honest
-  algorithm cost, ``audit_time_s`` the verify/validate hooks.
+  algorithm cost, ``verify_time_s`` / ``validate_time_s`` (summed as
+  ``audit_time_s``) the verify/validate hooks.
 
 :func:`run_comparison` runs several schedulers over the same sequence
 and aligns their ledgers for head-to-head reporting.
@@ -28,53 +29,17 @@ and aligns their ledgers for head-to-head reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from ..core.base import ReallocatingScheduler
-from ..core.costs import CostLedger
 from ..core.requests import RequestSequence
-from .session import DEFAULT_FULL_AUDIT_EVERY, DriveBackend, ExecutionPlan, Session
-
-
-@dataclass
-class RunResult:
-    """Outcome of driving one scheduler over one request sequence.
-
-    ``wall_time_s`` is the full loop time; ``scheduler_time_s`` is the
-    time spent inside ``scheduler.apply`` only, and ``audit_time_s`` the
-    time spent in feasibility verification and invariant validation.
-    Throughput numbers must be computed from ``scheduler_time_s``.
-    """
-
-    scheduler_name: str
-    ledger: CostLedger
-    requests_processed: int
-    wall_time_s: float
-    scheduler_time_s: float = 0.0
-    audit_time_s: float = 0.0
-    failed: bool = False
-    failure: str | None = None
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def requests_per_second(self) -> float:
-        """Throughput over scheduler time only (audits excluded)."""
-        if self.scheduler_time_s <= 0:
-            return float("nan")
-        return self.requests_processed / self.scheduler_time_s
-
-    @property
-    def summary(self) -> dict:
-        out = {"scheduler": self.scheduler_name,
-               "processed": self.requests_processed,
-               "wall_s": round(self.wall_time_s, 4),
-               "sched_s": round(self.scheduler_time_s, 4),
-               "audit_s": round(self.audit_time_s, 4)}
-        out.update(self.ledger.summary())
-        if self.failed:
-            out["FAILED"] = self.failure
-        return out
+from .session import (
+    DEFAULT_FULL_AUDIT_EVERY,
+    DriveBackend,
+    ExecutionPlan,
+    Session,
+    SessionResult,
+)
 
 
 def run_sequence(
@@ -92,7 +57,7 @@ def run_sequence(
     validate_each: Callable[[ReallocatingScheduler], None] | None = None,
     stop_on_error: bool = True,
     name: str | None = None,
-) -> RunResult:
+) -> SessionResult:
     """Drive ``sequence`` through ``scheduler`` (a Session adapter).
 
     Parameters
@@ -151,17 +116,7 @@ def run_sequence(
         stop_on_error=stop_on_error,
         name=name,
     )
-    res = Session(scheduler, sequence, plan).run()
-    return RunResult(
-        scheduler_name=res.name,
-        ledger=res.ledger,
-        requests_processed=res.requests_processed,
-        wall_time_s=res.wall_time_s,
-        scheduler_time_s=res.scheduler_time_s,
-        audit_time_s=res.audit_time_s,
-        failed=res.failed,
-        failure=res.failure,
-    )
+    return Session(scheduler, sequence, plan).run()
 
 
 def run_comparison(
@@ -177,9 +132,9 @@ def run_comparison(
     verify_mode: str = "incremental",
     validate_each: Callable[[ReallocatingScheduler], None] | None = None,
     stop_on_error: bool = True,
-) -> dict[str, RunResult]:
+) -> dict[str, SessionResult]:
     """Run several schedulers over the same sequence (fresh instance each)."""
-    results: dict[str, RunResult] = {}
+    results: dict[str, SessionResult] = {}
     for label, factory in factories.items():
         results[label] = run_sequence(
             factory(), sequence,
@@ -196,10 +151,3 @@ def run_comparison(
         )
     return results
 
-
-def max_cost_series(
-    results: Sequence[RunResult],
-    key: str = "max_realloc",
-) -> list[tuple[str, float]]:
-    """Extract one summary metric across runs (label, value) for reports."""
-    return [(r.scheduler_name, r.summary.get(key, float("nan"))) for r in results]

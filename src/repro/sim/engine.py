@@ -5,12 +5,13 @@
 request workloads. Like the driver it no longer owns a drive loop —
 both are thin adapters over :class:`~repro.sim.session.Session`, the
 one shared loop (timing split, verifier wiring, checkpoint cadence,
-failure handling) with pluggable drive backends. What this module adds
-is the engine-shaped result surface:
+failure handling) with pluggable drive backends, and both return the
+one result type, :class:`~repro.sim.session.SessionResult`. What this
+module adds is the engine-shaped call surface:
 
 - **Separated timing phases** — scheduler, verify, and validate time
-  reported independently (:class:`EngineResult`), so throughput is
-  always computed over pure scheduler time even in audited runs.
+  reported independently, so throughput is always computed over pure
+  scheduler time even in audited runs.
 - **Checkpointed progress** — every ``checkpoint_every`` requests the
   session records (and optionally reports through ``on_checkpoint``)
   the running request rate and phase split.
@@ -26,14 +27,15 @@ is the engine-shaped result surface:
 :func:`run_sweep` fans one or many schedulers across a dictionary of
 scenario sequences — the CLI's ``sweep`` command builds the scenario set
 from :data:`~repro.workloads.scenarios.SCENARIOS` — and returns per-cell
-:class:`EngineResult` objects plus a formatted comparison table. With
+results, which :func:`sweep_table` formats as a comparison table. With
 ``trace_dir=`` every cell writes its own trace and a re-run with
-``resume=True`` skips completed cells and resumes the interrupted one.
+``resume=True`` rebuilds completed cells from their ``final`` record
+(:meth:`~repro.sim.session.SessionResult.from_record`) and resumes the
+interrupted one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -48,89 +50,8 @@ from .session import (
     Session,
     SessionResult,
     SessionTrace,
-    VERIFY_MODES,
     sequence_fingerprint,
 )
-
-
-@dataclass
-class EngineResult:
-    """Outcome of one engine run, with per-phase timing.
-
-    ``scheduler_time_s`` covers only ``scheduler.apply``;
-    ``verify_time_s`` the feasibility checks; ``validate_time_s`` the
-    invariant validator. ``requests_per_second`` is computed over
-    scheduler time alone — the honest per-request algorithm cost.
-    """
-
-    name: str
-    scheduler_name: str
-    requests_processed: int
-    wall_time_s: float
-    scheduler_time_s: float
-    verify_time_s: float
-    validate_time_s: float
-    verify_mode: str
-    ledger_summary: dict
-    failed: bool = False
-    failure: str | None = None
-    checkpoints: list[Checkpoint] = field(default_factory=list)
-    backend: str = "sequential"
-    interrupted: bool = False
-    resumed_from: int = 0
-
-    @property
-    def requests_per_second(self) -> float:
-        """Throughput over scheduler time (resumed prefix excluded)."""
-        if self.scheduler_time_s <= 0:
-            return float("nan")
-        worked = self.requests_processed - self.resumed_from
-        return worked / self.scheduler_time_s
-
-    @property
-    def audit_time_s(self) -> float:
-        return self.verify_time_s + self.validate_time_s
-
-    @property
-    def summary(self) -> dict:
-        out = {
-            "run": self.name,
-            "scheduler": self.scheduler_name,
-            "backend": self.backend,
-            "processed": self.requests_processed,
-            "wall_s": round(self.wall_time_s, 4),
-            "sched_s": round(self.scheduler_time_s, 4),
-            "verify_s": round(self.verify_time_s, 4),
-            "validate_s": round(self.validate_time_s, 4),
-            "req_per_s": (round(self.requests_per_second, 1)
-                          if self.scheduler_time_s > 0 else 0.0),
-        }
-        out.update(self.ledger_summary)
-        if self.failed:
-            out["FAILED"] = self.failure
-        if self.interrupted:
-            out["INTERRUPTED"] = f"after {self.requests_processed}"
-        return out
-
-
-def _engine_result(res: SessionResult) -> EngineResult:
-    return EngineResult(
-        name=res.name,
-        scheduler_name=res.scheduler_name,
-        requests_processed=res.requests_processed,
-        wall_time_s=res.wall_time_s,
-        scheduler_time_s=res.scheduler_time_s,
-        verify_time_s=res.verify_time_s,
-        validate_time_s=res.validate_time_s,
-        verify_mode=res.verify_mode,
-        ledger_summary=res.ledger.summary(),
-        failed=res.failed,
-        failure=res.failure,
-        checkpoints=res.checkpoints,
-        backend=res.backend,
-        interrupted=res.interrupted,
-        resumed_from=res.resumed_from,
-    )
 
 
 def run_engine(
@@ -153,7 +74,7 @@ def run_engine(
     trace_path: "str | Path | None" = None,
     resume: bool = False,
     name: str | None = None,
-) -> EngineResult:
+) -> SessionResult:
     """Drive ``sequence`` through ``scheduler`` with phase-split timing.
 
     Parameters
@@ -174,10 +95,10 @@ def run_engine(
         ``"auto"`` (default), ``"sequential"``, ``"batched"``,
         ``"sharded"``, or a DriveBackend instance.
     shard_workers:
-        Sharded backend: worker flavor — ``"serial"`` (default),
-        ``"threads"`` (GIL-bound thread pool), or ``"processes"``
-        (process-resident per-machine sub-schedulers; the session
-        releases them, syncing state back, when the run ends).
+        Sharded backend: worker flavor — ``"serial"`` (default) or
+        ``"processes"`` (process-resident per-machine sub-schedulers;
+        the session releases them, syncing state back, when the run
+        ends).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -218,7 +139,7 @@ def run_engine(
         resume=resume,
         name=name,
     )
-    return _engine_result(Session(scheduler, sequence, plan).run())
+    return Session(scheduler, sequence, plan).run()
 
 
 def _cell_trace_path(trace_dir: "str | Path", label: str) -> Path:
@@ -227,40 +148,27 @@ def _cell_trace_path(trace_dir: "str | Path", label: str) -> Path:
 
 def _read_cell_trace(
     path: Path, label: str, fingerprint: str,
-) -> tuple[EngineResult | None, bool]:
+) -> tuple[SessionResult | None, bool]:
     """One read of a cell's trace: (completed result, trace is current).
 
     Both answers are guarded by the sequence fingerprint like an
     in-session resume: a trace recorded for different scenario content
     (e.g. a re-run with a new ``--requests``) is neither completed nor
     resumable — the caller re-runs the cell from scratch, overwriting
-    the stale trace. A recorded ``resumed_from`` carries over so
-    throughput stays computed over the session that actually ran.
+    the stale trace. A completed cell is rebuilt from its ``final``
+    record, so its ``resumed_from`` carries over and throughput stays
+    computed over the session that actually ran.
     """
     if not path.exists():
         return None, True  # nothing recorded yet; a fresh resume is fresh
     records = SessionTrace.read_records(path)
-    header = next((r for r in records if r.get("type") == "header"), None)
+    header = SessionTrace.header_record(records)
     if header is None or header.get("fingerprint") != fingerprint:
         return None, False
     final = SessionTrace.final_record(records)
     if final is None:
         return None, True
-    return EngineResult(
-        name=label,
-        scheduler_name=final.get("scheduler", ""),
-        requests_processed=final.get("processed", 0),
-        wall_time_s=final.get("wall_s", 0.0),
-        scheduler_time_s=final.get("sched_s", 0.0),
-        verify_time_s=final.get("verify_s", 0.0),
-        validate_time_s=final.get("validate_s", 0.0),
-        verify_mode=final.get("verify_mode", ""),
-        ledger_summary=final.get("ledger", {}),
-        failed=bool(final.get("failed")),
-        failure=final.get("failure"),
-        backend=final.get("backend", ""),
-        resumed_from=final.get("resumed_from", 0),
-    ), True
+    return SessionResult.from_record(final, name=label), True
 
 
 def run_sweep(
@@ -279,7 +187,7 @@ def run_sweep(
     stop_after: int = 0,
     trace_dir: "str | Path | None" = None,
     resume: bool = False,
-) -> dict[tuple[str, str], EngineResult]:
+) -> dict[tuple[str, str], SessionResult]:
     """Run every scheduler over every scenario (fresh instance per cell).
 
     With ``trace_dir`` each cell writes ``<scenario>--<scheduler>.jsonl``
@@ -289,7 +197,7 @@ def run_sweep(
     processed per invocation (across-cells budget is per cell), which
     together with resume gives kill-and-continue sweeps.
     """
-    results: dict[tuple[str, str], EngineResult] = {}
+    results: dict[tuple[str, str], SessionResult] = {}
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
     for scen_name, sequence in scenarios.items():
@@ -331,7 +239,7 @@ def run_sweep(
     return results
 
 
-def sweep_table(results: Mapping[tuple[str, str], EngineResult],
+def sweep_table(results: Mapping[tuple[str, str], SessionResult],
                 *, title: str = "scenario sweep") -> str:
     """Format sweep results as an aligned comparison table."""
     rows = []

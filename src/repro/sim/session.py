@@ -25,11 +25,11 @@ all share now:
     incrementally-maintained placement map with a merged-commit verify
     per batch. Requires a delegating scheduler stack
     (``supports_sharded_batches()``). ``workers`` selects the worker
-    flavor — ``"serial"`` / ``"threads"`` (in-process, GIL-bound) or
-    ``"processes"``: each machine's sub-scheduler lives persistently in
-    a worker process across bursts (state never ships per burst; only
-    op streams and per-op touched logs cross the pipe), the one flavor
-    with real parallelism on multicore hardware.
+    flavor — ``"serial"`` (in-process) or ``"processes"``: each
+    machine's sub-scheduler lives persistently in a worker process
+    across bursts (state never ships per burst; only op streams and
+    per-op touched logs cross the pipe), the flavor with real
+    parallelism on multicore hardware.
 
     Process-worker lifecycle: the pool spawns lazily on the first
     process burst, stays resident for the whole session, and is
@@ -53,10 +53,15 @@ all share now:
   the :class:`~repro.sim.incremental.IncrementalVerifier` wiring with
   periodic and final full audits, checkpointing, and the disk-backed
   JSONL trace writer (:class:`SessionTrace`) that makes long runs
-  resumable (deterministic prefix replay) and comparable across PRs.
+  resumable (deterministic prefix replay) and comparable across
+  versions.
 
-``repro.sim.driver.run_sequence``, ``repro.sim.engine.run_engine``, and
-``repro.sim.engine.run_sweep`` are thin adapters over ``Session.run()``.
+Every run reports one result type, :class:`SessionResult`, and records
+one trace format, :class:`SessionTrace`. A trace's ``final`` record is
+:meth:`SessionResult.to_record`, and :meth:`SessionResult.from_record`
+rebuilds the result from it. ``repro.sim.driver.run_sequence``,
+``repro.sim.engine.run_engine``, and ``repro.sim.engine.run_sweep`` are
+thin adapters over ``Session.run()`` that return it.
 
 The one full-audit period
 -------------------------
@@ -107,19 +112,25 @@ BACKENDS = ("auto", "sequential", "batched", "sharded")
 
 @dataclass
 class Checkpoint:
-    """Progress snapshot emitted on the plan's checkpoint cadence."""
+    """Progress snapshot emitted on the plan's checkpoint cadence.
+
+    ``processed`` counts the whole execution, a resumed prefix included;
+    the timings cover this session only, so the rate is computed over
+    the requests this session drove (``processed - resumed_from``).
+    """
 
     processed: int
     wall_time_s: float
     scheduler_time_s: float
     verify_time_s: float
     validate_time_s: float
+    resumed_from: int = 0
 
     @property
     def requests_per_second(self) -> float:
         if self.scheduler_time_s <= 0:
             return float("nan")
-        return self.processed / self.scheduler_time_s
+        return (self.processed - self.resumed_from) / self.scheduler_time_s
 
 
 @dataclass
@@ -149,11 +160,10 @@ class ExecutionPlan:
         ready-made :class:`DriveBackend` instance.
     shard_workers:
         Sharded backend only: the worker flavor — ``"serial"``
-        (default), ``"threads"`` (in-process thread pool; identical
-        results, GIL-bound — see bench E12), or ``"processes"``
-        (process-resident per-machine sub-schedulers, the flavor with
-        real parallelism — see bench E13 and the module docstring for
-        lifecycle and failure semantics).
+        (default) or ``"processes"`` (process-resident per-machine
+        sub-schedulers, the flavor with real parallelism — see bench
+        E13 and the module docstring for lifecycle and failure
+        semantics).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -322,8 +332,8 @@ class ShardedBackend(DriveBackend):
     are always transactional (a shard failure — or a worker-process
     crash — rolls the burst back wholesale).
 
-    ``workers`` selects the worker flavor (``"serial"`` / ``"threads"``
-    / ``"processes"``); with ``"processes"`` the per-machine
+    ``workers`` selects the worker flavor (``"serial"`` or
+    ``"processes"``); with ``"processes"`` the per-machine
     sub-schedulers live in persistent worker processes for the whole
     session and :meth:`finish` syncs their state back and releases them
     on every exit path (see the module docstring for the lifecycle and
@@ -408,12 +418,16 @@ def placements_fingerprint(scheduler: ReallocatingScheduler) -> str:
 class SessionTrace:
     """Append-only JSONL record of one session's progress.
 
-    One ``header`` line (run identity + sequence fingerprint), a
-    ``checkpoint`` line per checkpoint cadence, an optional ``resume``
-    line per continuation, and a ``final`` line when the run completes.
-    Every line is flushed immediately, so a killed run leaves a valid
-    trace ending at its last checkpoint — :meth:`read_records` /
-    :meth:`resume_offset` are what a resuming session reads back.
+    One ``header`` line (run identity, drive settings, checkpoint
+    cadence, sequence fingerprint), a ``checkpoint`` line per checkpoint
+    cadence (timings, ledger summary, placements fingerprint), an
+    optional ``resume`` line per continuation, and a ``final`` line
+    (:meth:`SessionResult.to_record`) when the run completes. Every line
+    is flushed immediately, so a killed run leaves a valid trace ending
+    at its last checkpoint — :meth:`read_records` /
+    :meth:`resume_offset` are what a resuming session reads back, and
+    :func:`repro.sim.replay.replay_and_diff` compares a re-run against
+    the recorded checkpoints.
     """
 
     def __init__(self, path: str | Path, *, append: bool = False) -> None:
@@ -448,6 +462,29 @@ class SessionTrace:
         return processed
 
     @staticmethod
+    def header_record(records: list[dict]) -> dict | None:
+        return next((r for r in records if r.get("type") == "header"), None)
+
+    @staticmethod
+    def matching_header(path: str | Path, records: list[dict],
+                        fingerprint: str, action: str) -> dict:
+        """The header, if the trace was recorded for this sequence.
+
+        Raises ``ValueError`` for a trace without a header or one whose
+        sequence fingerprint differs — ``action`` names what the caller
+        refuses to do.
+        """
+        header = SessionTrace.header_record(records)
+        if header is None:
+            raise ValueError(f"trace {path} has no header record")
+        if header.get("fingerprint") != fingerprint:
+            raise ValueError(
+                f"trace {path} was recorded for a different request "
+                f"sequence (fingerprint mismatch); refusing to {action}"
+            )
+        return header
+
+    @staticmethod
     def final_record(records: list[dict]) -> dict | None:
         for rec in reversed(records):
             if rec.get("type") == "final":
@@ -462,12 +499,23 @@ class SessionTrace:
 class SessionResult:
     """Outcome of one :meth:`Session.run`, with per-phase timing.
 
+    The one result type of every drive surface (``Session.run``,
+    ``run_sequence``, ``run_comparison``, ``run_engine``, ``run_sweep``).
+    ``name`` is the run label (the plan's ``name``, else the scheduler
+    class name) and ``scheduler_name`` the scheduler class name.
     ``scheduler_time_s`` covers only the backend's apply calls (the
     honest algorithm cost throughput must be computed from);
     ``verify_time_s`` / ``validate_time_s`` the audit hooks. A resumed
     run reports the prefix replay separately (``replay_time_s``,
     excluded from ``scheduler_time_s``) while the ledger covers the
     whole execution.
+
+    ``ledger`` is the live :class:`~repro.core.costs.CostLedger` of a
+    run that executed; ``ledger_summary`` is its summary, computed once
+    when the run ends. A result rebuilt from a trace's ``final`` record
+    (:meth:`from_record`) carries only the summary: there ``ledger`` is
+    None. ``placements`` is the final placements fingerprint, computed
+    only for traced runs.
     """
 
     name: str
@@ -479,12 +527,14 @@ class SessionResult:
     verify_time_s: float
     validate_time_s: float
     verify_mode: str
-    ledger: CostLedger
+    ledger: CostLedger | None
+    ledger_summary: dict
     failed: bool = False
     failure: str | None = None
     interrupted: bool = False
     resumed_from: int = 0
     replay_time_s: float = 0.0
+    placements: str | None = None
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
     @property
@@ -493,10 +543,77 @@ class SessionResult:
 
     @property
     def requests_per_second(self) -> float:
+        """Throughput over scheduler time (resumed prefix excluded)."""
         if self.scheduler_time_s <= 0:
             return float("nan")
         worked = self.requests_processed - self.resumed_from
         return worked / self.scheduler_time_s
+
+    @property
+    def summary(self) -> dict:
+        out = {
+            "run": self.name,
+            "scheduler": self.scheduler_name,
+            "backend": self.backend,
+            "processed": self.requests_processed,
+            "wall_s": round(self.wall_time_s, 4),
+            "sched_s": round(self.scheduler_time_s, 4),
+            "verify_s": round(self.verify_time_s, 4),
+            "validate_s": round(self.validate_time_s, 4),
+            "req_per_s": (round(self.requests_per_second, 1)
+                          if self.scheduler_time_s > 0 else 0.0),
+        }
+        out.update(self.ledger_summary)
+        if self.failed:
+            out["FAILED"] = self.failure
+        if self.interrupted:
+            out["INTERRUPTED"] = f"after {self.requests_processed}"
+        return out
+
+    def to_record(self) -> dict:
+        """The trace's ``final`` record: every field but the live objects.
+
+        Only a run that was not interrupted writes one, so
+        ``interrupted`` is not recorded.
+        """
+        return {
+            "type": "final", "name": self.name,
+            "scheduler": self.scheduler_name, "backend": self.backend,
+            "processed": self.requests_processed,
+            "resumed_from": self.resumed_from,
+            "failed": self.failed, "failure": self.failure,
+            "wall_s": round(self.wall_time_s, 4),
+            "sched_s": round(self.scheduler_time_s, 4),
+            "verify_s": round(self.verify_time_s, 4),
+            "validate_s": round(self.validate_time_s, 4),
+            "replay_s": round(self.replay_time_s, 4),
+            "verify_mode": self.verify_mode,
+            "ledger": self.ledger_summary,
+            "placements": self.placements,
+        }
+
+    @classmethod
+    def from_record(cls, record: dict, *,
+                    name: str | None = None) -> SessionResult:
+        """Rebuild a result from a ``final`` record (``ledger`` is None)."""
+        return cls(
+            name=name if name is not None else record.get("name", ""),
+            scheduler_name=record.get("scheduler", ""),
+            backend=record.get("backend", ""),
+            requests_processed=record.get("processed", 0),
+            wall_time_s=record.get("wall_s", 0.0),
+            scheduler_time_s=record.get("sched_s", 0.0),
+            verify_time_s=record.get("verify_s", 0.0),
+            validate_time_s=record.get("validate_s", 0.0),
+            verify_mode=record.get("verify_mode", ""),
+            ledger=None,
+            ledger_summary=record.get("ledger", {}),
+            failed=bool(record.get("failed")),
+            failure=record.get("failure"),
+            resumed_from=record.get("resumed_from", 0),
+            replay_time_s=record.get("replay_s", 0.0),
+            placements=record.get("placements"),
+        )
 
 
 class Session:
@@ -561,14 +678,14 @@ class Session:
             if verifier is not None:
                 verifier.seed(scheduler, processed=resume_from)
 
+        cadence = plan.checkpoint_every or (
+            DEFAULT_TRACE_CHECKPOINT_EVERY if trace is not None else 0)
         if trace is not None:
             if resume_from:
                 trace.write({"type": "resume", "processed": resume_from,
                              "replay_s": round(replay_s, 4)})
             else:
-                trace.write(self._header(fingerprint))
-        cadence = plan.checkpoint_every or (
-            DEFAULT_TRACE_CHECKPOINT_EVERY if trace is not None else 0)
+                trace.write(self._header(fingerprint, cadence))
 
         processed = resume_from
         sched_s = verify_s = validate_s = 0.0
@@ -578,7 +695,7 @@ class Session:
 
         def checkpoint() -> None:
             cp = Checkpoint(processed, perf() - t0, sched_s,
-                            verify_s, validate_s)
+                            verify_s, validate_s, resume_from)
             checkpoints.append(cp)
             if plan.on_checkpoint is not None:
                 plan.on_checkpoint(cp)
@@ -590,6 +707,7 @@ class Session:
                     "verify_s": round(verify_s, 4),
                     "validate_s": round(validate_s, 4),
                     "ledger": scheduler.ledger.summary(),
+                    "placements": placements_fingerprint(scheduler),
                 })
 
         def finish(failure: str | None = None) -> SessionResult:
@@ -604,29 +722,19 @@ class Session:
                 validate_time_s=validate_s,
                 verify_mode=plan.verify,
                 ledger=scheduler.ledger,
+                ledger_summary=scheduler.ledger.summary(),
                 failed=failure is not None,
                 failure=failure,
                 interrupted=interrupted,
                 resumed_from=resume_from,
                 replay_time_s=replay_s,
+                placements=(placements_fingerprint(scheduler)
+                            if trace is not None else None),
                 checkpoints=checkpoints,
             )
             if trace is not None:
                 if not interrupted:
-                    trace.write({
-                        "type": "final", "processed": processed,
-                        "resumed_from": resume_from,
-                        "failed": result.failed, "failure": failure,
-                        "wall_s": round(result.wall_time_s, 4),
-                        "sched_s": round(sched_s, 4),
-                        "verify_s": round(verify_s, 4),
-                        "validate_s": round(validate_s, 4),
-                        "verify_mode": plan.verify,
-                        "scheduler": type(scheduler).__name__,
-                        "backend": backend.name,
-                        "ledger": scheduler.ledger.summary(),
-                        "placements": placements_fingerprint(scheduler),
-                    })
+                    trace.write(result.to_record())
                 trace.close()
             return result
 
@@ -686,7 +794,7 @@ class Session:
         return finish()
 
     # ------------------------------------------------------------------
-    def _header(self, fingerprint: str | None) -> dict:
+    def _header(self, fingerprint: str | None, cadence: int) -> dict:
         total = None
         try:
             total = len(self.sequence)  # type: ignore[arg-type]
@@ -701,6 +809,7 @@ class Session:
             "semantics": self.plan.batch_semantics,
             "verify": self.plan.verify,
             "full_audit_every": self.plan.full_audit_every,
+            "checkpoint_every": cadence,
             "total": total,
             "fingerprint": fingerprint,
         }
@@ -711,14 +820,7 @@ class Session:
         if not plan.resume or not path.exists():
             return 0
         records = SessionTrace.read_records(path)
-        header = next((r for r in records if r.get("type") == "header"), None)
-        if header is None:
-            raise ValueError(f"trace {path} has no header record")
-        if header.get("fingerprint") != fingerprint:
-            raise ValueError(
-                f"trace {path} was recorded for a different request "
-                "sequence (fingerprint mismatch); refusing to resume"
-            )
+        SessionTrace.matching_header(path, records, fingerprint, "resume")
         resume_from = SessionTrace.resume_offset(records)
         if self.backend.chunked and plan.batch_size > 1:
             # batch-shaped backends commit whole bursts; restart at the

@@ -18,7 +18,8 @@ from repro.cli import main as cli_main
 from repro.core import Job, ValidationError, Window
 from repro.core.requests import RequestSequence
 from repro.reservation import AlignedReservationScheduler
-from repro.sim.replay import ExecutionTrace, shrink_failing_prefix
+from repro.sim import run_engine
+from repro.sim.replay import replay_and_diff, shrink_failing_prefix
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
 
@@ -65,32 +66,41 @@ class TestReplay:
                                     gamma=8, delete_fraction=0.3)
         return random_aligned_sequence(cfg, seed=seed)
 
-    def test_record_and_replay_identical(self):
-        trace = ExecutionTrace.record(AlignedReservationScheduler(),
-                                      self.make_seq())
-        assert trace.replay_and_diff(lambda: AlignedReservationScheduler()) == []
+    def record(self, path, seq, **kwargs):
+        """Trace one run, checkpointing after every request by default."""
+        kwargs.setdefault("checkpoint_every", 1)
+        run_engine(AlignedReservationScheduler(), seq, trace_path=path,
+                   **kwargs)
+        return path
 
-    def test_replay_detects_divergence(self):
-        trace = ExecutionTrace.record(AlignedReservationScheduler(),
-                                      self.make_seq())
+    def test_record_and_replay_identical(self, tmp_path):
+        seq = self.make_seq()
+        trace = self.record(tmp_path / "run.jsonl", seq)
+        assert replay_and_diff(trace, seq, AlignedReservationScheduler) == []
+
+    def test_replay_detects_divergence(self, tmp_path):
+        seq = self.make_seq()
+        trace = self.record(tmp_path / "run.jsonl", seq)
         # a different scheduler family diverges somewhere
         from repro.baselines import EDFRebuildScheduler
-        diverging = trace.replay_and_diff(lambda: EDFRebuildScheduler(1))
+        diverging = replay_and_diff(trace, seq, lambda: EDFRebuildScheduler(1))
         assert diverging  # EDF places differently
+        assert set(diverging) <= set(range(1, len(seq) + 1))
 
-    def test_json_roundtrip(self):
-        trace = ExecutionTrace.record(AlignedReservationScheduler(),
-                                      self.make_seq(20))
-        again = ExecutionTrace.from_json(trace.to_json())
-        assert again.snapshots == trace.snapshots
-        assert json.loads(again.sequence_json) == json.loads(trace.sequence_json)
+    def test_strict_batched_trace_replays_clean(self, tmp_path):
+        seq = self.make_seq(60, seed=3)
+        trace = self.record(tmp_path / "run.jsonl", seq, batch_size=8,
+                            atomic_batches=True, checkpoint_every=8)
+        header = json.loads(trace.read_text().splitlines()[0])
+        assert (header["backend"], header["batch_size"], header["atomic"],
+                header["checkpoint_every"]) == ("batched", 8, True, 8)
+        assert replay_and_diff(trace, seq, AlignedReservationScheduler) == []
 
-    def test_final_placements(self):
-        seq = self.make_seq(10)
-        trace = ExecutionTrace.record(AlignedReservationScheduler(), seq)
-        finals = trace.final_placements()
-        assert set(finals) == {str(k) for k in seq.final_active_jobs}
-        assert ExecutionTrace(sequence_json="[]").final_placements() == {}
+    def test_replay_refuses_a_different_sequence(self, tmp_path):
+        trace = self.record(tmp_path / "run.jsonl", self.make_seq(seed=0))
+        with pytest.raises(ValueError, match="fingerprint"):
+            replay_and_diff(trace, self.make_seq(seed=1),
+                            AlignedReservationScheduler)
 
     def test_shrink_failing_prefix(self):
         seq = RequestSequence()

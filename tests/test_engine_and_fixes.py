@@ -75,7 +75,9 @@ class TestTimingSplit:
         assert result.audit_time_s > 0
         assert result.wall_time_s >= result.scheduler_time_s
         summary = result.summary
-        assert {"wall_s", "sched_s", "audit_s"} <= set(summary)
+        assert {"wall_s", "sched_s", "verify_s", "validate_s"} <= set(summary)
+        assert result.audit_time_s == pytest.approx(
+            result.verify_time_s + result.validate_time_s)
         assert result.requests_per_second == pytest.approx(
             result.requests_processed / result.scheduler_time_s)
 

@@ -10,7 +10,7 @@ from repro.levels import PAPER_POLICY
 from repro.reservation import TrimmedReservationScheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
 from repro.reservation.interval import Interval
-from repro.sim import RunResult, sparkline, summarize_series
+from repro.sim import SessionResult, sparkline, summarize_series
 from repro.sim.driver import run_sequence
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -88,8 +88,13 @@ class TestReportingEdges:
         assert out0["growth_factor"] == float("inf")
 
     def test_run_result_failed_summary(self):
-        r = RunResult("x", CostLedger(), 3, 0.5, failed=True,
-                      failure="Boom: y")
+        ledger = CostLedger()
+        r = SessionResult(
+            name="x", scheduler_name="S", backend="sequential",
+            requests_processed=3, wall_time_s=0.5, scheduler_time_s=0.4,
+            verify_time_s=0.0, validate_time_s=0.0, verify_mode="off",
+            ledger=ledger, ledger_summary=ledger.summary(),
+            failed=True, failure="Boom: y")
         assert r.summary["FAILED"] == "Boom: y"
 
 
@@ -119,5 +124,6 @@ class TestDriverNames:
         from repro.reservation import AlignedReservationScheduler
         result = run_sequence(AlignedReservationScheduler(), seq,
                               name="custom")
-        assert result.scheduler_name == "custom"
-        assert result.summary["scheduler"] == "custom"
+        assert result.name == "custom"
+        assert result.summary["run"] == "custom"
+        assert result.summary["scheduler"] == "AlignedReservationScheduler"

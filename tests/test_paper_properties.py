@@ -18,7 +18,6 @@ from repro.feasibility import (
     check_gamma_underallocated,
     underallocation_factor,
 )
-from repro.sim.driver import max_cost_series, RunResult
 from repro.core.costs import CostLedger, diff_placements
 from repro.core.job import Placement
 
@@ -107,15 +106,6 @@ class TestLoadTreeMatchesBruteForce:
 
 
 class TestCostModelProperties:
-    def test_max_cost_series(self):
-        ledger = CostLedger()
-        ledger.record(diff_placements(
-            {"a": Placement(0, 0)}, {"a": Placement(0, 1)},
-            kind="insert", subject="x", n_active=1, max_span=2))
-        r = RunResult("s", ledger, 1, 0.1)
-        series = max_cost_series([r])
-        assert series == [("s", 1)]
-
     def test_cost_vs_n_series(self):
         ledger = CostLedger()
         for n in (1, 2, 3):

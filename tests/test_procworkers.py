@@ -14,7 +14,7 @@ What the tentpole must guarantee (procworkers module docstring):
   through the session's normal failure policy, and a resume continues
   from the last checkpoint to a bit-identical final state.
 
-Plus the CLI satellite: ``--shard-workers {serial,threads,processes}``
+Plus the CLI satellite: ``--shard-workers {serial,processes}``
 (default ``serial``).
 """
 
@@ -24,6 +24,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.api import ReservationScheduler
+from repro.core.base import SHARD_WORKER_MODES
 from repro.core.exceptions import WorkerCrashError
 from repro.core.requests import iter_batches
 from repro.multimachine.delegation import DelegatingScheduler
@@ -341,9 +342,13 @@ def test_shard_workers_flag_mapping(capsys):
     # default: serial, no warning
     assert _parse(["engine"]).shard_workers == "serial"
     # explicit modes pass through
-    for mode in ("serial", "threads", "processes"):
+    for mode in ("serial", "processes"):
         assert _parse(["engine", "--shard-workers", mode]).shard_workers == mode
     assert capsys.readouterr().err == ""
+    # the deleted thread-pool mode is rejected like any unknown mode
+    with pytest.raises(SystemExit):
+        _parse(["engine", "--shard-workers", "threads"])
+    capsys.readouterr()
 
 
 def test_shard_workers_flag_rejects_unknown_mode(capsys):
@@ -353,8 +358,10 @@ def test_shard_workers_flag_rejects_unknown_mode(capsys):
 
 
 def test_plan_validates_shard_workers():
-    with pytest.raises(ValueError):
-        ExecutionPlan(shard_workers="fibers")
+    for mode in ("fibers", "threads"):
+        with pytest.raises(ValueError):
+            ExecutionPlan(shard_workers=mode)
+    assert SHARD_WORKER_MODES == ("serial", "processes")
     assert ExecutionPlan().resolved_shard_workers == "serial"
     assert ExecutionPlan(
         shard_workers="processes").resolved_shard_workers == "processes"

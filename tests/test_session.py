@@ -28,11 +28,12 @@ from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation import AlignedReservationScheduler
 from repro.reservation.scheduler import AlignedReservationScheduler as _ARS
 from repro.reservation.trimming import TrimmedReservationScheduler
-from repro.sim import run_engine, run_sequence, run_sweep
+from repro.sim import run_comparison, run_engine, run_sequence, run_sweep
 from repro.sim.session import (
     DEFAULT_FULL_AUDIT_EVERY,
     ExecutionPlan,
     Session,
+    SessionResult,
     SessionTrace,
 )
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
@@ -63,8 +64,6 @@ BACKEND_PLANS = [
     ("batched-atomic", dict(backend="batched", batch_size=32,
                             atomic_batches=True)),
     ("sharded", dict(backend="sharded", batch_size=32)),
-    ("sharded-threads", dict(backend="sharded", batch_size=32,
-                             shard_workers="threads")),
 ]
 
 
@@ -253,6 +252,22 @@ def test_resume_round_trip_matches_uninterrupted(tmp_path):
     assert final is not None and final["processed"] == len(seq)
 
 
+def test_resumed_checkpoint_rate_excludes_the_replayed_prefix(tmp_path):
+    """Checkpoint timings cover this session only, so the rate must too
+    (the replayed prefix is in ``processed`` but not in the timings)."""
+    seq = make_workload(1200, seed=5)
+    trace = tmp_path / "run.jsonl"
+    run_engine(ReservationScheduler(1, gamma=8), seq, checkpoint_every=200,
+               trace_path=trace, stop_after=700)
+    resumed = run_engine(ReservationScheduler(1, gamma=8), seq,
+                         checkpoint_every=200, trace_path=trace, resume=True)
+    assert resumed.resumed_from == 700
+    assert resumed.checkpoints
+    for cp in resumed.checkpoints:
+        assert cp.requests_per_second == pytest.approx(
+            (cp.processed - resumed.resumed_from) / cp.scheduler_time_s)
+
+
 def test_resume_refuses_a_different_sequence(tmp_path):
     trace = tmp_path / "run.jsonl"
     seq_a = make_workload(300, seed=1)
@@ -296,7 +311,9 @@ def test_sweep_resumes_per_cell(tmp_path):
     third = run_sweep(scenarios, factories, batch_size=32,
                       trace_dir=tmp_path, resume=True)
     for key, r in third.items():
+        assert isinstance(r, SessionResult) and r.ledger is None
         assert r.ledger_summary == second[key].ledger_summary
+        assert r.summary.keys() == second[key].summary.keys()
         assert r.resumed_from == second[key].resumed_from > 0
         assert r.requests_per_second == pytest.approx(
             (r.requests_processed - r.resumed_from) / r.scheduler_time_s)
@@ -361,12 +378,19 @@ def test_trace_records_are_json_lines(tmp_path):
         records = [json.loads(line) for line in fh]
     assert records[0]["type"] == "header"
     assert records[0]["fingerprint"]
+    assert records[0]["checkpoint_every"] == 50
     kinds = {r["type"] for r in records}
     assert kinds == {"header", "checkpoint", "final"}
+    assert all(r["placements"] for r in records if r["type"] == "checkpoint")
     final = records[-1]
     assert final["processed"] == len(seq)
     assert final["ledger"]["requests"] == len(seq)
     assert final["placements"]
+    # the final record is the result's own field list, and round-trips
+    assert final == run_sequence_result.to_record()
+    rebuilt = SessionResult.from_record(final)
+    assert rebuilt.to_record() == final
+    assert rebuilt.summary.keys() == run_sequence_result.summary.keys()
 
 
 # ----------------------------------------------------------------------
@@ -470,11 +494,21 @@ def test_auto_backend_resolution():
 
 
 def test_adapters_share_the_session_loop():
-    """run_sequence and run_engine are adapters: same sequence, same
-    ledger, same processed counts, phase timing split preserved."""
+    """run_sequence, run_comparison, run_engine, and run_sweep are
+    adapters: one result type with one summary key set, same ledger,
+    same processed counts, phase timing split preserved."""
     seq = make_workload(300, seed=8)
-    rs = run_sequence(ReservationScheduler(1, gamma=8), seq)
-    re_ = run_engine(ReservationScheduler(1, gamma=8), seq)
-    assert rs.ledger.summary() == re_.ledger_summary
-    assert rs.requests_processed == re_.requests_processed == len(seq)
+
+    def factory():
+        return ReservationScheduler(1, gamma=8)
+
+    rs = run_sequence(factory(), seq)
+    rc = run_comparison({"r": factory}, seq)["r"]
+    re_ = run_engine(factory(), seq)
+    rw = run_sweep({"s": seq}, {"r": factory})[("s", "r")]
+    results = [rs, rc, re_, rw]
+    assert all(type(r) is SessionResult for r in results)
+    assert len({tuple(r.summary) for r in results}) == 1
+    assert all(r.ledger_summary == rs.ledger.summary() for r in results)
+    assert all(r.requests_processed == len(seq) for r in results)
     assert rs.audit_time_s >= 0 and re_.audit_time_s >= 0
