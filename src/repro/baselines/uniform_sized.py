@@ -64,6 +64,7 @@ class UniformSizedReservationScheduler(ReallocatingScheduler):
         self.size = size
         self.inner = ReservationScheduler(
             num_machines, gamma=gamma, policy=policy)
+        self.inner._nested = True
 
     # ------------------------------------------------------------------
     def _coarse_window(self, window: Window) -> Window:

@@ -112,6 +112,7 @@ class ReservationScheduler(ReallocatingScheduler):
             def factory() -> ReallocatingScheduler:
                 return AlignedReservationScheduler(policy, journal=journal)
         self.delegator = DelegatingScheduler(num_machines, factory)
+        self.delegator._nested = True
         #: per-batch memo of pre-aligned insert jobs (id -> queue)
         self._align_memo: dict[JobId, deque[Job]] = {}
 

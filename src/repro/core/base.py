@@ -19,6 +19,13 @@ making cost accounting O(reallocations) per request — the paper's
 O(log* n) — instead of O(n). The largest active span (the paper's
 ``Delta_i``) is likewise tracked incrementally instead of rescanned.
 
+One ledger per stack: only the scheduler the caller invoked costs a
+request and records it. An owning layer marks the sparse schedulers it
+drives as nested (``_nested``); a nested layer publishes its touched
+log (``last_touched``) for its parent and builds no
+:class:`~repro.core.costs.RequestCost`, so an m=1 Theorem 1 stack
+allocates one cost entry per request instead of one per layer.
+
 Batch contract
 --------------
 Real traffic arrives in bursts, so the public API is batch-first:
@@ -89,7 +96,14 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Iterable, Mapping
 
-from .costs import BatchResult, CostLedger, RequestCost, diff_placements, diff_touched
+from .costs import (
+    NO_JOBS,
+    BatchResult,
+    CostLedger,
+    RequestCost,
+    diff_placements,
+    diff_touched,
+)
 from .exceptions import InvalidRequestError, ReproError
 from .job import Job, JobId, Placement
 from .requests import Batch, DeleteJob, InsertJob, Request
@@ -215,6 +229,12 @@ class ReallocatingScheduler(abc.ABC):
     #: this True to get O(reallocations) instead of O(n) cost diffing.
     _sparse_costing = False
 
+    #: set True (on the instance) by an owning layer that drives this
+    #: scheduler and costs each request itself: a nested sparse layer
+    #: only publishes ``last_touched`` — no cost diff, no ledger entry —
+    #: so one ledger per stack records each request (see ``insert``)
+    _nested = False
+
     def __init__(self, num_machines: int = 1) -> None:
         if num_machines < 1:
             raise ValueError("num_machines must be >= 1")
@@ -318,14 +338,18 @@ class ReallocatingScheduler(abc.ABC):
     def insert(self, job: Job) -> RequestCost | None:
         """Process an INSERTJOB request and return its measured cost.
 
-        Inside a batch, layers below the batch entry point suspend cost
-        finalization and return None — parents read ``last_touched``.
+        A sparse layer below the scheduler the caller invoked — nested
+        (``_nested``) or below the batch entry point — suspends cost
+        finalization and returns None; its parent reads
+        ``last_touched``. Dense layers always cost (parents read their
+        ``rescheduled`` set).
         """
         if job.id in self.jobs:
             raise InvalidRequestError(f"job {job.id!r} already active")
         ctx = self._batch
         sparse = self._sparse_costing
-        costed = ctx is None or ctx.top or not sparse
+        costed = not sparse or (ctx.top if ctx is not None
+                                else not self._nested)
         before = dict(self.placements) if (costed and not sparse) else None
         if sparse and (ctx is None or ctx.emit_touched):
             self._touched = self._touched_acquire()
@@ -367,8 +391,7 @@ class ReallocatingScheduler(abc.ABC):
     def delete(self, job_id: JobId) -> RequestCost | None:
         """Process a DELETEJOB request and return its measured cost.
 
-        Inside a batch, layers below the batch entry point suspend cost
-        finalization and return None — parents read ``last_touched``.
+        Costing follows :meth:`insert`: nested sparse layers return None.
         """
         job = self.jobs.get(job_id)
         if job is None:
@@ -377,7 +400,8 @@ class ReallocatingScheduler(abc.ABC):
         max_span = self._max_span_cache
         ctx = self._batch
         sparse = self._sparse_costing
-        costed = ctx is None or ctx.top or not sparse
+        costed = not sparse or (ctx.top if ctx is not None
+                                else not self._nested)
         before = dict(self.placements) if (costed and not sparse) else None
         if sparse and (ctx is None or ctx.emit_touched):
             self._touched = self._touched_acquire()
@@ -607,7 +631,7 @@ class ReallocatingScheduler(abc.ABC):
             kind, subject = "delete", request.job_id
         return RequestCost(
             kind=kind, subject=subject,
-            rescheduled=frozenset(), migrated=frozenset(),
+            rescheduled=NO_JOBS, migrated=NO_JOBS,
             n_active=len(self.jobs), max_span=self._max_span_cache,
         )
 

@@ -24,6 +24,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .job import JobId, Placement
 
+#: the shared id set of every cost entry that rescheduled (or migrated)
+#: nothing — most requests — so a zero-cost entry allocates no sets
+NO_JOBS: frozenset[JobId] = frozenset()
+
 
 @dataclass(frozen=True, slots=True)
 class RequestCost:
@@ -90,8 +94,8 @@ def diff_placements(
     return RequestCost(
         kind=kind,
         subject=subject,
-        rescheduled=frozenset(rescheduled),
-        migrated=frozenset(migrated),
+        rescheduled=frozenset(rescheduled) if rescheduled else NO_JOBS,
+        migrated=frozenset(migrated) if migrated else NO_JOBS,
         n_active=n_active,
         max_span=max_span,
     )
@@ -130,8 +134,8 @@ def diff_touched(
     return RequestCost(
         kind=kind,
         subject=subject,
-        rescheduled=frozenset(rescheduled),
-        migrated=frozenset(migrated),
+        rescheduled=frozenset(rescheduled) if rescheduled else NO_JOBS,
+        migrated=frozenset(migrated) if migrated else NO_JOBS,
         n_active=n_active,
         max_span=max_span,
     )

@@ -177,3 +177,28 @@ def aligned_window_covering(slot: int, span: int) -> Window:
         raise ValueError(f"span must be a power of two, got {span}")
     start = (slot // span) * span
     return Window(start, start + span)
+
+
+def aligned_ladder(slot: int, spans: tuple[int, ...]) -> tuple[Window, ...]:
+    """The aligned windows of each span in ``spans`` containing ``slot``.
+
+    A trusted constructor for the reservation scheduler's per-interval
+    window ladders: ``spans`` are the level policy's power-of-two
+    enclosing spans, so every window is valid by construction and the
+    ``Window(...)`` validation is skipped. The result equals
+    ``tuple(aligned_window_covering(slot, s) for s in spans)`` field for
+    field (``tests/test_window.py`` checks it).
+    """
+    new = object.__new__
+    set_field = object.__setattr__  # as __post_init__ does: frozen class
+    out: list[Window] = []
+    for span in spans:
+        start = (slot // span) * span
+        end = start + span
+        w = new(Window)
+        set_field(w, "release", start)
+        set_field(w, "deadline", end)
+        set_field(w, "_hash", hash((start, end)))
+        set_field(w, "span", span)
+        out.append(w)
+    return tuple(out)

@@ -388,6 +388,8 @@ class DelegatingScheduler(ReallocatingScheduler):
         for i, sub in enumerate(self.machines):
             if sub.num_machines != 1:
                 raise ValueError(f"sub-scheduler {i} is not single-machine")
+            # this layer costs every request from the subs' touched logs
+            sub._nested = True
         self.balancer = WindowBalancer(num_machines)
         #: merged machine-tagged placement map, maintained incrementally
         #: from the sub-schedulers' touched logs / request costs

@@ -145,7 +145,9 @@ class ElasticScheduler(DelegatingScheduler):
             )
         self._leave_process_mode()
         before = dict(self.placements)
-        self.machines.append(self._factory())
+        sub = self._factory()
+        sub._nested = True
+        self.machines.append(sub)
         self.num_machines += 1
         moves = self.balancer.grow()
         self._execute(moves)

@@ -44,12 +44,12 @@ the burst.
 Serialization boundary
 ----------------------
 Seeding and re-seeding pickle whole sub-schedulers (the reservation
-stack supports this via ``__getstate__``/``__setstate__`` — hook
-closures are rebuilt on restore, and the scheduler's undo-journal
-arena is dropped and rebuilt fresh: journals are empty at every legal
-pickling point, and the restored worker's arena is then reused for
-every burst of its lifetime — each burst's atomic batch log borrows
-the same containers). Everything else on the pipe is op streams
+stack supports this via ``__getstate__``/``__setstate__`` — the
+per-level probe closures are rebuilt on restore, and the scheduler's
+undo-journal arena is dropped and rebuilt fresh: journals are empty at
+every legal pickling point, and the restored worker's arena is then
+reused for every burst of its lifetime — each burst's atomic batch log
+borrows the same containers). Everything else on the pipe is op streams
 (:class:`~repro.core.job.Job` objects and ids) and per-op
 ``(changed, post-slots)`` results. Exceptions are pickled when
 possible, else reconstructed from their message.

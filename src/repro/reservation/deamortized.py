@@ -32,10 +32,19 @@ exactly the paper's precondition. A corollary of that precondition is
 that no job may have a window of span < 2 (a span-1 window cannot be
 2-underallocated once occupied), which is why `span >= 2` is enforced
 on every insert.
+
+The drain order (smallest effective span first, then ``str(id)``) comes
+from a heap built once per phase, on its first migration, so each
+migration costs O(log n) instead of a scan of the outgoing side. At
+phase end the retired side is freed by reference counting. For the
+length of a phase, the incoming side borrows the outgoing side's
+interval window ladders: both sides share the virtual grid. Both inner
+schedulers are nested: this wrapper costs each request itself.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop
 from typing import Callable, Mapping
 
 from ..core.base import ReallocatingScheduler, _BatchContext
@@ -98,9 +107,14 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.migrate_per_request = migrate_per_request
         self.journal_impl = journal
         self.parity = 0
-        self.active = AlignedReservationScheduler(policy, journal=journal)
+        self.active = self._new_side()
         self.incoming: AlignedReservationScheduler | None = None
         self.incoming_parity = 1
+        #: drain order of the current phase: a heap of
+        #: ``(span, str(id), position, id)`` over the outgoing side's
+        #: jobs, built once per phase on the first migration; entries of
+        #: jobs deleted since are skipped lazily (None = not built)
+        self._drain: list[tuple[int, str, int, JobId]] | None = None
         #: job id -> parity of the inner scheduler holding it
         self._home: dict[JobId, int] = {}
         #: merged real-coordinate placement map (incremental)
@@ -122,6 +136,14 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
     def _effective(self, job: Job) -> Job:
         vwin = trim_aligned(virtual_window(job.window), self.virtual_trim_span)
         return job.with_window(vwin)
+
+    def _new_side(self) -> AlignedReservationScheduler:
+        """A fresh inner (phase side) scheduler; this wrapper costs its
+        requests."""
+        side = AlignedReservationScheduler(self.policy,
+                                           journal=self.journal_impl)
+        side._nested = True
+        return side
 
     def _inner(self, parity: int) -> AlignedReservationScheduler:
         if parity == self.parity:
@@ -201,8 +223,11 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.n_star = new_n_star
         self.phases_started += 1
         self.incoming_parity = 1 - self.parity
-        self.incoming = AlignedReservationScheduler(self.policy,
-                                                    journal=self.journal_impl)
+        self.incoming = self._new_side()
+        # Both sides share the policy and the virtual grid, so the
+        # incoming side's intervals borrow the outgoing side's window
+        # ladders for the whole phase (released in _finish_phase).
+        self.incoming._ladder_donor = self.active.intervals
         ctx = self._batch
         if ctx is not None:
             # A phase opened mid-atomic-batch drains into a scheduler an
@@ -218,31 +243,52 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
             self._migrate_some(self.migrate_per_request)
 
     def _migrate_some(self, count: int) -> None:
-        """Move up to ``count`` jobs from the outgoing to the incoming side."""
+        """Move up to ``count`` jobs from the outgoing to the incoming side.
+
+        Deterministic drain order: smallest span first (cheap to
+        re-place), then by ``str(id)``, ties by the outgoing side's job
+        order — the order of a ``min`` over its jobs. The heap holding
+        it is built once per phase, on the first migration; the
+        outgoing side only loses jobs during a phase, so the order
+        stays valid, and jobs deleted since are skipped when popped.
+        """
         assert self.incoming is not None
+        active = self.active
+        incoming = self.incoming
+        outgoing_jobs = active.jobs
+        drain = self._drain
+        if drain is None:
+            drain = [(job.span, str(job_id), position, job_id)
+                     for position, (job_id, job)
+                     in enumerate(outgoing_jobs.items())]
+            heapify(drain)
+            self._drain = drain
         for _ in range(count):
-            if not self.active.jobs:
+            if not outgoing_jobs:
                 break
-            # Deterministic drain order: smallest span first (cheap to
-            # re-place), then by id.
-            job_id = min(self.active.jobs,
-                         key=lambda j: (self.active.jobs[j].span, str(j)))
+            job_id = heappop(drain)[3]
+            while job_id not in outgoing_jobs:
+                job_id = heappop(drain)[3]
             original = self.jobs[job_id]
-            self.active.delete(job_id)
-            self._sync_inner(self.active, self.parity, job_id)
-            self.incoming.insert(self._effective(original))
-            self._sync_inner(self.incoming, self.incoming_parity, job_id)
+            active.delete(job_id)
+            self._sync_inner(active, self.parity, job_id)
+            incoming.insert(self._effective(original))
+            self._sync_inner(incoming, self.incoming_parity, job_id)
             self._home[job_id] = self.incoming_parity
-        if not self.active.jobs:
+        if not outgoing_jobs:
             self._finish_phase()
 
     def _finish_phase(self) -> None:
         assert self.incoming is not None
         self._journal_entries_carry += self.active.journal_entries_total
+        # The retired side is freed by reference counting once dropped:
+        # the new active side stops borrowing its window ladders.
+        self.incoming._ladder_donor = None
         self.active = self.incoming
         self.parity = self.incoming_parity
         self.incoming = None
         self.incoming_parity = 1 - self.parity
+        self._drain = None
 
     @property
     def journal_entries_total(self) -> int:
@@ -291,6 +337,12 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.active._batch_abort()
         if self.incoming is not None:
             self.incoming._batch_abort()
+            # a phase the batch ended may have cleared the restored
+            # incoming side's ladder donor
+            self.incoming._ladder_donor = self.active.intervals
+        # the batch's migrations popped drain entries of jobs the abort
+        # brought back: rebuild the heap on the next migration
+        self._drain = None
         self._restore_placement_map(self._placements, ctx.touched)
         # The home map is derivable from the inners' restored job sets.
         # (``jobs`` here is the inner scheduler's insertion-ordered job

@@ -54,15 +54,33 @@ When ``undo_log`` is set every mutation appends its exact inverse — the
 scheduler's failed-request rollback journal. Journal entries are tuple
 opcodes addressing state positionally (one allocation each, dispatched
 by :func:`~repro.reservation.journal.replay_entries`).
+
+Assignment hooks. An interval holds no reference to its scheduler.
+The three mutators that can change which window a slot backs —
+:meth:`rebalance`, :meth:`slot_lowered` and :meth:`swap_slots` — take
+the owning scheduler as a trailing ``owner`` argument and call its
+``_on_assign(ws, slot)`` / ``_on_release(ws, slot)`` for every
+assignment change of a window whose state is published in ``_ws``.
+Without an owner (unit tests) no hook fires. Because nothing points
+back from an interval to its scheduler, a scheduler that a trimming
+rebuild or a deamortized phase end replaces is freed by reference
+counting the moment it is dropped, with no cyclic garbage left behind.
+
+Geometry. The enclosing-window ladder ``_windows`` and the span tuple
+``enclosing_spans`` are immutable per (level, index). The scheduler
+passes in the ladder of the interval it replaces at the same (level,
+index) when a rebuild has one on loan; otherwise the interval builds
+its ladder with the trusted :func:`~repro.core.window.aligned_ladder`
+constructor instead of validated ``Window(...)`` calls.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..core.job import JobId
-from ..core.window import Window, aligned_window_covering
+from ..core.window import Window, aligned_ladder
 from .journal import (
     OP_ASSIGN,
     OP_DYNAMIC,
@@ -72,14 +90,17 @@ from .journal import (
     OP_SWAP,
 )
 
+if TYPE_CHECKING:
+    from .scheduler import AlignedReservationScheduler
+    from .window_state import WindowState
+
 
 class Interval:
     """One level-l interval (an aligned ``L_l``-slot block)."""
 
     def __init__(self, *, level: int, index: int, lo: int, hi: int,
                  enclosing_spans: tuple[int, ...],
-                 on_assign: Callable | None = None,
-                 on_release: Callable | None = None,
+                 windows: tuple[Window, ...] | None = None,
                  undo_log: list | None = None) -> None:
         self.level = level
         self.index = index
@@ -90,19 +111,16 @@ class Interval:
         #: bit length of the smallest enclosing span (ladder-position
         #: arithmetic base, hoisted out of the hot ``_pos`` lookup)
         self._span_bits0 = enclosing_spans[0].bit_length()
-        #: scheduler hooks fired on every assignment change (slot gained /
-        #: lost by a window state); None outside a scheduler (unit tests)
-        self.on_assign = on_assign
-        self.on_release = on_release
         #: when set (by the scheduler, per request), every mutation appends
         #: its inverse here — replayed in reverse to roll back a failure
         self.undo_log = undo_log
         span = hi - lo
         npos = len(enclosing_spans)
-        #: enclosing-window tuple, one per ladder position (immutable)
-        self._windows: tuple[Window, ...] = tuple(
-            aligned_window_covering(lo, s) for s in enclosing_spans
-        )
+        #: enclosing-window tuple, one per ladder position (immutable;
+        #: shared with any other interval at the same (level, index))
+        self._windows: tuple[Window, ...] = (
+            windows if windows is not None
+            else aligned_ladder(lo, enclosing_spans))
         #: per-slot lower-occupied bits (index = slot - lo)
         self._lower = bytearray(span)
         #: popcount of ``_lower`` (allowance size = span - _n_lower)
@@ -119,7 +137,7 @@ class Interval:
         self._owner = [-1] * span
         #: owning scheduler's WindowState per ladder position (None when
         #: the window is inactive); maintained by the scheduler
-        self._ws: list[object | None] = [None] * npos
+        self._ws: list[WindowState | None] = [None] * npos
         #: sorted free allowance slots (in allowance, backing nothing)
         self._free = list(range(lo, hi))
         #: memoized positional fulfillment target + validity flag
@@ -133,26 +151,6 @@ class Interval:
         #: True when a mutation since the last rebalance may have
         #: unbalanced the assignment (fresh intervals start unreconciled)
         self._stale = True
-
-    # ------------------------------------------------------------------
-    # serialization (worker-resident schedulers cross a process boundary)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Picklable state: everything but the scheduler-owned callables.
-
-        ``on_assign`` / ``on_release`` are bound methods of the owning
-        scheduler and ``undo_log`` is only ever set inside a request, so
-        all three are dropped; the scheduler's own ``__setstate__``
-        re-attaches its hooks to every interval it restores. The ``_ws``
-        cache rides along — its WindowState objects are shared with the
-        scheduler's own tables, so pickling the scheduler graph
-        preserves the identity.
-        """
-        state = self.__dict__.copy()
-        state["on_assign"] = None
-        state["on_release"] = None
-        state["undo_log"] = None
-        return state
 
     # ------------------------------------------------------------------
     # geometry / demand
@@ -369,7 +367,8 @@ class Interval:
     # assignment primitives (keep slots, counts, free index, hooks, undo
     # log consistent in one place)
     # ------------------------------------------------------------------
-    def _do_assign(self, pos: int, slot: int) -> None:
+    def _do_assign(self, pos: int, slot: int,
+                   owner: AlignedReservationScheduler | None) -> None:
         self._aslots[pos].add(slot)
         self._owner[slot - self.lo] = pos
         self._counts[pos] += 1
@@ -380,11 +379,10 @@ class Interval:
         log = self.undo_log
         if log is not None:
             log.append((OP_ASSIGN, self, pos, slot))
-        on_assign = self.on_assign
-        if on_assign is not None:
+        if owner is not None:
             ws = self._ws[pos]
             if ws is not None:
-                on_assign(ws, slot)
+                owner._on_assign(ws, slot)
 
     def _undo_assign(self, pos: int, slot: int) -> None:
         self._aslots[pos].discard(slot)
@@ -394,7 +392,8 @@ class Interval:
         self._dirty.add(pos)
         self._stale = True
 
-    def _do_release(self, pos: int, slot: int) -> None:
+    def _do_release(self, pos: int, slot: int,
+                    owner: AlignedReservationScheduler | None) -> None:
         self._aslots[pos].discard(slot)
         self._owner[slot - self.lo] = -1
         self._counts[pos] -= 1
@@ -404,11 +403,10 @@ class Interval:
         log = self.undo_log
         if log is not None:
             log.append((OP_RELEASE, self, pos, slot))
-        on_release = self.on_release
-        if on_release is not None:
+        if owner is not None:
             ws = self._ws[pos]
             if ws is not None:
-                on_release(ws, slot)
+                owner._on_release(ws, slot)
 
     def _undo_release(self, pos: int, slot: int) -> None:
         self._aslots[pos].add(slot)
@@ -421,11 +419,12 @@ class Interval:
     # ------------------------------------------------------------------
     # allowance mutation
     # ------------------------------------------------------------------
-    def slot_lowered(self, slot: int) -> None:
+    def slot_lowered(self, slot: int,
+                     owner: AlignedReservationScheduler | None = None) -> None:
         """A job of level < l now occupies ``slot`` (it leaves the allowance).
 
-        Any assignment backing the slot is revoked; the caller must
-        rebalance afterwards.
+        Any assignment backing the slot is revoked (``owner``'s release
+        hook fires for it); the caller must rebalance afterwards.
         """
         if not self.lo <= slot < self.hi:
             raise ValueError(f"slot {slot} outside interval [{self.lo},{self.hi})")
@@ -446,11 +445,10 @@ class Interval:
         if log is not None:
             log.append((OP_LOWERED, self, slot, opos))
         self._note_allowance_shrunk(opos >= 0)
-        on_release = self.on_release
-        if opos >= 0 and on_release is not None:
+        if opos >= 0 and owner is not None:
             ws = self._ws[opos]
             if ws is not None:
-                on_release(ws, slot)
+                owner._on_release(ws, slot)
 
     def _undo_slot_lowered(self, slot: int, opos: int) -> None:
         i = slot - self.lo
@@ -525,6 +523,7 @@ class Interval:
         self,
         level_job_at: Callable[[int], JobId | None],
         empty_at: Callable[[int], bool],
+        owner: AlignedReservationScheduler | None = None,
     ) -> list[JobId]:
         """Reconcile slot assignments with :meth:`target_fulfilled`.
 
@@ -538,6 +537,9 @@ class Interval:
             slot -> True iff *no* job of any level occupies it. Used to
             prefer truly empty slots when assigning, minimizing future
             cross-level displacement.
+        owner:
+            The scheduler whose ``_on_assign`` / ``_on_release`` hooks
+            see every assignment change (None: no hooks fire).
 
         Returns the level-l jobs whose backing slot was revoked; the
         scheduler must MOVE each of them.
@@ -598,9 +600,9 @@ class Interval:
                 else:
                     occupied.append(s)
             for s in empties:
-                self._do_release(pos, s)
+                self._do_release(pos, s, owner)
             for s in occupied[:excess - len(empties)]:
-                self._do_release(pos, s)
+                self._do_release(pos, s, owner)
                 job = level_job_at(s)
                 if job is not None:
                     revoked.append(job)
@@ -630,7 +632,7 @@ class Interval:
                         "fulfillment exceeds allowance"
                     )
                 for s in pool[fi:fi + need]:
-                    self._do_assign(pos, s)
+                    self._do_assign(pos, s, owner)
                 fi += need
         self._stale = False
         return revoked
@@ -638,64 +640,65 @@ class Interval:
     # ------------------------------------------------------------------
     # swap support (the MOVE trick of Figure 1, lines 12-13)
     # ------------------------------------------------------------------
-    def swap_slots(self, s1: int, s2: int) -> None:
+    def swap_slots(self, s1: int, s2: int,
+                   owner: AlignedReservationScheduler | None = None) -> None:
         """Exchange the roles of two slots in this interval's bookkeeping.
 
         Swaps allowance membership and assignment ownership. Used by
         MOVE at ancestor levels so that relocating a lower-level job
         between two slots of the same ancestor interval is invisible to
-        this level (net allowance change zero).
+        this level (net allowance change zero). ``owner``'s hooks see
+        the swapped assignments.
         """
         if s1 == s2:
             return
-        self._swap_raw(s1, s2, fire_hooks=True)
+        self._swap_raw(s1, s2, owner)
         log = self.undo_log
         if log is not None:
             # the raw swap is an involution; hooks are not refired on
             # undo (the scheduler's window-state journal restores those)
             log.append((OP_SWAP, self, s1, s2))
 
-    def _swap_raw(self, s1: int, s2: int, *, fire_hooks: bool) -> None:
+    def _swap_raw(self, s1: int, s2: int,
+                  owner: AlignedReservationScheduler | None) -> None:
         lo = self.lo
         i1 = s1 - lo
         i2 = s2 - lo
         lower = self._lower
         if lower[i1] != lower[i2]:
             lower[i1], lower[i2] = lower[i2], lower[i1]
-        owner = self._owner
-        o1 = owner[i1]
-        o2 = owner[i2]
-        owner[i1] = owner[i2] = -1
+        slot_owner = self._owner
+        o1 = slot_owner[i1]
+        o2 = slot_owner[i2]
+        slot_owner[i1] = slot_owner[i2] = -1
         aslots = self._aslots
         ws_list = self._ws
-        on_release = self.on_release
-        on_assign = self.on_assign
         if o1 >= 0:
             aslots[o1].discard(s1)
-            if fire_hooks and on_release is not None:
+            if owner is not None:
                 ws = ws_list[o1]
                 if ws is not None:
-                    on_release(ws, s1)
+                    owner._on_release(ws, s1)
         if o2 >= 0:
             aslots[o2].discard(s2)
-            if fire_hooks and on_release is not None:
+            if owner is not None:
                 ws = ws_list[o2]
                 if ws is not None:
-                    on_release(ws, s2)
+                    owner._on_release(ws, s2)
         if o1 >= 0:
-            owner[i2] = o1
+            slot_owner[i2] = o1
             aslots[o1].add(s2)
-            if fire_hooks and on_assign is not None:
+            if owner is not None:
                 ws = ws_list[o1]
                 if ws is not None:
-                    on_assign(ws, s2)
+                    owner._on_assign(ws, s2)
         if o2 >= 0:
-            owner[i1] = o2
+            slot_owner[i1] = o2
             aslots[o2].add(s1)
-            if fire_hooks and on_assign is not None:
+            if owner is not None:
                 ws = ws_list[o2]
                 if ws is not None:
-                    on_assign(ws, s1)
+                    owner._on_assign(ws, s1)
         # Per-position assignment counts are unchanged (each owner keeps
         # the same number of slots), and the target is a pure function
         # of allowance *size* and demand — both unchanged — so the memo
@@ -704,7 +707,7 @@ class Interval:
         for s in (s1, s2):
             self._free_discard(s)
             i = s - lo
-            if not lower[i] and owner[i] < 0:
+            if not lower[i] and slot_owner[i] < 0:
                 self._free_add(s)
 
     # ------------------------------------------------------------------

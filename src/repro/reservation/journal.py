@@ -109,7 +109,7 @@ def replay_entries(entries: list, stop: int = 0) -> None:
         elif op == OP_SWAP:
             # the raw swap is an involution; hooks are not refired on
             # undo (the window-state journal entries restore those)
-            e[1]._swap_raw(e[2], e[3], fire_hooks=False)
+            e[1]._swap_raw(e[2], e[3], None)
         elif op == OP_PLACE:
             e[1]._undo_place(e[2], e[3])
         elif op == OP_UNPLACE:

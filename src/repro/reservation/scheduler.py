@@ -77,6 +77,17 @@ lives in the tests: ``tests/test_journal_arena.py`` fingerprints the
 deep state before each failing request or burst and checks the abort
 restores it exactly.
 
+Object lifecycle: intervals store no reference back to the scheduler.
+The interval mutators that fire the assignment hooks (``rebalance``,
+``slot_lowered``, ``swap_slots``) receive the scheduler as an argument,
+so a scheduler that its owner replaces (a trimming rebuild, a
+deamortized phase end, an atomic batch's commit or abort) is freed by
+reference counting as soon as it is dropped. While an owner rebuilds
+into a fresh scheduler, ``_ladder_donor`` points at the interval
+tables of the one it replaces: an interval's enclosing-window ladder is
+immutable per (level, index), so fresh intervals share the donor's
+ladders instead of constructing windows.
+
 The scheduler requires *aligned* windows and sufficient underallocation
 (Lemma 8 needs 8-underallocation); when slack runs out it raises
 :class:`UnderallocationError` and poisons itself — wrap with the
@@ -256,6 +267,18 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             policy.interval_span(lv).bit_length() - 1
             for lv in range(1, policy.num_reservation_levels + 1)
         ]
+        #: level -> the policy's enclosing spans (one tuple shared by
+        #: every interval of the level); index 0 is unused padding
+        self._enc_spans: list[tuple[int, ...]] = [()] + [
+            tuple(policy.enclosing_spans(lv))
+            for lv in range(1, policy.num_reservation_levels + 1)
+        ]
+        #: interval tables (level -> index -> Interval) of the scheduler
+        #: this one replaces, read only to share their immutable window
+        #: ladders with the intervals materialized here; set by the
+        #: owning layer for the span of a trimming rebuild or a
+        #: deamortized phase, None otherwise
+        self._ladder_donor: dict[int, dict[int, Interval]] | None = None
         #: level -> cached occupancy probe for Interval.rebalance; built
         #: once here so the rebalance path allocates no closures per call
         self._level_probes = {
@@ -294,10 +317,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         self._arena = UndoArena()
         levels = range(1, self.policy.num_reservation_levels + 1)
         self._level_probes = {lv: self._make_level_probe(lv) for lv in levels}
-        for table in self.intervals.values():
-            for iv in table.values():
-                iv.on_assign = self._on_assign
-                iv.on_release = self._on_release
 
     # ------------------------------------------------------------------
     # ReallocatingScheduler interface
@@ -654,9 +673,10 @@ class AlignedReservationScheduler(ReallocatingScheduler):
 
         Intervals resolve the window state themselves through their
         ``_ws`` ladder cache (and skip the call while it is None, i.e.
-        before the state is published), so the hook is one bound method
-        shared by every interval — no per-level closures, no window
-        hashing on the hot path.
+        before the state is published), and receive this scheduler as
+        the ``owner`` argument of the mutator that fires the hook — no
+        stored callbacks, no per-level closures, no window hashing on
+        the hot path.
         """
         # inlined dedup fast path: _jwindow_state is a no-op once the
         # state is snapshotted this request (the common case)
@@ -890,7 +910,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             iv = self.intervals[lv].get(idx_old)
             if iv is not None:
                 self._jtouch(iv)
-                iv.swap_slots(old, new)
+                iv.swap_slots(old, new, self)
         self._reclassify_backed(old)
         self._reclassify_backed(new)
 
@@ -921,7 +941,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             if iv is not None:
                 if not iv._lower[slot - iv.lo]:
                     self._jtouch(iv)
-                    iv.slot_lowered(slot)
+                    iv.slot_lowered(slot, self)
                 self._rebalance(iv)
         if displaced is not None:
             self._place(displaced, self.jobs[displaced].window, displaced_level)
@@ -943,7 +963,8 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             return  # nothing changed since the last reconciliation
         if iv.undo_log is None:  # inlined _jtouch first-touch guard
             self._jtouch(iv)
-        revoked = iv.rebalance(self._level_probes[iv.level], self._empty_at)
+        revoked = iv.rebalance(self._level_probes[iv.level], self._empty_at,
+                               self)
         for job_id in revoked:
             self._move(job_id, iv.level)
 
@@ -1030,12 +1051,13 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         if iv is not None:
             return iv
         span = self.policy.interval_span(level)
+        donor = self._ladder_donor
+        twin = donor[level].get(index) if donor is not None else None
         iv = Interval(
             level=level, index=index,
             lo=index * span, hi=(index + 1) * span,
-            enclosing_spans=tuple(self.policy.enclosing_spans(level)),
-            on_assign=self._on_assign,
-            on_release=self._on_release,
+            enclosing_spans=self._enc_spans[level],
+            windows=twin._windows if twin is not None else None,
         )
         slot_job = self.slot_job
         levels = self._job_levels
@@ -1059,7 +1081,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         table[index] = iv
         # Establish baseline fulfillments; a fresh interval has no
         # assignments, so nothing can be revoked.
-        revoked = iv.rebalance(self._level_job_at(level), self._empty_at)
+        revoked = iv.rebalance(self._level_probes[level], self._empty_at, self)
         if revoked:  # pragma: no cover - impossible on a fresh interval
             raise AssertionError("fresh interval revoked jobs")
         return iv
@@ -1082,9 +1104,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 return occ
             return None
         return probe
-
-    def _level_job_at(self, level: int) -> Callable[[int], JobId | None]:
-        return self._level_probes[level]
 
     def _empty_at(self, slot: int) -> bool:
         return slot not in self.slot_job

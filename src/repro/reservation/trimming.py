@@ -25,6 +25,13 @@ re-inserts skip the per-request undo journal, because a failed rebuild
 poisons the scheduler regardless (a half-built inner is unusable
 either way). Atomic batches run rebuilds on an ephemeral inner that an
 abort discards wholesale.
+
+A rebuild allocates only what the new schedule needs. The outgoing
+inner is freed by reference counting when it is dropped (intervals hold
+no scheduler reference), and while the survivors re-insert, the fresh
+inner borrows the outgoing intervals' window ladders. The inner is
+*nested*: it publishes its touched log and records no costs, since
+this layer (or the layer above it) costs each request once.
 """
 
 from __future__ import annotations
@@ -94,8 +101,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         self.n_star = min_n_star
         self.tracer = tracer if tracer is not None else NullTracer()
         self.journal_impl = journal
-        self.inner = AlignedReservationScheduler(policy, tracer=self.tracer,
-                                                 journal=journal)
+        self.inner = self._new_inner()
         self.rebuilds = 0
         #: journal entries recorded by inners replaced in rebuilds
         #: (``journal_entries_total`` folds the live inner back in)
@@ -103,6 +109,13 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         #: planned final job count of the current flexible batch
         #: (None outside flexible batches; see _flexible_size_hint)
         self._flex_final_hint: int | None = None
+
+    def _new_inner(self) -> AlignedReservationScheduler:
+        """A fresh inner scheduler; this layer costs its requests."""
+        inner = AlignedReservationScheduler(self.policy, tracer=self.tracer,
+                                            journal=self.journal_impl)
+        inner._nested = True
+        return inner
 
     # ------------------------------------------------------------------
     @property
@@ -156,8 +169,13 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         survivors = [job for jid, job in self.jobs.items()
                      if jid in self.inner.jobs]
         self._journal_entries_carry += self.inner.journal_entries_total
-        self.inner = AlignedReservationScheduler(self.policy, tracer=self.tracer,
-                                                 journal=self.journal_impl)
+        # The outgoing inner is freed by reference counting once replaced
+        # (intervals hold no scheduler reference); only its interval
+        # tables stay reachable until the rebuild ends, lending their
+        # immutable window ladders to the fresh intervals.
+        inner = self._new_inner()
+        inner._ladder_donor = self.inner.intervals
+        self.inner = inner
         ctx = self._batch
         if ctx is not None:
             # Inside an atomic batch the fresh inner is ephemeral: an
@@ -181,6 +199,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
                 self.inner.insert(eff)
         finally:
             self.inner._journal_enabled = True
+            self.inner._ladder_donor = None
         if ctx is not None:
             # Touched logs stay off only for the rebuild itself; later
             # requests in the batch need them (their displacements must

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import InvalidRequestError, Job, Window, verify_schedule
+from repro.core.requests import DeleteJob, InsertJob
 from repro.reservation import DeamortizedReservationScheduler, virtual_window
 from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
@@ -117,3 +118,56 @@ class TestDeamortizedScheduler:
             s.apply(req)
             verify_schedule(s.jobs, s.placements, 1)
         assert s.ledger.max_reallocation <= 10
+
+
+def _phase_job(i: int) -> Job:
+    """Mixed spans, so the drain order depends on span and id."""
+    span = 1 << (12 + i % 3)
+    return Job(f"j{i:03d}", Window(0, span))
+
+
+class TestDeamortizedAtomicAbort:
+    def test_abort_mid_phase_after_drain_matches_reference(self):
+        """An atomic batch that drains part of an open phase and then
+        fails restores the pre-batch state, drain order included: the
+        jobs the batch migrated are back on the outgoing side, and the
+        rest of the phase matches a scheduler that never saw the batch."""
+        def build():
+            return DeamortizedReservationScheduler(gamma=8, min_n_star=4)
+
+        prefix = [InsertJob(_phase_job(i)) for i in range(36)]
+        prefix += [DeleteJob("j001"), DeleteJob("j004")]
+        inside = [InsertJob(_phase_job(i)) for i in range(36, 40)]
+        inside += [DeleteJob("j007"), InsertJob(Job("dup", Window(0, 64))),
+                   InsertJob(Job("dup", Window(0, 64)))]
+        after = [InsertJob(_phase_job(i)) for i in range(40, 90)]
+        after += [DeleteJob(f"j{i:03d}")
+                  for i in (*range(8, 34, 5), *range(41, 89, 3))]
+
+        sched, reference = build(), build()
+        for request in prefix:
+            sched.apply(request)
+            reference.apply(request)
+        assert sched.in_phase, "the batch must open mid-phase"
+        pre_outgoing = dict(sched.active.jobs)
+        drained_before = len(sched.incoming.jobs)
+        assert drained_before > 0, "the phase must have drained already"
+        pre_placements = dict(sched.placements)
+        pre_ledger = len(sched.ledger)
+
+        result = sched.apply_batch(inside, atomic=True)
+        assert result.failed and result.rolled_back
+        assert sched.in_phase
+        assert sched.active.jobs == pre_outgoing
+        assert len(sched.incoming.jobs) == drained_before
+        assert dict(sched.placements) == pre_placements
+        assert len(sched.ledger) == pre_ledger
+
+        for request in after:
+            sched.apply(request)
+            reference.apply(request)
+        assert sched.phases_started == reference.phases_started >= 2
+        assert dict(sched.placements) == dict(reference.placements)
+        assert sched.ledger.entries[pre_ledger:] == \
+            reference.ledger.entries[pre_ledger:]
+        verify_schedule(sched.jobs, sched.placements, 1)

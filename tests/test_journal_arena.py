@@ -189,8 +189,8 @@ def check_injected_rollbacks(base, request, monkeypatch,
         for k in itertools.count(1):
             with monkeypatch.context() as mp:
                 _fail_at(mp, method, k)
-                # clone under the patch: unpickling rebinds the interval
-                # hooks to the (patched) scheduler methods
+                # intervals call their scheduler's hooks by attribute
+                # lookup at fire time, so the clone sees the patch
                 clone = pickle.loads(pickle.dumps(base))
                 try:
                     clone.apply(request)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.window import (
     Window,
+    aligned_ladder,
     aligned_window_covering,
     floor_log2,
     is_power_of_two,
@@ -171,6 +172,21 @@ class TestAlignedCovering:
         assert w.is_aligned
         assert slot in w
         assert w.span == span
+
+
+@given(st.integers(0, 1 << 20), st.integers(0, 6))
+def test_aligned_ladder_matches_validated_construction(slot, low):
+    """The trusted ladder constructor builds exactly the windows the
+    validated constructor would: fields, span, hash and equality."""
+    spans = tuple(1 << k for k in range(low, low + 12))
+    ladder = aligned_ladder(slot, spans)
+    expected = tuple(aligned_window_covering(slot, s) for s in spans)
+    assert ladder == expected
+    for got, want in zip(ladder, expected):
+        assert (got.release, got.deadline, got.span) == \
+            (want.release, want.deadline, want.span)
+        assert hash(got) == hash(want)
+        assert {got: 1}[want] == 1
 
 
 class TestLaminarity:
