@@ -39,8 +39,7 @@ class AligningScheduler(ReallocatingScheduler):
     def __init__(self, inner_factory: Callable[[], ReallocatingScheduler]) -> None:
         inner = inner_factory()
         super().__init__(num_machines=inner.num_machines)
-        inner._nested = True
-        self.inner = inner
+        self.inner = self._adopt(inner)
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:

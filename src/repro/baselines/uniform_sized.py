@@ -62,9 +62,8 @@ class UniformSizedReservationScheduler(ReallocatingScheduler):
         if size < 1:
             raise ValueError("size must be >= 1")
         self.size = size
-        self.inner = ReservationScheduler(
-            num_machines, gamma=gamma, policy=policy)
-        self.inner._nested = True
+        self.inner = self._adopt(ReservationScheduler(
+            num_machines, gamma=gamma, policy=policy))
 
     # ------------------------------------------------------------------
     def _coarse_window(self, window: Window) -> Window:

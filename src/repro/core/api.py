@@ -22,7 +22,6 @@ migration.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Iterable, Mapping
 
 from ..alignment.align import align_job
@@ -111,20 +110,15 @@ class ReservationScheduler(ReallocatingScheduler):
 
             def factory() -> ReallocatingScheduler:
                 return AlignedReservationScheduler(policy, journal=journal)
-        self.delegator = DelegatingScheduler(num_machines, factory)
-        self.delegator._nested = True
-        #: per-batch memo of pre-aligned insert jobs (id -> queue)
-        self._align_memo: dict[JobId, deque[Job]] = {}
+        self.delegator = self._adopt(DelegatingScheduler(num_machines,
+                                                         factory))
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
         return self.delegator.placements
 
     def _apply_insert(self, job: Job) -> None:
-        memo = self._align_memo
-        queue = memo.get(job.id) if memo else None
-        eff = queue.popleft() if queue else align_job(job)
-        self.delegator.insert(eff)
+        self.delegator.insert(align_job(job))
         self._merge_touched(self.delegator.last_touched)
 
     def _apply_delete(self, job: Job) -> None:
@@ -153,55 +147,37 @@ class ReservationScheduler(ReallocatingScheduler):
 
     def _batch_prepare(self, inserts: list[Job], *,
                        flexible: bool = False) -> None:
-        """Align the batch's windows once and plan the delegation.
+        """Plan the delegation from the batch's aligned insert jobs.
 
-        Alignment is a total pure function of the job, so precomputing
-        it for the whole burst is free of semantic risk; the aligned
-        jobs are what the delegator grouping must key on. Per-id queues
-        keep repeated ids (insert, delete, insert again) paired with
-        the right insert, since the batch consumes them in order.
-
-        A flexible batch's insert phase is elision-free and runs after
-        the coalesced deletes, so ``ALIGNED(W)`` is additionally
-        memoized per *distinct window* — one alignment computation per
-        touched window instead of per request (burst arrivals reuse a
-        focus window heavily).
+        Alignment is a total pure function of the job, so aligning the
+        whole burst up front is free of semantic risk; the aligned jobs
+        are what the delegator grouping must key on. ``ALIGNED(W)`` is
+        computed once per *distinct window* (burst arrivals reuse a
+        focus window heavily). A single machine has no plan to make.
         """
-        memo: dict[JobId, deque[Job]] = {}
+        if self.delegator.num_machines == 1:
+            return
+        windows: dict[Window, Window] = {}
         aligned: list[Job] = []
-        if flexible:
-            window_memo: dict[Window, Window] = {}
-            for job in inserts:
-                win = window_memo.get(job.window)
-                if win is None:
-                    win = job.window.aligned_within()
-                    window_memo[job.window] = win
-                eff = job.with_window(win)
-                memo.setdefault(job.id, deque()).append(eff)
-                aligned.append(eff)
-        else:
-            for job in inserts:
-                eff = align_job(job)
-                memo.setdefault(job.id, deque()).append(eff)
-                aligned.append(eff)
-        self._align_memo = memo
+        for job in inserts:
+            window = job.window
+            win = windows.get(window)
+            if win is None:
+                win = windows[window] = window.aligned_within()
+            aligned.append(job.with_window(win))
         self.delegator._batch_prepare(aligned, flexible=flexible)
 
-    def _batch_begin(self, *, atomic: bool, top: bool,
-                     ephemeral: bool = False,
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, top=top, ephemeral=ephemeral,
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
                              emit_touched=emit_touched)
-        self.delegator._batch_begin(atomic=atomic, top=False,
-                                    ephemeral=ephemeral)
+        self.delegator._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         super()._batch_commit()
-        self._align_memo = {}
         self.delegator._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
-        self._align_memo = {}
         self.delegator._batch_abort()
 
     # ------------------------------------------------------------------
@@ -293,7 +269,10 @@ class ReservationScheduler(ReallocatingScheduler):
         """The per-machine single-machine schedulers (diagnostics).
 
         Syncs worker-resident state back first, so the returned
-        schedulers are live even after process-sharded bursts.
+        schedulers are live even after process-sharded bursts. They are
+        nested (adopted by the delegation layer): their ledgers stay
+        empty, their ``insert``/``delete``/``apply`` return None, and
+        ``apply_batch`` on one raises — drive this scheduler instead.
         """
         self.delegator.close_shard_workers()
         return list(self.delegator.machines)

@@ -20,11 +20,13 @@ O(log* n) — instead of O(n). The largest active span (the paper's
 ``Delta_i``) is likewise tracked incrementally instead of rescanned.
 
 One ledger per stack: only the scheduler the caller invoked costs a
-request and records it. An owning layer marks the sparse schedulers it
-drives as nested (``_nested``); a nested layer publishes its touched
-log (``last_touched``) for its parent and builds no
-:class:`~repro.core.costs.RequestCost`, so an m=1 Theorem 1 stack
-allocates one cost entry per request instead of one per layer.
+request and records it. An owning layer adopts every scheduler it
+drives (:meth:`ReallocatingScheduler._adopt`), which marks it nested;
+a nested sparse layer publishes its touched log (``last_touched``) for
+its parent and builds no :class:`~repro.core.costs.RequestCost`, so an
+m=1 Theorem 1 stack allocates one cost entry per request instead of
+one per layer. The same mark decides batch costing: a nested layer's
+batch context is never the batch entry point (``ctx.top``).
 
 Batch contract
 --------------
@@ -94,7 +96,8 @@ reports the error at its arrival position.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable, Mapping
+from itertools import chain
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from .costs import (
     NO_JOBS,
@@ -140,6 +143,9 @@ def resolve_shard_worker_mode(workers: str | None) -> str:
         raise ValueError(
             f"workers must be one of {SHARD_WORKER_MODES}, got {mode!r}")
     return mode
+
+
+_Sub = TypeVar("_Sub", bound="ReallocatingScheduler")
 
 
 class _BatchContext:
@@ -229,10 +235,11 @@ class ReallocatingScheduler(abc.ABC):
     #: this True to get O(reallocations) instead of O(n) cost diffing.
     _sparse_costing = False
 
-    #: set True (on the instance) by an owning layer that drives this
-    #: scheduler and costs each request itself: a nested sparse layer
-    #: only publishes ``last_touched`` — no cost diff, no ledger entry —
-    #: so one ledger per stack records each request (see ``insert``)
+    #: True on a scheduler that an owning layer drives (set only by
+    #: :meth:`_adopt`): a nested sparse layer only publishes
+    #: ``last_touched`` — no cost diff, no ledger entry — and its batch
+    #: contexts are never the entry point, so one ledger per stack
+    #: records each request (see ``insert``)
     _nested = False
 
     def __init__(self, num_machines: int = 1) -> None:
@@ -257,6 +264,18 @@ class ReallocatingScheduler(abc.ABC):
         self._max_span_cache = 1
         #: open batch context (None outside apply_batch)
         self._batch: _BatchContext | None = None
+
+    def _adopt(self, sub: _Sub) -> _Sub:
+        """Mark ``sub`` as driven by this scheduler; return it.
+
+        Every owning layer calls this on each sub-scheduler it creates
+        or is handed, and this layer then costs the sub's requests. The
+        adopted scheduler becomes nested for good: as a sparse layer it
+        returns None from ``insert``/``delete`` and records no ledger,
+        and its batch contexts open with ``top=False``.
+        """
+        sub._nested = True
+        return sub
 
     # ------------------------------------------------------------------
     # subclass API
@@ -338,9 +357,8 @@ class ReallocatingScheduler(abc.ABC):
     def insert(self, job: Job) -> RequestCost | None:
         """Process an INSERTJOB request and return its measured cost.
 
-        A sparse layer below the scheduler the caller invoked — nested
-        (``_nested``) or below the batch entry point — suspends cost
-        finalization and returns None; its parent reads
+        A nested sparse layer (one an owner adopted, see :meth:`_adopt`)
+        suspends cost finalization and returns None; its parent reads
         ``last_touched``. Dense layers always cost (parents read their
         ``rescheduled`` set).
         """
@@ -348,8 +366,7 @@ class ReallocatingScheduler(abc.ABC):
             raise InvalidRequestError(f"job {job.id!r} already active")
         ctx = self._batch
         sparse = self._sparse_costing
-        costed = not sparse or (ctx.top if ctx is not None
-                                else not self._nested)
+        costed = not (sparse and self._nested)
         before = dict(self.placements) if (costed and not sparse) else None
         if sparse and (ctx is None or ctx.emit_touched):
             self._touched = self._touched_acquire()
@@ -364,12 +381,14 @@ class ReallocatingScheduler(abc.ABC):
             self._touched_recycle(touched)
             raise
         self._span_add(job.span)
-        if ctx is not None:
+        # the batch-context calls are guarded inline: most layers of a
+        # non-atomic batch keep neither a churn nor a touched log
+        if ctx is not None and ctx.inserted is not None:
             ctx.note_insert(job)
         if sparse:
             touched, self._touched = self._touched, None
             self._touched_publish(touched)
-            if ctx is not None:
+            if ctx is not None and ctx.touched is not None:
                 ctx.merge_touched(touched)
             if not costed:
                 return None
@@ -400,8 +419,7 @@ class ReallocatingScheduler(abc.ABC):
         max_span = self._max_span_cache
         ctx = self._batch
         sparse = self._sparse_costing
-        costed = not sparse or (ctx.top if ctx is not None
-                                else not self._nested)
+        costed = not (sparse and self._nested)
         before = dict(self.placements) if (costed and not sparse) else None
         if sparse and (ctx is None or ctx.emit_touched):
             self._touched = self._touched_acquire()
@@ -415,12 +433,12 @@ class ReallocatingScheduler(abc.ABC):
             raise
         del self.jobs[job_id]
         self._span_remove(job.span)
-        if ctx is not None:
+        if ctx is not None and ctx.deleted is not None:
             ctx.note_delete(job)
         if sparse:
             touched, self._touched = self._touched, None
             self._touched_publish(touched)
-            if ctx is not None:
+            if ctx is not None and ctx.touched is not None:
                 ctx.merge_touched(touched)
             if not costed:
                 return None
@@ -439,8 +457,12 @@ class ReallocatingScheduler(abc.ABC):
         self.ledger.record(cost)
         return cost
 
-    def apply(self, request: Request) -> RequestCost:
-        """Dispatch a request object (insert or delete)."""
+    def apply(self, request: Request) -> RequestCost | None:
+        """Dispatch a request object (insert or delete).
+
+        Returns None exactly when :meth:`insert` / :meth:`delete` do: on
+        a nested sparse layer.
+        """
         if isinstance(request, InsertJob):
             return self.insert(request.job)
         if isinstance(request, DeleteJob):
@@ -479,6 +501,10 @@ class ReallocatingScheduler(abc.ABC):
         resolve_batch_semantics(semantics)
         if self._batch is not None:
             raise InvalidRequestError("apply_batch cannot be nested")
+        if self._nested:
+            raise InvalidRequestError(
+                f"{type(self).__name__} is driven by an owning layer; "
+                "apply the batch to the owner")
         if atomic and not self.supports_atomic_batches():
             raise InvalidRequestError(
                 f"{type(self).__name__} does not support atomic batches"
@@ -493,7 +519,7 @@ class ReallocatingScheduler(abc.ABC):
                 )
             # Protocol-invalid op streams degrade to strict application,
             # which reports the error at its arrival position.
-        self._batch_begin(atomic=atomic, top=True)
+        self._batch_begin(atomic=atomic)
         costs: list[RequestCost] = []
         error: ReproError | None = None
         failed_index: int | None = None
@@ -582,7 +608,9 @@ class ReallocatingScheduler(abc.ABC):
         active = self.jobs
         #: id -> live within the planned timeline (absent = pre-batch state)
         state: dict[JobId, bool] = {}
-        #: batch-born live inserts, by id (insertion-ordered)
+        #: batch-born live inserts, by id; entries are only ever appended
+        #: (a re-insert follows the pop of its elided pair), so the
+        #: values are in arrival order
         pending: dict[JobId, tuple[int, InsertJob]] = {}
         deletes: list[tuple[int, DeleteJob]] = []
         elided: list[tuple[int, Request]] = []
@@ -606,7 +634,7 @@ class ReallocatingScheduler(abc.ABC):
                     deletes.append((index, request))
             else:
                 return None  # unknown request kind: strict reports it
-        inserts = sorted(pending.values())
+        inserts = list(pending.values())
         key = self._flexible_insert_order_key()
         if key is not None:
             # decorate-sort-undecorate: the key tuples compare directly,
@@ -654,11 +682,11 @@ class ReallocatingScheduler(abc.ABC):
         permuted back to arrival order and elided requests receive
         zero-cost entries, keeping the ledger one-entry-per-request.
         """
-        self._batch_begin(atomic=atomic, top=True)
+        self._batch_begin(atomic=atomic)
+        insert_jobs = [request.job for _, request in inserts]
         self._flexible_size_hint([request for _, request in deletes],
-                                 [request.job for _, request in inserts])
+                                 insert_jobs)
         applied: list[RequestCost] = []
-        planned: list[tuple[int, Request]] = [*deletes, *inserts]
         error: ReproError | None = None
         failed_index: int | None = None
         try:
@@ -669,8 +697,7 @@ class ReallocatingScheduler(abc.ABC):
                     error, failed_index = exc, index
                     break
             if error is None:
-                self._batch_prepare([item[1].job for item in inserts],
-                                    flexible=True)
+                self._batch_prepare(insert_jobs, flexible=True)
                 for index, insert_request in inserts:
                     try:
                         applied.append(self.insert(insert_request.job))
@@ -698,12 +725,14 @@ class ReallocatingScheduler(abc.ABC):
         # non-atomic failure only the applied planned prefix (plus the
         # no-op elided pairs) committed — failed_index names the failing
         # request's arrival position.
-        by_index: dict[int, RequestCost] = {
-            planned[k][0]: applied[k] for k in range(len(applied))
-        }
+        at: list = [None] * len(batch)
+        for (index, _), cost in zip(chain(deletes, inserts), applied):
+            at[index] = cost
         for index, request in elided:
-            by_index[index] = self._elided_cost(request)
-        costs = [by_index[i] for i in sorted(by_index)]
+            at[index] = self._elided_cost(request)
+        # without a failure every arrival position holds its entry
+        costs = (at if error is None
+                 else [cost for cost in at if cost is not None])
         self.ledger.entries[ctx.ledger_len:] = costs
         if self._sparse_costing:
             net = diff_touched(
@@ -810,11 +839,12 @@ class ReallocatingScheduler(abc.ABC):
     #: child's abort set this False to skip batch touched-log upkeep
     _batch_restore_needs_touched = True
 
-    def _batch_begin(self, *, atomic: bool, top: bool,
-                     ephemeral: bool = False,
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
         """Open a batch context. Wrappers extend this to snapshot their
-        own state and begin their children with ``top=False``.
+        own state and begin their (adopted, hence nested) children. The
+        context is the batch entry point (``top``) exactly when this
+        scheduler is not nested.
 
         ``ephemeral`` marks a scheduler *created inside* an open atomic
         batch (e.g. a trimming rebuild's fresh inner): an abort discards
@@ -825,7 +855,7 @@ class ReallocatingScheduler(abc.ABC):
         during the batch (rebuild inners log survivors wholesale).
         """
         self._batch = _BatchContext(
-            atomic=atomic, top=top, sparse=self._sparse_costing,
+            atomic=atomic, top=not self._nested, sparse=self._sparse_costing,
             placements=self.placements, ledger_len=len(self.ledger.entries),
             ephemeral=ephemeral, emit_touched=emit_touched,
             needs_touched=self._batch_restore_needs_touched,

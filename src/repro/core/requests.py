@@ -61,6 +61,9 @@ class DeleteJob:
 
 Request = InsertJob | DeleteJob
 
+#: the exact request classes (the fast path of :class:`Batch` validation)
+_REQUEST_TYPES = frozenset({InsertJob, DeleteJob})
+
 
 class Batch:
     """An ordered burst of requests submitted as one unit.
@@ -82,9 +85,13 @@ class Batch:
 
     def __init__(self, requests: Iterable[Request] = ()) -> None:
         self.requests: tuple[Request, ...] = tuple(requests)
-        for r in self.requests:
-            if not isinstance(r, (InsertJob, DeleteJob)):
-                raise InvalidRequestError(f"unknown request type: {r!r}")
+        # one C-level pass over the exact types; only an unexpected type
+        # (a subclass, or not a request) takes the per-request check
+        if not set(map(type, self.requests)) <= _REQUEST_TYPES:
+            for r in self.requests:
+                if not isinstance(r, (InsertJob, DeleteJob)):
+                    raise InvalidRequestError(
+                        f"unknown request type: {r!r}")
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -122,6 +129,10 @@ def iter_batches(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if isinstance(requests, (list, tuple)):
+        for start in range(0, len(requests), batch_size):
+            yield Batch(requests[start:start + batch_size])
+        return
     pending: list[Request] = []
     for r in requests:
         pending.append(r)

@@ -384,12 +384,11 @@ class DelegatingScheduler(ReallocatingScheduler):
         scheduler_factory: Callable[[], ReallocatingScheduler],
     ) -> None:
         super().__init__(num_machines=num_machines)
-        self.machines = [scheduler_factory() for _ in range(num_machines)]
+        self.machines = [self._adopt(scheduler_factory())
+                         for _ in range(num_machines)]
         for i, sub in enumerate(self.machines):
             if sub.num_machines != 1:
                 raise ValueError(f"sub-scheduler {i} is not single-machine")
-            # this layer costs every request from the subs' touched logs
-            sub._nested = True
         self.balancer = WindowBalancer(num_machines)
         #: merged machine-tagged placement map, maintained incrementally
         #: from the sub-schedulers' touched logs / request costs
@@ -478,6 +477,9 @@ class DelegatingScheduler(ReallocatingScheduler):
         overshoot from the bound only widens trim spans, which is safe
         (see :meth:`TrimmedReservationScheduler._flexible_size_hint`).
         """
+        if self.num_machines == 1:
+            self.machines[0]._flexible_size_hint(deletes, inserts)
+            return
         per_machine: list[list[DeleteJob]] = [
             [] for _ in range(self.num_machines)
         ]
@@ -499,12 +501,15 @@ class DelegatingScheduler(ReallocatingScheduler):
         planned machine equals ``choose_insert_machine`` at apply time.
         A flexible batch's insert phase runs after its coalesced
         deletes with no deletes interleaved, so the same plan built
-        from the live (post-delete) counts is exact there too.
+        from the live (post-delete) counts is exact there too. A single
+        machine needs no plan: every insert lands on machine 0.
         """
+        m = self.num_machines
+        if m == 1:
+            return
         groups: dict[Window, int] = {}
         for job in inserts:
             groups[job.window] = groups.get(job.window, 0) + 1
-        m = self.num_machines
         count = self.balancer.count
         self._batch_plan = {
             window: deque((count(window) + i) % m for i in range(n))
@@ -777,7 +782,7 @@ class DelegatingScheduler(ReallocatingScheduler):
         workers = [ShardWorker(machine, self.machines[machine], ops)
                    for machine, ops in plan.per_machine.items() if ops]
         for worker in workers:
-            worker.sub._batch_begin(atomic=True, top=False)
+            worker.sub._batch_begin(atomic=True)
         try:
             for worker in workers:
                 worker.run()
@@ -954,16 +959,15 @@ class DelegatingScheduler(ReallocatingScheduler):
         self.last_touched = None
         return costs, batch_touched
 
-    def _batch_begin(self, *, atomic: bool, top: bool,
-                     ephemeral: bool = False,
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
         self._leave_process_mode()
-        super()._batch_begin(atomic=atomic, top=top, ephemeral=ephemeral,
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
                              emit_touched=emit_touched)
         if atomic and not ephemeral:
             self.balancer.begin_txn()
         for sub in self.machines:
-            sub._batch_begin(atomic=atomic, top=False, ephemeral=ephemeral)
+            sub._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         super()._batch_commit()

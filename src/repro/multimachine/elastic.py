@@ -145,9 +145,7 @@ class ElasticScheduler(DelegatingScheduler):
             )
         self._leave_process_mode()
         before = dict(self.placements)
-        sub = self._factory()
-        sub._nested = True
-        self.machines.append(sub)
+        self.machines.append(self._adopt(self._factory()))
         self.num_machines += 1
         moves = self.balancer.grow()
         self._execute(moves)

@@ -122,7 +122,7 @@ def apply_op_stream(
     """
     from .delegation import _changed_ids
 
-    sub._batch_begin(atomic=True, top=False)
+    sub._batch_begin(atomic=True)
     results: list[tuple[tuple, dict]] = []
     applied = 0
     for req_index, is_insert, payload in ops:

@@ -36,9 +36,7 @@ on every insert.
 The drain order (smallest effective span first, then ``str(id)``) comes
 from a heap built once per phase, on its first migration, so each
 migration costs O(log n) instead of a scan of the outgoing side. At
-phase end the retired side is freed by reference counting. For the
-length of a phase, the incoming side borrows the outgoing side's
-interval window ladders: both sides share the virtual grid. Both inner
+phase end the retired side is freed by reference counting. Both inner
 schedulers are nested: this wrapper costs each request itself.
 """
 
@@ -140,10 +138,8 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
     def _new_side(self) -> AlignedReservationScheduler:
         """A fresh inner (phase side) scheduler; this wrapper costs its
         requests."""
-        side = AlignedReservationScheduler(self.policy,
-                                           journal=self.journal_impl)
-        side._nested = True
-        return side
+        return self._adopt(AlignedReservationScheduler(
+            self.policy, journal=self.journal_impl))
 
     def _inner(self, parity: int) -> AlignedReservationScheduler:
         if parity == self.parity:
@@ -224,16 +220,12 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.phases_started += 1
         self.incoming_parity = 1 - self.parity
         self.incoming = self._new_side()
-        # Both sides share the policy and the virtual grid, so the
-        # incoming side's intervals borrow the outgoing side's window
-        # ladders for the whole phase (released in _finish_phase).
-        self.incoming._ladder_donor = self.active.intervals
         ctx = self._batch
         if ctx is not None:
             # A phase opened mid-atomic-batch drains into a scheduler an
             # abort simply discards (the saved pre-batch pair swaps
             # back), so the incoming side skips rollback tracking.
-            self.incoming._batch_begin(atomic=ctx.atomic, top=False,
+            self.incoming._batch_begin(atomic=ctx.atomic,
                                        ephemeral=ctx.atomic or ctx.ephemeral)
         if not self.active.jobs:
             self._finish_phase()
@@ -281,9 +273,7 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
     def _finish_phase(self) -> None:
         assert self.incoming is not None
         self._journal_entries_carry += self.active.journal_entries_total
-        # The retired side is freed by reference counting once dropped:
-        # the new active side stops borrowing its window ladders.
-        self.incoming._ladder_donor = None
+        # The retired side is freed by reference counting once dropped.
         self.active = self.incoming
         self.parity = self.incoming_parity
         self.incoming = None
@@ -308,10 +298,9 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         """Joint inserts span-ascending (matches the migration drain order)."""
         return flexible_span_order
 
-    def _batch_begin(self, *, atomic: bool, top: bool,
-                     ephemeral: bool = False,
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, top=top, ephemeral=ephemeral,
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
                              emit_touched=emit_touched)
         if atomic and not ephemeral:
             self._batch.saved["deam"] = (
@@ -319,10 +308,9 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
                 self.incoming, self.n_star, self.phases_started,
                 self.bulk_finishes, self._journal_entries_carry,
             )
-        self.active._batch_begin(atomic=atomic, top=False, ephemeral=ephemeral)
+        self.active._batch_begin(atomic=atomic, ephemeral=ephemeral)
         if self.incoming is not None:
-            self.incoming._batch_begin(atomic=atomic, top=False,
-                                       ephemeral=ephemeral)
+            self.incoming._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         super()._batch_commit()
@@ -337,9 +325,6 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.active._batch_abort()
         if self.incoming is not None:
             self.incoming._batch_abort()
-            # a phase the batch ended may have cleared the restored
-            # incoming side's ladder donor
-            self.incoming._ladder_donor = self.active.intervals
         # the batch's migrations popped drain entries of jobs the abort
         # brought back: rebuild the heap on the next migration
         self._drain = None

@@ -67,11 +67,11 @@ rebuild or a deamortized phase end replaces is freed by reference
 counting the moment it is dropped, with no cyclic garbage left behind.
 
 Geometry. The enclosing-window ladder ``_windows`` and the span tuple
-``enclosing_spans`` are immutable per (level, index). The scheduler
-passes in the ladder of the interval it replaces at the same (level,
-index) when a rebuild has one on loan; otherwise the interval builds
-its ladder with the trusted :func:`~repro.core.window.aligned_ladder`
-constructor instead of validated ``Window(...)`` calls.
+``enclosing_spans`` are immutable per (level, index). The interval
+builds its ladder with the trusted
+:func:`~repro.core.window.aligned_ladder` constructor instead of
+validated ``Window(...)`` calls, and the scheduler passes in one
+``enclosing_spans`` tuple shared by every interval of a level.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ class Interval:
 
     def __init__(self, *, level: int, index: int, lo: int, hi: int,
                  enclosing_spans: tuple[int, ...],
-                 windows: tuple[Window, ...] | None = None,
                  undo_log: list | None = None) -> None:
         self.level = level
         self.index = index
@@ -116,11 +115,9 @@ class Interval:
         self.undo_log = undo_log
         span = hi - lo
         npos = len(enclosing_spans)
-        #: enclosing-window tuple, one per ladder position (immutable;
-        #: shared with any other interval at the same (level, index))
-        self._windows: tuple[Window, ...] = (
-            windows if windows is not None
-            else aligned_ladder(lo, enclosing_spans))
+        #: enclosing-window tuple, one per ladder position (immutable)
+        self._windows: tuple[Window, ...] = aligned_ladder(
+            lo, enclosing_spans)
         #: per-slot lower-occupied bits (index = slot - lo)
         self._lower = bytearray(span)
         #: popcount of ``_lower`` (allowance size = span - _n_lower)

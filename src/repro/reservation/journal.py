@@ -180,6 +180,15 @@ class UndoArena:
             self.dicts.clear()
             self.created.clear()
 
+    def restart(self) -> None:
+        """Release the entries and dedup tokens of a finished request,
+        keeping the scope (and its attached intervals) open for the
+        next one — a non-atomic batch's requests share one scope."""
+        entries = self.entries
+        self.entries_total += len(entries)
+        entries.clear()
+        self.seen.clear()
+
     def rollback(self, mark: int = 0) -> None:
         """Replay entries above ``mark`` backwards (state restore only).
 

@@ -56,6 +56,10 @@ placement maps rewind from the batch-level touched log, and job levels
 rebuild from spans on the (rare) abort. The per-request journal
 setup/teardown and all placement-map journaling disappear entirely,
 while a mid-batch failure still restores the exact pre-batch state.
+Inside a *non-atomic* batch every request still journals and rolls
+back on its own, but the requests share one journal scope: intervals
+stay attached to the arena from one request to the next instead of
+being detached and re-attached, and the batch commit closes the scope.
 
 Placement-map journal diet: the same touched-log rewind covers the
 *per-request* journal too. ``_set_placement`` / ``_clear_placement``
@@ -82,11 +86,10 @@ The interval mutators that fire the assignment hooks (``rebalance``,
 ``slot_lowered``, ``swap_slots``) receive the scheduler as an argument,
 so a scheduler that its owner replaces (a trimming rebuild, a
 deamortized phase end, an atomic batch's commit or abort) is freed by
-reference counting as soon as it is dropped. While an owner rebuilds
-into a fresh scheduler, ``_ladder_donor`` points at the interval
-tables of the one it replaces: an interval's enclosing-window ladder is
-immutable per (level, index), so fresh intervals share the donor's
-ladders instead of constructing windows.
+reference counting as soon as it is dropped. Fresh intervals build
+their enclosing-window ladders with the trusted
+:func:`~repro.core.window.aligned_ladder` constructor, so the intervals
+a rebuild re-materializes construct no validated ``Window`` objects.
 
 The scheduler requires *aligned* windows and sufficient underallocation
 (Lemma 8 needs 8-underallocation); when slack runs out it raises
@@ -135,7 +138,8 @@ def flexible_span_order(job: Job) -> tuple[int, int, str]:
     can. Shared by every layer of the reservation stack via
     ``_flexible_insert_order_key`` so the whole stack agrees.
     """
-    return (job.span, job.release, str(job.id))
+    window = job.window
+    return (window.span, window.release, str(job.id))
 
 
 class _AtomicBatchLog:
@@ -273,12 +277,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             tuple(policy.enclosing_spans(lv))
             for lv in range(1, policy.num_reservation_levels + 1)
         ]
-        #: interval tables (level -> index -> Interval) of the scheduler
-        #: this one replaces, read only to share their immutable window
-        #: ladders with the intervals materialized here; set by the
-        #: owning layer for the span of a trimming rebuild or a
-        #: deamortized phase, None otherwise
-        self._ladder_donor: dict[int, dict[int, Interval]] | None = None
         #: level -> cached occupancy probe for Interval.rebalance; built
         #: once here so the rebalance path allocates no closures per call
         self._level_probes = {
@@ -384,14 +382,30 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     # ------------------------------------------------------------------
     def _journal_acquire(self) -> None:
         """Open the per-request journal scope on the scheduler's arena
-        (its reusable containers: no allocations)."""
+        (its reusable containers: no allocations). A no-op while a
+        non-atomic batch keeps the scope open (see
+        :meth:`_journal_release`)."""
+        if self._journal is not None:
+            return
         arena = self._arena
         self._journal = arena.entries
         self._jseen = arena.seen
         self._jtouched = arena.intervals
 
     def _journal_release(self) -> None:
-        """Close the per-request journal scope (detach + truncate)."""
+        """End the per-request journal scope.
+
+        Outside a batch this closes it (detach + truncate). Inside a
+        non-atomic batch the scope spans the batch: only this request's
+        entries and dedup tokens are released
+        (:meth:`~repro.reservation.journal.UndoArena.restart`), and the
+        intervals stay attached for the next request instead of being
+        detached and re-attached per request. :meth:`_batch_commit`
+        closes it.
+        """
+        if self._batch is not None:
+            self._arena.restart()
+            return
         for iv in self._jtouched:
             iv.undo_log = None
         self._arena.truncate()
@@ -539,10 +553,9 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def _flexible_insert_order_key(self) -> "Callable[[Job], object] | None":
         return flexible_span_order
 
-    def _batch_begin(self, *, atomic: bool, top: bool,
-                     ephemeral: bool = False,
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, top=top, ephemeral=ephemeral,
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
                              emit_touched=emit_touched)
         if atomic:
             self._batch.saved["poisoned"] = self._poisoned
@@ -560,6 +573,9 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         ab, self._abatch = self._abatch, None
         if ab is not None:
             self._release_batch_log(ab)
+        elif self._journal is not None:
+            # close the non-atomic batch's request journal scope
+            self._journal_release()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
         ab, self._abatch = self._abatch, None
@@ -1051,13 +1067,10 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         if iv is not None:
             return iv
         span = self.policy.interval_span(level)
-        donor = self._ladder_donor
-        twin = donor[level].get(index) if donor is not None else None
         iv = Interval(
             level=level, index=index,
             lo=index * span, hi=(index + 1) * span,
             enclosing_spans=self._enc_spans[level],
-            windows=twin._windows if twin is not None else None,
         )
         slot_job = self.slot_job
         levels = self._job_levels

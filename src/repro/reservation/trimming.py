@@ -28,8 +28,8 @@ abort discards wholesale.
 
 A rebuild allocates only what the new schedule needs. The outgoing
 inner is freed by reference counting when it is dropped (intervals hold
-no scheduler reference), and while the survivors re-insert, the fresh
-inner borrows the outgoing intervals' window ladders. The inner is
+no scheduler reference), and the fresh inner's intervals build their
+window ladders with a trusted constructor. The inner is
 *nested*: it publishes its touched log and records no costs, since
 this layer (or the layer above it) costs each request once.
 """
@@ -112,10 +112,8 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
 
     def _new_inner(self) -> AlignedReservationScheduler:
         """A fresh inner scheduler; this layer costs its requests."""
-        inner = AlignedReservationScheduler(self.policy, tracer=self.tracer,
-                                            journal=self.journal_impl)
-        inner._nested = True
-        return inner
+        return self._adopt(AlignedReservationScheduler(
+            self.policy, tracer=self.tracer, journal=self.journal_impl))
 
     # ------------------------------------------------------------------
     @property
@@ -170,12 +168,8 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
                      if jid in self.inner.jobs]
         self._journal_entries_carry += self.inner.journal_entries_total
         # The outgoing inner is freed by reference counting once replaced
-        # (intervals hold no scheduler reference); only its interval
-        # tables stay reachable until the rebuild ends, lending their
-        # immutable window ladders to the fresh intervals.
-        inner = self._new_inner()
-        inner._ladder_donor = self.inner.intervals
-        self.inner = inner
+        # (intervals hold no scheduler reference).
+        self.inner = self._new_inner()
         ctx = self._batch
         if ctx is not None:
             # Inside an atomic batch the fresh inner is ephemeral: an
@@ -183,7 +177,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
             # one, so its rebuild inserts skip all rollback tracking.
             # Its touched logs are suspended too — the wholesale
             # pre-rebuild merge above already logged every survivor.
-            self.inner._batch_begin(atomic=ctx.atomic, top=False,
+            self.inner._batch_begin(atomic=ctx.atomic,
                                     ephemeral=ctx.atomic or ctx.ephemeral,
                                     emit_touched=False)
         if ctx is None or not ctx.atomic:
@@ -199,7 +193,6 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
                 self.inner.insert(eff)
         finally:
             self.inner._journal_enabled = True
-            self.inner._ladder_donor = None
         if ctx is not None:
             # Touched logs stay off only for the rebuild itself; later
             # requests in the batch need them (their displacements must
@@ -245,15 +238,14 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
             self.n_star = target
         self._flex_final_hint = final
 
-    def _batch_begin(self, *, atomic: bool, top: bool,
-                     ephemeral: bool = False,
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, top=top, ephemeral=ephemeral,
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
                              emit_touched=emit_touched)
         if atomic and not ephemeral:
             self._batch.saved["trim"] = (self.inner, self.n_star, self.rebuilds,
                                          self._journal_entries_carry)
-        self.inner._batch_begin(atomic=atomic, top=False, ephemeral=ephemeral)
+        self.inner._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         self._flex_final_hint = None

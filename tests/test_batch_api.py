@@ -256,7 +256,7 @@ def test_atomic_requires_support():
 
 def test_nested_batch_rejected():
     sched = AlignedReservationScheduler()
-    sched._batch_begin(atomic=False, top=True)
+    sched._batch_begin(atomic=False)
     with pytest.raises(InvalidRequestError):
         sched.apply_batch([insert("x", 0, 2)])
     sched._batch_commit()
@@ -412,7 +412,7 @@ def test_elastic_machine_change_costs_use_tracked_max_span():
 
 def test_elastic_events_rejected_mid_batch():
     sched = ElasticScheduler(2, lambda: AlignedReservationScheduler())
-    sched._batch_begin(atomic=False, top=True)
+    sched._batch_begin(atomic=False)
     with pytest.raises(InvalidRequestError):
         sched.add_machine()
     with pytest.raises(InvalidRequestError):

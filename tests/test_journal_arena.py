@@ -537,7 +537,6 @@ def test_injected_atomic_abort_restores_pre_burst(name, machines, factory,
     for method in INJECTION_POINTS:
         for k in (1, 4, 16, 64):
             with monkeypatch.context() as mp:
-                # patch before building: intervals bind the hooks then
                 _fail_at(mp, method, k, in_batch=True)
                 sched = fresh()
                 result = sched.apply_batch(burst, atomic=True)
@@ -548,6 +547,48 @@ def test_injected_atomic_abort_restores_pre_burst(name, machines, factory,
                 injected += 1
                 assert not sched.apply_batch(burst, atomic=True).failed
                 assert stack_fingerprint(sched) == post
+    assert injected >= 8
+
+
+# Single-machine stacks only: with m > 1 a request that fails after a
+# migration's first half committed is not rolled back exactly, batch
+# or no batch (see ROADMAP).
+@pytest.mark.parametrize("name,machines,factory", STACKS[:2])
+def test_injected_nonatomic_batch_failure_keeps_committed_prefix(
+        name, machines, factory, monkeypatch):
+    """A non-atomic batch's requests share one journal scope, yet a
+    request failed deep inside the batch — at sampled calls of every
+    injection point — still rolls back alone: the requests before it
+    stay committed, and the stack equals a twin that applied exactly
+    those requests one by one."""
+    seq = make_workload(190, seed=41, machines=machines)
+    prefix, burst = seq[:150], seq[150:]
+    base = factory()
+    for r in prefix:
+        base.apply(r)
+    blob = pickle.dumps(base)
+    twin = pickle.loads(blob)
+    committed = [stack_fingerprint(twin)]  # state after burst[:j]
+    for r in burst:
+        twin.apply(r)
+        committed.append(stack_fingerprint(twin))
+    subs = (lambda s: s.machine_schedulers()
+            if isinstance(s, ReservationScheduler) else [s])
+    injected = 0
+    for method in INJECTION_POINTS:
+        for k in (1, 4, 16, 64):
+            with monkeypatch.context() as mp:
+                _fail_at(mp, method, k)
+                sched = pickle.loads(blob)
+                result = sched.apply_batch(burst)
+            if not result.failed:
+                break  # fewer than k calls in the burst
+            assert "injected" in result.failure and not result.rolled_back
+            assert len(result.costs) == result.failed_index
+            assert any(s.poisoned for s in subs(sched))
+            assert (stack_fingerprint(sched)
+                    == committed[result.failed_index]), (method, k)
+            injected += 1
     assert injected >= 8
 
 

@@ -25,8 +25,9 @@ import pytest
 
 from repro.core.api import ReservationScheduler
 from repro.core.costs import RequestCost
+from repro.core.exceptions import InvalidRequestError
 from repro.core.job import Job
-from repro.core.requests import insert, iter_batches
+from repro.core.requests import InsertJob, insert, iter_batches
 from repro.core.window import Window
 from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
@@ -193,6 +194,18 @@ def test_standalone_layers_record_their_own_ledger(factory):
     else:
         inners = [sched.inner]
     assert all(len(inner.ledger) == 0 for inner in inners)
+
+
+def test_adopted_scheduler_records_nothing_and_refuses_batches():
+    """An adopted (nested) sparse scheduler returns no cost and keeps
+    an empty ledger; a batch must go through its owner."""
+    owner = DelegatingScheduler(1, lambda: TrimmedReservationScheduler(8))
+    sub = owner.machines[0]
+    assert sub.apply(InsertJob(Job("a", Window(0, 8)))) is None
+    assert sub.last_touched is not None and len(sub.ledger) == 0
+    with pytest.raises(InvalidRequestError):
+        sub.apply_batch([InsertJob(Job("b", Window(0, 8)))])
+    assert "b" not in sub.jobs
 
 
 # ----------------------------------------------------------------------
