@@ -9,7 +9,7 @@ Migrating a task between machines is expensive (state transfer), so we
 track migrations separately from same-machine reallocations — the
 paper's central cost split. Theorem 1 promises at most ONE migration per
 request; EDF-style rebuilds migrate freely. (For driving bursts of a
-cluster trace through the batched or sharded backends, see
+cluster trace through the batched backend, see
 ``session_backends.py`` — ``run_comparison`` here is the sequential
 ``Session`` adapter.)
 """

@@ -7,15 +7,17 @@ Validates every committed perf-trajectory artifact
 1. the file parses as JSON (an interrupted bench can no longer truncate
    one — ``record_json`` writes atomically — but a bad merge still can);
 2. each experiment record (the top level for flat artifacts, every
-   section for sectioned ones like E12/E13) carries ``experiment``,
+   section for sectioned ones like E12/E14) carries ``experiment``,
    ``workload`` and ``metrics`` blocks;
 3. ``metrics`` contains at least one ``requests_per_second*`` field and
    every metric value is a finite number;
-4. the E14 flexible-semantics artifact additionally reports both sides
-   of its comparison (``requests_per_second_sequential`` and
-   ``requests_per_second_flexible_b64``) and the batch-64 speedup claim
-   it is asserted against — a semantics bench that silently dropped one
-   side would otherwise still pass the generic schema.
+4. the E12 drive-backend and E14 flexible-semantics artifacts
+   additionally report both sides of their comparison
+   (``requests_per_second_sequential`` and
+   ``requests_per_second_batched`` / ``requests_per_second_flexible_b64``)
+   and the speedup claim each is asserted against — a bench that
+   silently dropped one side would otherwise still pass the generic
+   schema.
 
 Exit 0 when every artifact conforms, 1 otherwise (listing each
 violation). CI runs this right after the bench smoke so a bench that
@@ -38,6 +40,12 @@ REQUIRED_BLOCKS = ("experiment", "workload", "metrics")
 #: per-experiment extra requirements: metrics keys and claims keys that
 #: must be present in every record of that experiment
 EXPERIMENT_CONTRACTS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "e12": (
+        ("requests_per_second_sequential",
+         "requests_per_second_batched",
+         "batched_over_sequential_median"),
+        ("batched_median_speedup_above",),
+    ),
     "e14": (
         ("requests_per_second_sequential",
          "requests_per_second_flexible_b64",

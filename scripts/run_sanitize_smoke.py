@@ -2,8 +2,9 @@
 """Sanitized differential smoke: ``python scripts/run_sanitize_smoke.py``.
 
 CI's runtime half of the state-integrity gate. Drives seeded
-insert/delete churn through all four drive backends with
-``REPRO_SANITIZE=1`` (every journaled container wrapped in a checking
+insert/delete churn through sequential apply and through non-atomic
+and atomic ``apply_batch`` bursts with ``REPRO_SANITIZE=1`` (every
+journaled container wrapped in a checking
 :class:`~repro.analysis.sanitize.SanitizedDict` proxy) and holds the
 run to two properties:
 
@@ -49,7 +50,7 @@ from repro.workloads import (  # noqa: E402
     random_aligned_sequence,
 )
 
-BACKENDS = ("sequential", "batched", "sharded-serial", "sharded-process")
+BACKENDS = ("sequential", "batched", "batched-atomic")
 
 #: (machines, batch_size, seed, delete_fraction) smoke matrix — one
 #: single-machine and one delegated case, mirroring the tier-1
@@ -70,24 +71,16 @@ def churn(requests: int, seed: int, machines: int,
 def run_backend(seq: list[Any], backend: str, *, machines: int,
                 batch_size: int, journal: str) -> tuple[Any, ...]:
     sched = ReservationScheduler(machines, gamma=8, journal=journal)
-    try:
-        if backend == "sequential":
-            for r in seq:
-                sched.apply(r)
-        else:
-            for burst in iter_batches(seq, batch_size):
-                if backend == "batched":
-                    result = sched.apply_batch(burst, atomic=True)
-                elif backend == "sharded-serial":
-                    result = sched.apply_batch_sharded(burst)
-                else:
-                    result = sched.apply_batch_sharded(
-                        burst, workers="processes")
-                if result.failed:
-                    raise AssertionError(
-                        f"{backend} burst failed: {result.failure}")
-    finally:
-        sched.close_shard_workers()
+    if backend == "sequential":
+        for r in seq:
+            sched.apply(r)
+    else:
+        atomic = backend == "batched-atomic"
+        for burst in iter_batches(seq, batch_size):
+            result = sched.apply_batch(burst, atomic=atomic)
+            if result.failed:
+                raise AssertionError(
+                    f"{backend} burst failed: {result.failure}")
     sched.check_balance()
     return (dict(sched.placements), list(sched.ledger.entries),
             sched._max_span_cache, dict(sched.jobs))

@@ -12,17 +12,14 @@ Public API quick reference
   generators, including the paper's lower-bound constructions.
 - :mod:`repro.sim` — the unified execution API: one
   :class:`~repro.sim.session.Session` drive loop with pluggable
-  backends (sequential / batched / sharded per-machine workers),
-  feasibility verification, phase-split timing, and resumable JSONL
-  traces; ``run_sequence``/``run_engine``/``run_sweep`` are thin
-  adapters over it.
+  backends (sequential / batched), feasibility verification,
+  phase-split timing, and resumable JSONL traces;
+  ``run_sequence``/``run_engine``/``run_sweep`` are thin adapters over
+  it.
 - :class:`repro.Batch` / :class:`repro.BatchResult` — the batch-first
   request surface: ``scheduler.apply_batch(batch, atomic=True)``
-  applies a whole burst transactionally under one cost/journal context;
-  delegating stacks additionally offer ``apply_batch_sharded`` (one
-  shard worker per machine — serial, or resident in a worker
-  *process* across bursts via ``workers="processes"`` — with merged
-  touched logs and whole-burst rollback).
+  applies a whole burst transactionally under one cost/journal context,
+  on one machine or across the delegation layer's machines.
 """
 
 from .core import (

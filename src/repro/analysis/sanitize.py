@@ -6,16 +6,17 @@ of the differential: checking ``dict`` proxies installed over the
 aligned scheduler's journaled containers that raise
 :class:`UnjournaledMutationError` the moment a mutation lands inside
 an open request or batch scope without its journal entry having been
-recorded first. A clean four-backend differential run under the
-sanitizer shows the static rules are not unsound (nothing slips past
-both); a fault-injection test that strips one ``_jdict`` call and
-watches both layers fire shows they are not vacuous.
+recorded first. A clean differential run (sequential vs batched, both
+semantics) under the sanitizer shows the static rules are not unsound
+(nothing slips past both); a fault-injection test that strips one
+``_jdict`` call and watches both layers fire shows they are not
+vacuous.
 
 Enable per instance with ``journal="arena-sanitize"`` or globally with
 ``REPRO_SANITIZE=1`` in the environment (upgrades every ``"arena"``
 scheduler at construction). The proxies are plain ``dict`` subclasses:
-they pickle across the process-worker pipe (items are restored before
-the owner backref, so reconstruction is exempt from checking) and cost
+they survive pickling (items are restored before the owner backref, so
+reconstruction is exempt from checking) and cost
 one attribute read plus one set probe per mutation — an oracle mode,
 not a production default.
 

@@ -3,8 +3,8 @@
 The runtime's correctness story rests on disciplines nothing checked
 before runtime: every hot-path mutation must append an undo entry to
 the arena journal, every backend must produce bit-identical placements,
-and everything crossing the process-worker pipe must survive pickling
-with closures rebuilt on restore. This package checks those contracts
+and every scheduler cloned by pickle must come back with its closures
+rebuilt on restore. This package checks those contracts
 at review time with an AST pass — ``repro lint`` / ``scripts/
 run_staticcheck.py`` — instead of leaving them to shrunken
 differential-harness counterexamples.

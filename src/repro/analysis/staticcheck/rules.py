@@ -14,11 +14,12 @@ a fifth enforces the annotation coverage the strict mypy gate assumes:
   ``set`` (or a set-valued attribute) without ``sorted()`` and ordering
   by ``id()`` are errors: backend equivalence is bit-exact, so any
   hash-order dependence is a latent differential-harness counterexample.
-- ``pickle-boundary`` (PKL001/PKL002) — classes shipped across the
-  process-worker pipe (``reservation/``, ``core/``, ``levels/``) must
-  define ``__getstate__``/``__setstate__`` before storing closures,
-  lambdas, or process resources on ``self`` (the PR 4 stale-closure bug
-  shape: a pickled closure silently rebinds to a dead scheduler).
+- ``pickle-boundary`` (PKL001/PKL002) — classes cloned by pickle
+  (``reservation/``, ``core/``, ``levels/``; the rollback and
+  sanitizer oracles compare runs against pickled clones) must define
+  ``__getstate__``/``__setstate__`` before storing closures, lambdas,
+  or process resources on ``self`` (the PR 4 stale-closure bug shape:
+  a pickled closure silently rebinds to a dead scheduler).
 - ``rollback-safety`` (RBK001/RBK002) — ``apply_*``/``_batch_*``
   request paths may not swallow broad exceptions (a swallowed failure
   leaves half-applied state that rollback never sees), and a function
@@ -234,10 +235,7 @@ JOURNAL_CONTRACTS: dict[str, JournalContract] = {
     # or the batch-restore rewind misses the entry.
     "DelegatingScheduler": JournalContract(
         attrs=frozenset({"_placements"}),
-        # _merge_shard_results is the sharded merge path's own
-        # first-touch capture: it records each pre-placement into the
-        # batch touched log inline before mutating
-        exempt=COMMON_EXEMPT + ("_batch_restore", "_merge_shard_results"),
+        exempt=COMMON_EXEMPT + ("_batch_restore",),
     ),
     "ElasticScheduler": JournalContract(
         attrs=frozenset({"_placements"}),
@@ -433,11 +431,11 @@ def _self_attr_assignments(
 class PickleBoundaryRule(Rule):
     name = "pickle-boundary"
     description = (
-        "classes shipped across the process-worker pipe must define "
-        "__getstate__/__setstate__ before storing closures or resources"
+        "classes cloned by pickle must define __getstate__/__setstate__ "
+        "before storing closures or resources"
     )
-    # the state ProcessShardPool ships: schedulers, intervals, window
-    # states, jobs/windows/policies — reservation/, core/, levels/
+    # the state a scheduler clone pickles: schedulers, intervals,
+    # window states, jobs/windows/policies — reservation/, core/, levels/
     scopes = ("reservation/", "core/", "levels/")
 
     def check(self, sf: SourceFile) -> Iterator[Finding]:

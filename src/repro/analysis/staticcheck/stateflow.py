@@ -14,15 +14,11 @@ disciplines the runtime's correctness story rests on:
   release / commit) without replaying it first — the PR 5
   journal-carry bug shape: an aborted atomic batch whose undo entries
   were dropped instead of applied.
-- ``state-boundary`` (SER001/SER002) — field-precise pickle-boundary
+- ``state-boundary`` (SER001) — field-precise pickle-boundary
   coverage. SER001 diffs the ``self.X`` assignment sites of a class
   against the keys its ``__getstate__`` drops and its ``__setstate__``
   rebuilds: a field dropped at the boundary but never rebuilt is the
   PR 4 stale-state bug shape, caught per field instead of per class.
-  SER002 guards process mode: a coordinator that owns process-resident
-  shard workers may not mutate a per-machine sub-scheduler without
-  first leaving process mode (``_leave_process_mode()``), or the
-  worker-side replica silently diverges from the coordinator's copy.
 
 Both families run in the strict gate (``repro lint --strict``): the
 live tree must be clean, with per-line suppressions carrying the
@@ -315,39 +311,8 @@ class ExceptionFlowRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# state-boundary (SER001 / SER002)
+# state-boundary (SER001)
 # ---------------------------------------------------------------------------
-
-#: sub-scheduler request-surface calls a coordinator may only make
-#: outside process mode (the worker-resident replica would diverge)
-_SUB_MUTATION_CALLS = frozenset({
-    "insert", "delete", "apply", "apply_batch", "apply_batch_sharded",
-    "_apply_insert", "_apply_delete",
-})
-
-#: calls that leave process mode (sync local subs back from workers)
-_LEAVE_CALLS = frozenset({"_leave_process_mode", "close_shard_workers"})
-
-#: methods allowed to touch subs without leaving first: the process
-#: machinery itself plus the batch paths, which leave at batch open
-_SER002_EXEMPT = (
-    "__init__", "_leave_process_mode", "close_shard_workers",
-    "_ensure_shard_pool", "_sharded_burst*", "_batch_*",
-    "_merge_shard_results",
-)
-
-_MACHINES_ATTRS = frozenset({"machines"})
-
-
-def _mentions_machines(node: ast.AST, aliases: set[str]) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr in _MACHINES_ATTRS:
-            return True
-        if (isinstance(sub, ast.Name) and sub.id in aliases
-                and not isinstance(sub.ctx, ast.Store)):
-            return True
-    return False
-
 
 def _dropped_keys(getstate: ast.FunctionDef) -> list[tuple[str, ast.AST]]:
     """(key, node) for every ``del state["k"]`` / ``state.pop("k")``."""
@@ -412,25 +377,11 @@ class StateBoundaryRule(Rule):
     name = "state-boundary"
     description = (
         "every field __getstate__ drops must be rebuilt by "
-        "__setstate__, and coordinators must leave process mode "
-        "before mutating per-machine sub-schedulers"
+        "__setstate__"
     )
     scopes = ("reservation/", "core/", "levels/", "multimachine/")
 
-    def __init__(self) -> None:
-        self._program: Program | None = None
-
-    def prepare(self, files: Sequence[SourceFile],
-                shared: dict[str, object]) -> None:
-        self._program = _shared_program(files, shared)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        yield from self._check_pickle_fields(sf)
-        if sf.scope.startswith("multimachine/"):
-            yield from self._check_process_mode(sf)
-
-    # -- SER001: dropped-but-never-rebuilt fields -----------------------
-    def _check_pickle_fields(self, sf: SourceFile) -> Iterator[Finding]:
         for cls in ast.walk(sf.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -458,64 +409,6 @@ class StateBoundaryRule(Rule):
                     "shape, field-precise)",
                     context=f"{cls.name}.__getstate__",
                 )
-
-    # -- SER002: process-mode discipline --------------------------------
-    def _defines_leave(self, cls_name: str) -> bool:
-        program = self._program
-        if program is None:  # pragma: no cover - engine always prepares
-            return False
-        seen: set[str] = set()
-        stack = [cls_name]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            info = program.classes.get(name)
-            if info is None:
-                continue
-            if "_leave_process_mode" in info.methods:
-                return True
-            stack.extend(info.bases)
-        return False
-
-    def _check_process_mode(self, sf: SourceFile) -> Iterator[Finding]:
-        for cls in ast.walk(sf.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            if not self._defines_leave(cls.name):
-                continue
-            for method in _class_methods(cls):
-                if _matches_any(method.name, _SER002_EXEMPT):
-                    continue
-                leave_lines = sorted(
-                    n.lineno for n in ast.walk(method)
-                    if isinstance(n, ast.Call)
-                    and _call_name(n) in _LEAVE_CALLS
-                )
-                aliases = _collect_aliases(method, _MACHINES_ATTRS)
-                for node in ast.walk(method):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    func = node.func
-                    if not (isinstance(func, ast.Attribute)
-                            and func.attr in _SUB_MUTATION_CALLS):
-                        continue
-                    if not _mentions_machines(func.value, aliases):
-                        continue
-                    if any(ln <= node.lineno for ln in leave_lines):
-                        continue
-                    yield self.finding(
-                        sf, node, "SER002",
-                        f"{cls.name}.{method.name} mutates a "
-                        "per-machine sub-scheduler "
-                        f"({func.attr}) without first leaving process "
-                        "mode — the worker-resident replica diverges "
-                        "from the coordinator's copy; call "
-                        "_leave_process_mode() before touching "
-                        "self.machines",
-                        context=f"{cls.name}.{method.name}",
-                    )
 
 
 # ---------------------------------------------------------------------------

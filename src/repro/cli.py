@@ -21,13 +21,8 @@ requests through the transactional ``apply_batch`` API in bursts of N),
 {strict,flexible}`` (``flexible`` plans each burst jointly — deletes
 coalesced, interior insert/delete pairs elided, surviving inserts
 placed in span order; bounds-equivalent rather than
-placement-identical), and ``--backend
-{auto,sequential,batched,sharded}`` — the session drive backend;
-``sharded`` fans each burst out to per-machine shard workers on
-delegating scheduler stacks. ``--shard-workers {serial,processes}``
-picks the worker flavor (``processes`` keeps each
-machine's sub-scheduler resident in a worker process across bursts —
-the flavor with real parallelism).
+placement-identical), and ``--backend {auto,sequential,batched}``
+— the session drive backend.
 
 ``engine`` and ``sweep`` support resumable runs: ``--trace FILE`` /
 ``--trace-dir DIR`` write the session's JSONL checkpoint trace,
@@ -55,7 +50,7 @@ from .baselines import (
     NaivePeckingScheduler,
 )
 from .core.api import ReservationScheduler
-from .core.base import BATCH_SEMANTICS, SHARD_WORKER_MODES
+from .core.base import BATCH_SEMANTICS
 from .core.requests import RequestSequence
 from .sim import (
     format_table,
@@ -65,6 +60,7 @@ from .sim import (
     run_sweep,
     sweep_table,
 )
+from .sim.session import BACKENDS
 from .workloads import SCENARIOS, AlignedWorkloadConfig, random_aligned_sequence
 
 SCHEDULERS = {
@@ -101,8 +97,7 @@ def cmd_demo(args) -> int:
     result = run_sequence(sched, seq, batch_size=args.batch_size,
                           atomic_batches=args.atomic_batches,
                           batch_semantics=args.batch_semantics,
-                          backend=args.backend,
-                          shard_workers=args.shard_workers)
+                          backend=args.backend)
     rows = [[k, v] for k, v in result.summary.items()]
     title = f"Theorem 1 scheduler on {len(seq)} requests"
     if args.batch_size > 1:
@@ -164,7 +159,6 @@ def cmd_engine(args) -> int:
         atomic_batches=args.atomic_batches,
         batch_semantics=args.batch_semantics,
         backend=args.backend,
-        shard_workers=args.shard_workers,
         verify=args.verify,
         checkpoint_every=args.checkpoint_every,
         on_checkpoint=progress if args.checkpoint_every else None,
@@ -209,7 +203,6 @@ def cmd_sweep(args) -> int:
                         atomic_batches=args.atomic_batches,
                         batch_semantics=args.batch_semantics,
                         backend=args.backend,
-                        shard_workers=args.shard_workers,
                         stop_after=args.stop_after,
                         trace_dir=args.trace_dir or None,
                         resume=args.resume)
@@ -317,16 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "bounds-equivalent placements, lower cost "
                             "on churny bursts")
         p.add_argument("--backend", default="auto",
-                       choices=["auto", "sequential", "batched", "sharded"],
-                       help="session drive backend; 'sharded' hands each "
-                            "burst's per-machine sub-batches to shard "
-                            "workers (delegating stacks only)")
-        p.add_argument("--shard-workers", default="serial",
-                       dest="shard_workers",
-                       choices=list(SHARD_WORKER_MODES),
-                       help="sharded backend: worker flavor — 'serial' "
-                            "(default) or 'processes' (per-machine sub-schedulers "
-                            "resident in worker processes across bursts)")
+                       choices=list(BACKENDS),
+                       help="session drive backend ('auto' batches when "
+                            "--batch-size > 1)")
 
     def add_trace_args(p, directory=False):
         if directory:

@@ -16,7 +16,6 @@ from .exceptions import (
     ReproError,
     UnderallocationError,
     ValidationError,
-    WorkerCrashError,
 )
 from .job import Job, JobId, Placement
 from .requests import (
@@ -49,7 +48,6 @@ __all__ = [
     "ReproError",
     "UnderallocationError",
     "ValidationError",
-    "WorkerCrashError",
     "Job",
     "JobId",
     "Placement",

@@ -22,7 +22,7 @@ migration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..alignment.align import align_job
 from ..analysis.sanitize import sanitize_enabled
@@ -30,10 +30,8 @@ from ..levels.policy import LevelPolicy, PAPER_POLICY
 from ..multimachine.delegation import DelegatingScheduler
 from ..reservation.trimming import TrimmedReservationScheduler
 from .base import ReallocatingScheduler, _BatchContext
-from .costs import BatchResult, RequestCost
-from .exceptions import InvalidRequestError
 from .job import Job, JobId, Placement
-from .requests import Batch, DeleteJob, InsertJob, Request
+from .requests import DeleteJob
 from .window import Window
 
 
@@ -181,86 +179,6 @@ class ReservationScheduler(ReallocatingScheduler):
         self.delegator._batch_abort()
 
     # ------------------------------------------------------------------
-    # sharded bursts
-    # ------------------------------------------------------------------
-    def supports_sharded_batches(self) -> bool:
-        return self.delegator.supports_sharded_batches()
-
-    def apply_batch_sharded(
-        self,
-        requests: Batch | Iterable[Request],
-        *,
-        workers: str | None = None,
-        semantics: str = "strict",
-    ) -> BatchResult:
-        """Drive a burst shard-first through the delegation layer.
-
-        The alignment step is a pure per-job function, so the whole
-        burst is pre-aligned here and handed to
-        :meth:`~repro.multimachine.delegation.DelegatingScheduler.
-        apply_batch_sharded` (``workers`` selects serial or
-        process-resident shard workers); this layer then re-costs each
-        request against its own view (original jobs, hence original —
-        not aligned — max spans) exactly as sequential processing would,
-        keeping ledger entries bit-identical to ``apply``/``apply_batch``.
-        ``semantics="flexible"`` plans the aligned burst jointly inside
-        the delegation layer; the costs still come back one per request
-        at arrival positions (elided pairs as zero-cost entries), so
-        the re-costing zip below is semantics-agnostic.
-        """
-        batch = requests if isinstance(requests, Batch) else Batch(requests)
-        if self._batch is not None:
-            raise InvalidRequestError(
-                "apply_batch_sharded cannot run inside an open batch")
-        aligned = Batch([
-            InsertJob(align_job(r.job)) if isinstance(r, InsertJob) else r
-            for r in batch
-        ])
-        inner = self.delegator.apply_batch_sharded(
-            aligned, workers=workers, record=False,
-            semantics=semantics)
-        if inner.failed:
-            return BatchResult(
-                costs=[], net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=inner.failed_index,
-                failure=inner.failure, rolled_back=True, error=inner.error,
-            )
-        costs = []
-        record = self.ledger.record
-        for request, inner_cost in zip(batch, inner.costs):
-            if isinstance(request, InsertJob):
-                job = request.job
-                self.jobs[job.id] = job
-                self._span_add(job.span)
-                n_active, max_span = len(self.jobs), self._max_span_cache
-            else:
-                job = self.jobs[request.job_id]
-                n_active, max_span = len(self.jobs), self._max_span_cache
-                del self.jobs[request.job_id]
-                self._span_remove(job.span)
-            cost = RequestCost(
-                kind=inner_cost.kind, subject=inner_cost.subject,
-                rescheduled=inner_cost.rescheduled,
-                migrated=inner_cost.migrated,
-                n_active=n_active, max_span=max_span,
-            )
-            record(cost)
-            costs.append(cost)
-        net = inner.net
-        if net is not None:
-            net = RequestCost(
-                kind=net.kind, subject=net.subject,
-                rescheduled=net.rescheduled, migrated=net.migrated,
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        self.last_touched = None
-        return BatchResult(costs=costs, net=net, size=len(batch), atomic=True)
-
-    def close_shard_workers(self) -> None:
-        """Release process-resident shard workers (state synced back)."""
-        self.delegator.close_shard_workers()
-
-    # ------------------------------------------------------------------
     def check_balance(self) -> None:
         """Assert the Section 3 per-window balance invariant."""
         self.delegator.check_balance()
@@ -268,11 +186,8 @@ class ReservationScheduler(ReallocatingScheduler):
     def machine_schedulers(self) -> list[ReallocatingScheduler]:
         """The per-machine single-machine schedulers (diagnostics).
 
-        Syncs worker-resident state back first, so the returned
-        schedulers are live even after process-sharded bursts. They are
-        nested (adopted by the delegation layer): their ledgers stay
-        empty, their ``insert``/``delete``/``apply`` return None, and
-        ``apply_batch`` on one raises — drive this scheduler instead.
+        They are nested (adopted by the delegation layer): their ledgers
+        stay empty, their ``insert``/``delete``/``apply`` return None,
+        and ``apply_batch`` on one raises — drive this scheduler instead.
         """
-        self.delegator.close_shard_workers()
         return list(self.delegator.machines)

@@ -111,11 +111,6 @@ from .exceptions import InvalidRequestError, ReproError
 from .job import Job, JobId, Placement
 from .requests import Batch, DeleteJob, InsertJob, Request
 
-#: the worker flavors of ``apply_batch_sharded`` — defined once here
-#: (the hook-point layer) and imported by the delegation layer, the
-#: session backends, and the CLI's argparse choices
-SHARD_WORKER_MODES = ("serial", "processes")
-
 #: batch placement semantics — ``"strict"`` pins placements/ledger to
 #: sequential equivalence; ``"flexible"`` keeps only the
 #: bounds-equivalence contract (see the module docstring). Imported by
@@ -129,20 +124,6 @@ def resolve_batch_semantics(semantics: str) -> str:
         raise InvalidRequestError(
             f"semantics must be one of {BATCH_SEMANTICS}, got {semantics!r}")
     return semantics
-
-
-def resolve_shard_worker_mode(workers: str | None) -> str:
-    """Validate a shard worker mode (``None`` means ``"serial"``).
-
-    Every ``workers=`` entry point (delegation, session backend,
-    execution plan) resolves through here, so a new mode needs adding
-    in exactly one place.
-    """
-    mode = "serial" if workers is None else workers
-    if mode not in SHARD_WORKER_MODES:
-        raise ValueError(
-            f"workers must be one of {SHARD_WORKER_MODES}, got {mode!r}")
-    return mode
 
 
 _Sub = TypeVar("_Sub", bound="ReallocatingScheduler")
@@ -761,53 +742,6 @@ class ReallocatingScheduler(abc.ABC):
     def supports_atomic_batches(self) -> bool:
         """Whether this scheduler (stack) can restore pre-batch state."""
         return False
-
-    # ------------------------------------------------------------------
-    # sharded-drive hook points (overridden by delegating stacks)
-    # ------------------------------------------------------------------
-    def supports_sharded_batches(self) -> bool:
-        """Whether bursts can be driven shard-first (per-machine workers).
-
-        Schedulers that split work across per-machine sub-schedulers
-        (the delegation layer and stacks wrapping it) override this
-        together with :meth:`apply_batch_sharded`; the sharded drive
-        backend in :mod:`repro.sim.session` keys off it.
-        """
-        return False
-
-    def apply_batch_sharded(
-        self,
-        requests: Batch | Iterable[Request],
-        *,
-        workers: str | None = None,
-        semantics: str = "strict",
-    ) -> BatchResult:
-        """Apply a burst via per-shard workers (delegating stacks only).
-
-        Semantics match :meth:`apply_batch` with ``atomic=True`` applied
-        per burst: identical placements, ledger entries, and max-span
-        tracking, with whole-burst rollback on any shard failure.
-        ``workers`` selects the worker mode (``"serial"`` or
-        ``"processes"`` — persistent worker processes holding the
-        per-machine sub-schedulers across bursts).
-        ``semantics="flexible"`` plans the burst jointly first (the
-        bounds-equivalence contract), with per-request costs reported
-        at arrival positions exactly as :meth:`apply_batch` does.
-        """
-        raise InvalidRequestError(
-            f"{type(self).__name__} does not support sharded batches"
-        )
-
-    def close_shard_workers(self) -> None:
-        """Release process-resident shard workers, syncing state back.
-
-        Delegating stacks running ``apply_batch_sharded`` with
-        ``workers="processes"`` keep the per-machine sub-schedulers
-        resident in worker processes between bursts; this pulls that
-        state back into memory and ends the worker processes. No-op for
-        every other scheduler and mode (any in-memory entry point also
-        performs it implicitly).
-        """
 
     def _batch_prepare(self, inserts: list[Job], *,
                        flexible: bool = False) -> None:

@@ -56,20 +56,6 @@ class UnderallocationError(ReproError):
         self.detail = detail
 
 
-class WorkerCrashError(ReproError):
-    """A process-resident shard worker died mid-burst.
-
-    Raised (reported, never thrown across the pipe) by the
-    process-based sharded backend when a worker process exits without
-    answering: the coordinator rolls the whole burst back on the
-    surviving shards, re-seeds a fresh worker process from the dead
-    shard's last state snapshot plus its committed op-stream replay, and
-    surfaces this error in the burst's
-    :class:`~repro.core.costs.BatchResult`. The scheduler remains
-    usable and equivalent to one that never saw the burst.
-    """
-
-
 class ValidationError(ReproError):
     """An internal invariant check failed (see ``reservation.validation``).
 

@@ -57,8 +57,7 @@ Rollback must restore the exact pre-request (or pre-burst) state. The
 property tests in ``tests/test_journal_arena.py`` check that directly:
 they fingerprint the deep scheduler state before a failing request or
 burst and compare it with the state after the abort, across poisoned
-requests, deep atomic aborts, trimming rebuilds, and process-worker
-crash rollback.
+requests, deep atomic aborts, and trimming rebuilds.
 """
 
 from __future__ import annotations

@@ -285,17 +285,16 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         }
 
     # ------------------------------------------------------------------
-    # serialization (worker-resident schedulers cross a process boundary)
+    # serialization (snapshots and clones by pickle)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Picklable snapshot, valid only between requests/batches.
 
-        The process-resident shard workers
-        (:mod:`repro.multimachine.procworkers`) ship scheduler state
-        across a process boundary exactly twice per worker lifetime —
-        seed and crash re-seed — so the only state excluded is the
-        per-level probe closures (rebuilt on restore) and the in-flight
-        request/batch journals, which are None at every burst boundary.
+        Pickling clones a scheduler (the rollback and sanitizer oracles
+        compare a run against a pre-request clone), so the only state
+        excluded is the per-level probe closures (rebuilt on restore)
+        and the in-flight request/batch journals, which are None
+        between requests and batches.
         """
         if (self._batch is not None or self._abatch is not None
                 or self._journal is not None):

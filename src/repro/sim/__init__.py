@@ -21,7 +21,6 @@ from .session import (
     Session,
     SessionResult,
     SessionTrace,
-    ShardedBackend,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "Session",
     "SessionResult",
     "SessionTrace",
-    "ShardedBackend",
     "GrowthFit",
     "doubling_series",
     "fit_growth",

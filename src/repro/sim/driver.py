@@ -14,8 +14,7 @@ for the full surface (drive backends, traces, resume); use
 
 - ``batch_size > 1`` drives bursts through ``apply_batch``
   (``atomic_batches=True`` for all-or-nothing bursts); ``backend=``
-  picks the drive backend explicitly (``"sharded"`` fans each burst
-  out to per-machine shard workers on delegating stacks).
+  picks the drive backend explicitly.
 - ``verify_each``/``verify_mode`` wire the incremental or full
   feasibility checker; the full-audit period defaults to the one
   shared :data:`~repro.sim.session.DEFAULT_FULL_AUDIT_EVERY`.
@@ -50,7 +49,6 @@ def run_sequence(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str | None = None,
     verify_each: bool = True,
     verify_mode: str = "incremental",
     full_audit_every: int | None = None,
@@ -76,8 +74,8 @@ def run_sequence(
     backend:
         Drive backend: ``"auto"`` (default — batched when
         ``batch_size > 1``, else sequential), ``"sequential"``,
-        ``"batched"``, ``"sharded"``, or a
-        :class:`~repro.sim.session.DriveBackend` instance.
+        ``"batched"``, or a :class:`~repro.sim.session.DriveBackend`
+        instance.
     verify_each:
         Check schedule feasibility after every request — or, when
         batching, after every batch commit (default on; turn off only
@@ -107,7 +105,6 @@ def run_sequence(
         atomic_batches=atomic_batches,
         batch_semantics=batch_semantics,
         backend=backend,
-        shard_workers=shard_workers,
         verify=verify_mode if verify_each else "off",
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -127,7 +124,6 @@ def run_comparison(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str | None = None,
     verify_each: bool = True,
     verify_mode: str = "incremental",
     validate_each: Callable[[ReallocatingScheduler], None] | None = None,
@@ -142,7 +138,6 @@ def run_comparison(
             atomic_batches=atomic_batches,
             batch_semantics=batch_semantics,
             backend=backend,
-            shard_workers=shard_workers,
             verify_each=verify_each,
             verify_mode=verify_mode,
             validate_each=validate_each,

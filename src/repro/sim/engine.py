@@ -16,9 +16,7 @@ module adds is the engine-shaped call surface:
   session records (and optionally reports through ``on_checkpoint``)
   the running request rate and phase split.
 - **Backends as a first-class axis** — ``backend="sequential"`` /
-  ``"batched"`` / ``"sharded"`` selects how requests are driven; the
-  sharded backend fans each burst out to per-machine shard workers on
-  delegating scheduler stacks.
+  ``"batched"`` selects how requests are driven.
 - **Disk-backed traces** — ``trace_path=`` writes the session's JSONL
   checkpoint trace so a killed multi-hour run resumes from its last
   checkpoint (``resume=True``, deterministic prefix replay) and runs
@@ -62,7 +60,6 @@ def run_engine(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str | None = None,
     verify: str = "incremental",
     full_audit_every: int | None = None,
     validator: Callable[[ReallocatingScheduler], None] | None = None,
@@ -85,20 +82,14 @@ def run_engine(
         Verification then checks once per batch commit, and the
         validator / the checkpoint cadence fire on batch boundaries.
     atomic_batches:
-        Batched backend: apply each burst all-or-nothing (the sharded
-        backend is always transactional per burst).
+        Batched backend: apply each burst all-or-nothing.
     batch_semantics:
         ``"strict"`` (default, placement-identical replay) or
         ``"flexible"`` (jointly planned bursts — bounds-equivalent, see
         :class:`~repro.sim.session.ExecutionPlan`).
     backend:
-        ``"auto"`` (default), ``"sequential"``, ``"batched"``,
-        ``"sharded"``, or a DriveBackend instance.
-    shard_workers:
-        Sharded backend: worker flavor — ``"serial"`` (default) or
-        ``"processes"`` (process-resident per-machine sub-schedulers;
-        the session releases them, syncing state back, when the run
-        ends).
+        ``"auto"`` (default), ``"sequential"``, ``"batched"``, or a
+        DriveBackend instance.
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -125,7 +116,6 @@ def run_engine(
         atomic_batches=atomic_batches,
         batch_semantics=batch_semantics,
         backend=backend,
-        shard_workers=shard_workers,
         verify=verify,
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -179,7 +169,6 @@ def run_sweep(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str | None = None,
     verify: str = "incremental",
     full_audit_every: int | None = None,
     checkpoint_every: int = 0,
@@ -226,7 +215,6 @@ def run_sweep(
                 atomic_batches=atomic_batches,
                 batch_semantics=batch_semantics,
                 backend=backend,
-                shard_workers=shard_workers,
                 verify=verify,
                 full_audit_every=full_audit_every,
                 checkpoint_every=checkpoint_every,

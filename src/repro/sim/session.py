@@ -16,38 +16,14 @@ all share now:
   * :class:`SequentialBackend` — one request per step via
     ``scheduler.apply`` (the classic loop);
   * :class:`BatchedBackend` — one :class:`~repro.core.requests.Batch`
-    per step via ``apply_batch`` (optionally atomic);
-  * :class:`ShardedBackend` — one batch per step via
-    ``apply_batch_sharded``: the delegation layer splits the burst into
-    per-machine sub-batches (``machine_sub_batches`` /
-    ``plan_shard_execution``), one worker drives each machine's
-    sub-batch, and the per-shard touched logs merge back into the
-    incrementally-maintained placement map with a merged-commit verify
-    per batch. Requires a delegating scheduler stack
-    (``supports_sharded_batches()``). ``workers`` selects the worker
-    flavor — ``"serial"`` (in-process) or ``"processes"``: each
-    machine's sub-scheduler lives persistently in a worker process
-    across bursts (state never ships per burst; only op streams and
-    per-op touched logs cross the pipe), the flavor with real
-    parallelism on multicore hardware.
+    per step via ``apply_batch`` (optionally atomic).
 
-    Process-worker lifecycle: the pool spawns lazily on the first
-    process burst, stays resident for the whole session, and is
-    released by the backend's ``finish`` hook when the session ends
-    (state syncs back into the in-memory scheduler, so the final audit
-    and any later in-memory use see live sub-schedulers). Failure
-    semantics: every sharded burst is transactional — a shard failure
-    or a worker-process crash rolls the whole burst back before
-    anything merges, crashed workers are re-seeded from their last
-    state snapshot plus a committed op-stream replay, and the session's
-    normal failure policy sees the burst's error
-    (:class:`~repro.core.exceptions.WorkerCrashError` for crashes); the
-    scheduler remains usable, so a traced session can resume across a
-    worker restart.
-
-  All three backends produce identical placements, ledger entries, and
-  max-span tracking on the same sequence (property-tested); they differ
-  only in *how* the work is driven.
+  Both backends produce identical placements, ledger entries, and
+  max-span tracking on the same sequence under strict semantics
+  (property-tested); they differ only in *how* the work is driven.
+  On a delegating stack a burst crosses machines through
+  ``apply_batch`` itself: the delegation layer plans the burst's
+  per-window machines once and opens one batch context per machine.
 
 - the session owns the timing split (scheduler / verify / validate),
   the :class:`~repro.sim.incremental.IncrementalVerifier` wiring with
@@ -85,14 +61,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from ..core.base import (
-    ReallocatingScheduler,
-    SHARD_WORKER_MODES,
-    resolve_batch_semantics,
-    resolve_shard_worker_mode,
-)
+from ..core.base import ReallocatingScheduler, resolve_batch_semantics
 from ..core.costs import BatchResult, CostLedger, RequestCost
-from ..core.exceptions import InvalidRequestError, ReproError
+from ..core.exceptions import ReproError
 from ..core.requests import Batch, InsertJob, Request, iter_batches
 from .incremental import IncrementalVerifier
 
@@ -107,7 +78,7 @@ DEFAULT_FULL_AUDIT_EVERY = 1024
 DEFAULT_TRACE_CHECKPOINT_EVERY = 1024
 
 VERIFY_MODES = ("incremental", "full", "off")
-BACKENDS = ("auto", "sequential", "batched", "sharded")
+BACKENDS = ("auto", "sequential", "batched")
 
 
 @dataclass
@@ -140,10 +111,9 @@ class ExecutionPlan:
     Parameters
     ----------
     batch_size:
-        Step size for the batched/sharded backends (1 = per-request).
+        Step size for the batched backend (1 = per-request).
     atomic_batches:
-        Batched backend only: apply each burst all-or-nothing. The
-        sharded backend is always transactional per burst.
+        Batched backend only: apply each burst all-or-nothing.
     batch_semantics:
         ``"strict"`` (default — bursts replay request-for-request, the
         placement-identical oracle) or ``"flexible"`` (each burst is
@@ -151,19 +121,12 @@ class ExecutionPlan:
         pairs elided, surviving inserts placed in span order; placements
         may differ from strict but feasibility, the job table, max-span
         tracking, and the Theorem 1 per-request cost bounds are
-        preserved). Applies to the batched and sharded backends; the
-        sequential backend ignores it (a size-1 step has nothing to
-        plan).
+        preserved). Applies to the batched backend; the sequential
+        backend ignores it (a size-1 step has nothing to plan).
     backend:
-        ``"sequential"``, ``"batched"``, ``"sharded"``, ``"auto"``
-        (batched when ``batch_size > 1``, else sequential), or a
-        ready-made :class:`DriveBackend` instance.
-    shard_workers:
-        Sharded backend only: the worker flavor — ``"serial"``
-        (default) or ``"processes"`` (process-resident per-machine
-        sub-schedulers, the flavor with real parallelism — see bench
-        E13 and the module docstring for lifecycle and failure
-        semantics).
+        ``"sequential"``, ``"batched"``, ``"auto"`` (batched when
+        ``batch_size > 1``, else sequential), or a ready-made
+        :class:`DriveBackend` instance.
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -196,7 +159,6 @@ class ExecutionPlan:
     atomic_batches: bool = False
     batch_semantics: str = "strict"
     backend: "str | DriveBackend" = "auto"
-    shard_workers: str | None = None
     verify: str = "incremental"
     full_audit_every: int = DEFAULT_FULL_AUDIT_EVERY
     validator: Callable[[ReallocatingScheduler], None] | None = None
@@ -216,19 +178,9 @@ class ExecutionPlan:
         if isinstance(self.backend, str) and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if (self.shard_workers is not None
-                and self.shard_workers not in SHARD_WORKER_MODES):
-            raise ValueError(
-                f"shard_workers must be one of {SHARD_WORKER_MODES}, "
-                f"got {self.shard_workers!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         resolve_batch_semantics(self.batch_semantics)
-
-    @property
-    def resolved_shard_workers(self) -> str:
-        """The effective worker mode (``None`` means ``"serial"``)."""
-        return resolve_shard_worker_mode(self.shard_workers)
 
 
 @dataclass
@@ -278,9 +230,7 @@ class DriveBackend:
     def finish(self, scheduler: ReallocatingScheduler) -> None:
         """Hook: release backend-held resources at session end.
 
-        Runs on every exit path (success, failure, interruption). The
-        sharded backend uses it to release process-resident shard
-        workers, syncing their state back into the scheduler.
+        Runs once on every exit path (success, failure, interruption).
         """
 
 
@@ -322,58 +272,6 @@ class BatchedBackend(DriveBackend):
                            error=result.error if result.failed else None)
 
 
-class ShardedBackend(DriveBackend):
-    """One ``apply_batch_sharded`` burst per step: per-machine workers.
-
-    The delegation layer plans each burst's per-machine sub-batches,
-    one shard worker applies each machine's stream, and the per-shard
-    touched logs merge into the incrementally-maintained placement map;
-    the session then verifies the merged commit once per batch. Bursts
-    are always transactional (a shard failure — or a worker-process
-    crash — rolls the burst back wholesale).
-
-    ``workers`` selects the worker flavor (``"serial"`` or
-    ``"processes"``); with ``"processes"`` the per-machine
-    sub-schedulers live in persistent worker processes for the whole
-    session and :meth:`finish` syncs their state back and releases them
-    on every exit path (see the module docstring for the lifecycle and
-    failure semantics).
-    """
-
-    name = "sharded"
-    chunked = True
-
-    def __init__(self, *, workers: str | None = None,
-                 semantics: str = "strict") -> None:
-        self.workers = resolve_shard_worker_mode(workers)
-        self.semantics = resolve_batch_semantics(semantics)
-
-    def prepare(self, scheduler: ReallocatingScheduler,
-                plan: ExecutionPlan) -> None:
-        if not scheduler.supports_sharded_batches():
-            raise InvalidRequestError(
-                f"{type(scheduler).__name__} does not support sharded "
-                "execution (needs a delegating scheduler stack with "
-                "atomic-capable per-machine sub-schedulers)"
-            )
-
-    def steps(self, sequence: Iterable[Request], plan: ExecutionPlan,
-              skip: int = 0) -> Iterator[Batch]:
-        return iter_batches(islice(iter(sequence), skip, None),
-                            plan.batch_size)
-
-    def apply(self, scheduler: ReallocatingScheduler,
-              step: Batch) -> StepOutcome:
-        result = scheduler.apply_batch_sharded(step, workers=self.workers,
-                                               semantics=self.semantics)
-        return StepOutcome(processed=result.processed, batch=result,
-                           error=result.error if result.failed else None)
-
-    def finish(self, scheduler: ReallocatingScheduler) -> None:
-        if self.workers == "processes":
-            scheduler.close_shard_workers()
-
-
 def resolve_backend(plan: ExecutionPlan) -> DriveBackend:
     """Build the plan's backend (``auto`` keys off ``batch_size``)."""
     backend = plan.backend
@@ -383,10 +281,7 @@ def resolve_backend(plan: ExecutionPlan) -> DriveBackend:
         backend = "batched" if plan.batch_size > 1 else "sequential"
     if backend == "sequential":
         return SequentialBackend()
-    if backend == "batched":
-        return BatchedBackend(atomic=plan.atomic_batches,
-                              semantics=plan.batch_semantics)
-    return ShardedBackend(workers=plan.resolved_shard_workers,
+    return BatchedBackend(atomic=plan.atomic_batches,
                           semantics=plan.batch_semantics)
 
 
@@ -772,10 +667,6 @@ class Session:
                     if not checkpoints or checkpoints[-1].processed != processed:
                         checkpoint()
                     break
-            # Release backend resources before the final audit so
-            # process-resident worker state is synced back and the audit
-            # (and any caller) sees live in-memory sub-schedulers.
-            backend.finish(scheduler)
             if verifier is not None and not interrupted:
                 ta = perf()
                 verifier.full_audit(scheduler)
@@ -787,9 +678,6 @@ class Session:
                 raise
             return finish(failure)
         finally:
-            # Safety net for the failure/interrupt exit paths (the
-            # success path already ran this before the final audit);
-            # idempotent — a released pool is a no-op.
             backend.finish(scheduler)
         return finish()
 

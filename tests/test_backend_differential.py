@@ -1,15 +1,16 @@
-"""Differential fuzz harness across all four drive backends.
+"""Differential fuzz harness across both drive backends.
 
 The contract every backend must satisfy (and the property every prior
-PR pinned with hand-written cases): sequential apply, batched
-``apply_batch`` (atomic or not), sharded-serial, and sharded-process
-execution of the same request sequence produce identical placements,
-ledger entries, max-span tracking, and active-job sets.
+PR pinned with hand-written cases): sequential apply and batched
+``apply_batch`` (atomic or not) execution of the same request sequence
+produce identical placements, ledger entries, max-span tracking, and
+active-job sets.
 
 This harness scales that from hand-written cases to seeded random
 sequences: mixed insert/delete churn at several machine counts, batch
-sizes, and atomicity settings, driven through all four backends and
-compared field by field. On a mismatch it *shrinks* by bisecting the
+sizes, and atomicity settings, driven through both backends and
+compared field by field, for the trimmed stack and for the deamortized
+stack on 2*gamma-slack inputs. On a mismatch it *shrinks* by bisecting the
 sequence prefix to the shortest failing length before reporting — and
 names WHICH comparison stage diverged (placements vs ledger vs
 max-span vs job-table vs bound) — so a regression lands with a minimal
@@ -39,7 +40,7 @@ from repro.sim.incremental import IncrementalVerifier
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 from repro.workloads.scenarios import iter_burst_arrivals, iter_churn_storm
 
-BACKENDS = ("sequential", "batched", "sharded-serial", "sharded-process")
+BACKENDS = ("sequential", "batched")
 
 #: the comparison stages, in fingerprint-tuple order (satellite of the
 #: flexible-semantics work: failures name the diverging stage)
@@ -58,23 +59,12 @@ def drive(sched, requests, backend, *, batch_size, atomic,
             if verifier is not None:
                 verifier.observe(sched, cost)
         return
-    try:
-        for burst in iter_batches(requests, batch_size):
-            if backend == "batched":
-                result = sched.apply_batch(burst, atomic=atomic,
-                                           semantics=semantics)
-            elif backend == "sharded-serial":
-                result = sched.apply_batch_sharded(burst, semantics=semantics)
-            else:
-                result = sched.apply_batch_sharded(burst, workers="processes",
-                                                   semantics=semantics)
-            if result.failed:
-                raise AssertionError(
-                    f"{backend} burst failed: {result.failure}")
-            if verifier is not None:
-                verifier.verify_batch(sched, result)
-    finally:
-        sched.close_shard_workers()
+    for burst in iter_batches(requests, batch_size):
+        result = sched.apply_batch(burst, atomic=atomic, semantics=semantics)
+        if result.failed:
+            raise AssertionError(f"{backend} burst failed: {result.failure}")
+        if verifier is not None:
+            verifier.verify_batch(sched, result)
 
 
 def fingerprint(sched):
@@ -157,8 +147,8 @@ def diverging_stages(reference, candidate, *, semantics="strict"):
 
 
 def run_backend(seq, backend, *, machines, batch_size, atomic,
-                semantics="strict", verify=False):
-    sched = ReservationScheduler(machines, gamma=8)
+                semantics="strict", verify=False, deamortized=False):
+    sched = ReservationScheduler(machines, gamma=8, deamortized=deamortized)
     verifier = (IncrementalVerifier(machines, where=f"{backend}/{semantics}")
                 if verify else None)
     drive(sched, seq, backend, batch_size=batch_size, atomic=atomic,
@@ -170,7 +160,7 @@ def run_backend(seq, backend, *, machines, batch_size, atomic,
 
 
 def disagreeing_backends(seq, *, machines, batch_size, atomic,
-                         semantics="strict"):
+                         semantics="strict", deamortized=False):
     """Backends diverging from strict-sequential, with their stages.
 
     Returns ``{backend: [stage, ...]}`` or None when everything agrees.
@@ -181,13 +171,15 @@ def disagreeing_backends(seq, *, machines, batch_size, atomic,
     failure raises directly with its own diagnosis).
     """
     reference = run_backend(seq, "sequential", machines=machines,
-                            batch_size=batch_size, atomic=atomic)
+                            batch_size=batch_size, atomic=atomic,
+                            deamortized=deamortized)
     flexible = semantics == "flexible"
     bad = {}
     for backend in BACKENDS[1:]:
         candidate = run_backend(seq, backend, machines=machines,
                                 batch_size=batch_size, atomic=atomic,
-                                semantics=semantics, verify=flexible)
+                                semantics=semantics, verify=flexible,
+                                deamortized=deamortized)
         stages = diverging_stages(reference, candidate, semantics=semantics)
         if flexible and bound_violations(candidate[1]):
             stages.append("bound")
@@ -197,7 +189,7 @@ def disagreeing_backends(seq, *, machines, batch_size, atomic,
 
 
 def shrink_failing_prefix(seq, *, machines, batch_size, atomic,
-                          semantics="strict"):
+                          semantics="strict", deamortized=False):
     """Bisect to the shortest prefix that still disagrees.
 
     Precondition: the full sequence disagrees. Bisection is sound here
@@ -211,7 +203,8 @@ def shrink_failing_prefix(seq, *, machines, batch_size, atomic,
         mid = (lo + hi) // 2
         if disagreeing_backends(seq[:mid], machines=machines,
                                 batch_size=batch_size, atomic=atomic,
-                                semantics=semantics):
+                                semantics=semantics,
+                                deamortized=deamortized):
             hi = mid
         else:
             lo = mid
@@ -219,32 +212,36 @@ def shrink_failing_prefix(seq, *, machines, batch_size, atomic,
 
 
 def assert_backends_agree(seq, *, machines, batch_size, atomic, label,
-                          semantics="strict"):
+                          semantics="strict", deamortized=False):
     bad = disagreeing_backends(seq, machines=machines,
                                batch_size=batch_size, atomic=atomic,
-                               semantics=semantics)
+                               semantics=semantics, deamortized=deamortized)
     if bad is None:
         return
     prefix = shrink_failing_prefix(seq, machines=machines,
                                    batch_size=batch_size, atomic=atomic,
-                                   semantics=semantics)
+                                   semantics=semantics,
+                                   deamortized=deamortized)
     shrunk = disagreeing_backends(seq[:prefix], machines=machines,
                                   batch_size=batch_size, atomic=atomic,
-                                  semantics=semantics)
+                                  semantics=semantics,
+                                  deamortized=deamortized)
     stages = "; ".join(f"{b}: {', '.join(s)}"
                        for b, s in (shrunk or bad).items())
     raise AssertionError(
-        f"backend divergence [{label}, semantics={semantics}] "
+        f"backend divergence [{label}, semantics={semantics}, "
+        f"deamortized={deamortized}] "
         f"(m={machines}, batch_size={batch_size}, atomic={atomic}); "
         f"shrunk to prefix of length {prefix} "
         f"(last request: {seq[prefix - 1]!r}); diverging stages: {stages}"
     )
 
 
-def mixed_churn(requests, seed, machines, delete_fraction):
+def mixed_churn(requests, seed, machines, delete_fraction, *, gamma=8,
+                min_span=1):
     cfg = AlignedWorkloadConfig(
-        num_requests=requests, num_machines=machines, gamma=8,
-        horizon=1 << 11, max_span=1 << 11,
+        num_requests=requests, num_machines=machines, gamma=gamma,
+        horizon=1 << 11, max_span=1 << 11, min_span=min_span,
         delete_fraction=delete_fraction,
     )
     return list(random_aligned_sequence(cfg, seed=seed))
@@ -252,8 +249,8 @@ def mixed_churn(requests, seed, machines, delete_fraction):
 
 # The ISSUE's axes — m in {1, 3, 4}, batch sizes {1, 16, 64}, atomic
 # on/off — covered by a curated matrix (the full cross-product would
-# quadruple runtime without adding coverage: atomicity only affects the
-# batched backend, and every axis value appears at least twice).
+# quadruple runtime without adding coverage: every axis value appears
+# at least twice).
 MATRIX = [
     # (machines, batch_size, atomic, delete_fraction, seed)
     (1, 16, False, 0.35, 0),
@@ -279,7 +276,7 @@ def test_differential_mixed_churn(machines, batch_size, atomic,
 
 @pytest.mark.parametrize("machines,batch_size", [(3, 64), (4, 16)])
 def test_differential_scenario_shapes(machines, batch_size):
-    """Scenario-shaped streams (storms, focused bursts) through all four
+    """Scenario-shaped streams (storms, focused bursts) through both
     backends — the shapes that stress delete-side rebalancing and the
     delegator's per-window grouping hardest."""
     from itertools import islice
@@ -295,8 +292,8 @@ def test_differential_scenario_shapes(machines, batch_size):
                           atomic=False, label="burst-arrivals")
 
 
-# Flexible semantics: seeded property tests over random churn for all
-# four backends x atomic on/off, compared in bounds mode against the
+# Flexible semantics: seeded property tests over random churn for the
+# batched backend x atomic on/off, compared in bounds mode against the
 # strict sequential oracle (same shrink-on-failure prefix bisection).
 FLEXIBLE_MATRIX = [
     # (machines, batch_size, atomic, delete_fraction, seed)
@@ -317,6 +314,29 @@ def test_differential_flexible_bounds_mode(machines, batch_size, atomic,
     assert_backends_agree(seq, machines=machines, batch_size=batch_size,
                           atomic=atomic, semantics="flexible",
                           label=f"flexible mixed-churn seed {seed}")
+
+
+# The deamortized stack (strict semantics) on 2*gamma-slack inputs —
+# gamma=16 workloads for a gamma=8 scheduler, spans >= 2 so aligned
+# windows keep the even/odd slot split — at m=1 and m=3.
+DEAMORTIZED_MATRIX = [
+    # (machines, batch_size, atomic, delete_fraction, seed)
+    (1, 16, False, 0.35, 50),
+    (1, 64, True, 0.5, 51),
+    (3, 16, True, 0.35, 52),
+    (3, 64, False, 0.5, 53),
+]
+
+
+@pytest.mark.parametrize("machines,batch_size,atomic,delete_fraction,seed",
+                         DEAMORTIZED_MATRIX)
+def test_differential_deamortized(machines, batch_size, atomic,
+                                  delete_fraction, seed):
+    seq = mixed_churn(360, seed, machines, delete_fraction, gamma=16,
+                      min_span=2)
+    assert_backends_agree(seq, machines=machines, batch_size=batch_size,
+                          atomic=atomic, deamortized=True,
+                          label=f"deamortized mixed-churn seed {seed}")
 
 
 @pytest.mark.parametrize("machines,batch_size", [(3, 64), (4, 16)])

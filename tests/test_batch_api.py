@@ -296,71 +296,6 @@ def test_verify_batch_detects_unreported_change():
 # ----------------------------------------------------------------------
 # delegation grouping
 # ----------------------------------------------------------------------
-def test_apply_batch_sharded_matches_sequential_theorem1_m3():
-    """The sharded burst path (per-machine shard workers + touched-log
-    merge) obeys the same equivalence contract as apply_batch: identical
-    placements, ledger, and max-span to sequential apply."""
-    seq = make_workload(400, seed=3, machines=3)
-    sequential = ReservationScheduler(3, gamma=8)
-    for r in seq:
-        sequential.apply(r)
-    sharded = ReservationScheduler(3, gamma=8)
-    for batch in iter_batches(seq, 48):
-        result = sharded.apply_batch_sharded(batch)
-        assert not result.failed, result.failure
-        assert result.processed == len(batch)
-    assert_equivalent(sharded, sequential)
-    sharded.check_balance()
-
-
-def test_machine_sub_batches_match_round_robin():
-    sched = ReservationScheduler(3, gamma=8)
-    window = Window(0, 64)
-    jobs = [Job(f"j{i}", window) for i in range(7)]
-    batch = Batch([InsertJob(j) for j in jobs])
-    plan = sched.delegator.machine_sub_batches(
-        Batch([InsertJob(Job(j.id, j.window.aligned_within())) for j in jobs]))
-    # round-robin from count 0: machines 0,1,2,0,1,2,0
-    sizes = {m: len(rs) for m, rs in plan.items()}
-    assert sizes == {0: 3, 1: 2, 2: 2}
-    # applying the batch must land jobs exactly as planned
-    result = sched.apply_batch(batch)
-    assert not result.failed
-    landed = {m: 0 for m in range(3)}
-    for job in jobs:
-        landed[sched.placements[job.id].machine] += 1
-    assert landed == sizes
-    sched.check_balance()
-
-
-def test_machine_sub_batches_simulates_batch_churn():
-    """The planner tracks the batch's own inserts/deletes: deletes of
-    batch-inserted jobs route to their planned machine, and a delete
-    shifts the window's round-robin position for later inserts exactly
-    as apply_batch does."""
-    from repro.multimachine.delegation import DelegatingScheduler
-
-    sched = DelegatingScheduler(3, lambda: AlignedReservationScheduler())
-    w = Window(0, 64)
-    # two pre-existing jobs in w -> machines 0, 1
-    sched.insert(Job("p0", w))
-    sched.insert(Job("p1", w))
-
-    requests = [DeleteJob("p0"),
-                InsertJob(Job("n1", w)), InsertJob(Job("n2", w)),
-                InsertJob(Job("tmp", Window(64, 128))), DeleteJob("tmp")]
-    plan = sched.machine_sub_batches(Batch(requests))
-    # count after delete is 1 -> n1 on machine 1, n2 on machine 2;
-    # tmp's insert and delete stay paired on machine 0
-    assert requests[1] in plan[1] and requests[2] in plan[2]
-    assert requests[3] in plan[0] and requests[4] in plan[0]
-    # and apply_batch actually lands the inserts on the planned machines
-    result = sched.apply_batch(Batch(requests))
-    assert not result.failed
-    assert sched.placements["n1"].machine == 1
-    assert sched.placements["n2"].machine == 2
-
-
 def test_batch_plan_invalidated_by_mid_batch_delete():
     """A delete of a window mid-batch drops the remaining plan for that
     window; equivalence with sequential still holds."""

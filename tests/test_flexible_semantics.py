@@ -151,8 +151,6 @@ def test_semantics_validation():
     with pytest.raises(InvalidRequestError):
         sched.apply_batch([ins("a", 0, 16)], semantics="loose")
     with pytest.raises(InvalidRequestError):
-        sched.apply_batch_sharded([ins("a", 0, 16)], semantics="loose")
-    with pytest.raises(InvalidRequestError):
         ExecutionPlan(batch_semantics="loose")
 
 
@@ -220,24 +218,12 @@ def test_flexible_atomic_rollback_bit_identical():
     assert fingerprint(sched) == fingerprint(reference)
 
 
-def test_flexible_sharded_failure_rolls_back():
-    sched = ReservationScheduler(1, gamma=8)
-    sched.insert(Job("fill", Window(0, 1)))
-    pre = fingerprint(sched)
-    bad = [ins("ok", 0, 64), ins("infeasible", 0, 1)]
-    result = sched.apply_batch_sharded(bad, semantics="flexible")
-    assert result.failed and result.rolled_back
-    assert fingerprint(sched) == pre
-    # still usable
-    assert not sched.apply_batch_sharded([ins("ok", 0, 64)],
-                                         semantics="flexible").failed
-
-
 # ----------------------------------------------------------------------
 # sanitizer coverage: the joint planner leaves no unjournaled mutations
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["batched", "sharded"])
-def test_flexible_under_arena_sanitize(backend):
+@pytest.mark.parametrize("atomic", [True, False],
+                         ids=["batched", "batched-nonatomic"])
+def test_flexible_under_arena_sanitize(atomic):
     """Flexible drives under the checking journal proxies: zero
     unjournaled-mutation reports (any would raise), and results
     bit-identical to the plain arena run."""
@@ -246,12 +232,8 @@ def test_flexible_under_arena_sanitize(backend):
     def run(journal):
         sched = ReservationScheduler(3, gamma=8, journal=journal)
         for burst in iter_batches(seq, 32):
-            if backend == "batched":
-                result = sched.apply_batch(burst, atomic=True,
-                                           semantics="flexible")
-            else:
-                result = sched.apply_batch_sharded(burst,
-                                                   semantics="flexible")
+            result = sched.apply_batch(burst, atomic=atomic,
+                                       semantics="flexible")
             assert not result.failed
         return fingerprint(sched)
 
@@ -283,7 +265,8 @@ def test_run_engine_flexible_smoke(tmp_path):
     seq = churn_storm_sequence(requests=400, seed=6, num_machines=3)
     result = run_engine(ReservationScheduler(3, gamma=8), seq,
                         batch_size=64, batch_semantics="flexible",
-                        backend="sharded", verify="incremental")
+                        backend="batched", atomic_batches=True,
+                        verify="incremental")
     assert not result.failed
     assert result.requests_processed == len(seq)
 

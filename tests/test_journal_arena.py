@@ -11,8 +11,8 @@ across every rollback path in the stack:
   state),
 - deep atomic-batch aborts through the full Theorem 1 stack,
 - trimming rebuilds replaced mid-batch and discarded on abort,
-- process-worker crash rollback (whole-burst abort + worker re-seed,
-  exercising arena reuse across bursts and across pickling).
+- arena reuse across pickling (a clone gets a fresh arena and still
+  rolls back exactly).
 
 Each rollback case asserts two things: the deep state fingerprint after
 the abort equals the fingerprint taken before the failing request or
@@ -35,13 +35,9 @@ import random
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.core.exceptions import (
-    ReproError,
-    UnderallocationError,
-    WorkerCrashError,
-)
+from repro.core.exceptions import ReproError, UnderallocationError
 from repro.core.job import Job
-from repro.core.requests import DeleteJob, InsertJob, iter_batches
+from repro.core.requests import DeleteJob, InsertJob
 from repro.core.window import Window
 from repro.levels.policy import PAPER_POLICY
 from repro.multimachine.delegation import DelegatingScheduler
@@ -638,50 +634,6 @@ def test_sequential_rebuild_journal_diet_oracle_unchanged(monkeypatch):
     assert stack_fingerprint(diet) == stack_fingerprint(oracle)
     # the journal-free rebuilds recorded strictly fewer entries
     assert diet.journal_entries_total < oracle.journal_entries_total
-
-
-# ----------------------------------------------------------------------
-# process-worker crash rollback
-# ----------------------------------------------------------------------
-def test_procworker_crash_rollback_identical():
-    """A worker process dying mid-burst rolls the whole burst back to
-    the pre-burst deep state (the arena crossing the pickle boundary
-    and being reused across bursts); the burst then retries cleanly on
-    the re-seeded workers and the run matches a twin that never
-    crashed."""
-    seq = make_workload(500, seed=19, machines=3)
-    prefix, burst, rest = seq[:256], seq[256:288], seq[288:]
-    sched = ReservationScheduler(3, gamma=8)
-    twin = ReservationScheduler(3, gamma=8)
-    try:
-        for s in (sched, twin):
-            for chunk in iter_batches(prefix, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-        # sync back to fingerprint the pre-burst state, then re-open
-        # the pool (re-seeded from that state) to arm the crash
-        sched.close_shard_workers()
-        pre = stack_fingerprint(sched)
-        sched.delegator._ensure_shard_pool().crash_worker_after(1, 2)
-        result = sched.apply_batch_sharded(burst, workers="processes")
-        assert result.failed and result.rolled_back
-        assert isinstance(result.error, WorkerCrashError)
-        sched.close_shard_workers()
-        assert stack_fingerprint(sched) == pre
-        for s in (sched, twin):
-            for chunk in iter_batches(burst + rest, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-            s.close_shard_workers()
-        assert stack_fingerprint(sched) == stack_fingerprint(twin)
-        reference = ReservationScheduler(3, gamma=8)
-        for r in seq:
-            reference.apply(r)
-        assert dict(sched.placements) == dict(reference.placements)
-        assert sched.ledger.entries == reference.ledger.entries
-    finally:
-        sched.close_shard_workers()
-        twin.close_shard_workers()
 
 
 def test_unpickled_scheduler_gets_fresh_arena():

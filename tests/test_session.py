@@ -1,9 +1,9 @@
 """The unified execution API: Session, drive backends, traces, resume.
 
 The contract under test (sim/session.py module docstring): one shared
-drive loop with pluggable backends, where SequentialBackend,
-BatchedBackend, and ShardedBackend produce identical placements, ledger
-entries, and max-span tracking on the same sequence; run_sequence /
+drive loop with pluggable backends, where SequentialBackend and
+BatchedBackend produce identical placements, ledger entries, and
+max-span tracking on the same sequence; run_sequence /
 run_engine / run_sweep are thin adapters over it; traces make runs
 resumable via deterministic prefix replay.
 """
@@ -16,16 +16,9 @@ import json
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.core.exceptions import (
-    InvalidRequestError,
-    ReproError,
-    UnderallocationError,
-)
+from repro.core.exceptions import ReproError, UnderallocationError
 from repro.core.job import Job
-from repro.core.requests import Batch, DeleteJob, InsertJob, insert, iter_batches
 from repro.core.window import Window
-from repro.multimachine.delegation import DelegatingScheduler
-from repro.reservation import AlignedReservationScheduler
 from repro.reservation.scheduler import AlignedReservationScheduler as _ARS
 from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.sim import run_comparison, run_engine, run_sequence, run_sweep
@@ -63,13 +56,12 @@ BACKEND_PLANS = [
     ("batched", dict(backend="batched", batch_size=32)),
     ("batched-atomic", dict(backend="batched", batch_size=32,
                             atomic_batches=True)),
-    ("sharded", dict(backend="sharded", batch_size=32)),
 ]
 
 
 @pytest.mark.parametrize("machines", [1, 3])
 def test_all_backends_identical_on_theorem1(machines):
-    """Sequential, batched, and sharded backends produce identical
+    """Sequential and batched (atomic or not) backends produce identical
     placements, ledger entries, and max-span on the same sequence."""
     for seed in (0, 2):
         seq = make_workload(500, seed=seed, machines=machines)
@@ -85,127 +77,6 @@ def test_all_backends_identical_on_theorem1(machines):
             else:
                 assert_equivalent(sched, reference)
             sched.check_balance()
-
-
-def test_sharded_matches_sequential_on_raw_delegating_m3():
-    """Exact placement/ledger/max-span equality for sharded vs
-    sequential on a bare DelegatingScheduler with m >= 3 (acceptance
-    criterion), across batch sizes that cut bursts mid-stream."""
-    for seed, batch_size in ((0, 7), (1, 64), (2, 3)):
-        seq = make_workload(400, seed=seed, machines=3)
-        sequential = DelegatingScheduler(3, AlignedReservationScheduler)
-        for r in seq:
-            sequential.apply(r)
-        sharded = DelegatingScheduler(3, AlignedReservationScheduler)
-        for batch in iter_batches(seq, batch_size):
-            result = sharded.apply_batch_sharded(batch)
-            assert not result.failed, result.failure
-            assert result.processed == len(batch)
-        assert_equivalent(sharded, sequential)
-        sharded.check_balance()
-
-
-def test_sharded_net_diff_matches_batched():
-    seq = list(make_workload(300, seed=5, machines=3))
-    batched = DelegatingScheduler(3, AlignedReservationScheduler)
-    sharded = DelegatingScheduler(3, AlignedReservationScheduler)
-    for r in seq[:200]:
-        batched.apply(r)
-        sharded.apply(r)
-    burst = Batch(seq[200:260])
-    rb = batched.apply_batch(burst)
-    rs = sharded.apply_batch_sharded(burst)
-    assert rs.net.rescheduled == rb.net.rescheduled
-    assert rs.net.migrated == rb.net.migrated
-    assert rs.net.kind == "batch"
-    assert [c for c in rs.costs] == [c for c in rb.costs]
-
-
-def test_machine_sub_batches_tracks_in_batch_migrations():
-    """A delete that migrates a job must route that job's later delete
-    to the machine it migrated to (the pre-plan-refactor code read the
-    live balancer and would answer with the stale machine)."""
-    sched = DelegatingScheduler(2, AlignedReservationScheduler)
-    w = Window(0, 64)
-    sched.insert(Job("a", w))   # machine 0
-    sched.insert(Job("b", w))   # machine 1
-    requests = [DeleteJob("a"), DeleteJob("b")]
-    # deleting a (m0): donor is machine (2-1)%2=1, so b migrates to m0;
-    # the subsequent delete of b must therefore go to machine 0
-    plan = sched.machine_sub_batches(Batch(requests))
-    assert requests[0] in plan[0]
-    assert requests[1] in plan[0]
-    result = sched.apply_batch_sharded(Batch(requests))
-    assert not result.failed
-    assert sched.jobs == {}
-
-
-def test_sharded_burst_rolls_back_wholesale():
-    """Sharded bursts are transactional: a failing request aborts every
-    shard and restores the exact pre-burst state; the scheduler stays
-    usable and future behavior matches one that never saw the burst."""
-    seq = make_workload(400, seed=9, machines=3)
-    prefix, inside, after = list(seq)[:200], list(seq)[200:260], list(seq)[260:]
-    sched = ReservationScheduler(3, gamma=8)
-    for r in prefix:
-        sched.apply(r)
-    pre_placements = dict(sched.placements)
-    pre_jobs = dict(sched.jobs)
-    pre_ledger = len(sched.ledger.entries)
-    pre_max_span = sched._max_span_cache
-
-    bad = inside + [insert("dup", 0, 64), insert("dup", 0, 64)]
-    result = sched.apply_batch_sharded(bad)
-    assert result.failed and result.rolled_back
-    assert result.processed == 0 and result.net is None
-    assert dict(sched.placements) == pre_placements
-    assert sched.jobs == pre_jobs
-    assert len(sched.ledger.entries) == pre_ledger
-    assert sched._max_span_cache == pre_max_span
-
-    reference = ReservationScheduler(3, gamma=8)
-    for r in prefix:
-        reference.apply(r)
-    for r in inside + after:
-        sched.apply(r)
-        reference.apply(r)
-    assert_equivalent(sched, reference)
-    sched.check_balance()
-
-
-def test_sharded_rejects_unsupported_schedulers():
-    from repro.baselines import EDFRebuildScheduler
-
-    # no per-machine decomposition at all
-    sched = AlignedReservationScheduler()
-    with pytest.raises(InvalidRequestError):
-        sched.apply_batch_sharded(list(make_workload(8))[:4])
-    # delegating, but subs cannot abort an atomic batch context
-    delegating = DelegatingScheduler(2, lambda: EDFRebuildScheduler(1))
-    assert not delegating.supports_sharded_batches()
-    with pytest.raises(InvalidRequestError):
-        delegating.apply_batch_sharded(list(make_workload(8))[:4])
-    # the session routes it through the normal failure policy: a bad
-    # cell fails gracefully (sweeps keep going) or raises on demand
-    result = Session(AlignedReservationScheduler(), make_workload(8),
-                     ExecutionPlan(backend="sharded", batch_size=4)).run()
-    assert result.failed and "sharded" in result.failure
-    assert result.requests_processed == 0
-    with pytest.raises(InvalidRequestError):
-        Session(AlignedReservationScheduler(), make_workload(8),
-                ExecutionPlan(backend="sharded", batch_size=4,
-                              stop_on_error=True)).run()
-
-
-def test_sharded_invalid_request_reports_without_mutation():
-    sched = DelegatingScheduler(2, AlignedReservationScheduler)
-    sched.insert(Job("x", Window(0, 64)))
-    result = sched.apply_batch_sharded([insert("x", 0, 64)])
-    assert result.failed and result.rolled_back
-    assert "InvalidRequestError" in result.failure
-    result = sched.apply_batch_sharded([DeleteJob("ghost")])
-    assert result.failed and result.rolled_back
-    assert sched.jobs.keys() == {"x"}
 
 
 # ----------------------------------------------------------------------
@@ -228,21 +99,22 @@ def test_resume_round_trip_matches_uninterrupted(tmp_path):
     trace = tmp_path / "run.jsonl"
 
     full_sched = ReservationScheduler(3, gamma=8)
-    full = run_engine(full_sched, seq, batch_size=64, backend="sharded",
-                      checkpoint_every=500)
+    full = run_engine(full_sched, seq, batch_size=64, backend="batched",
+                      atomic_batches=True, checkpoint_every=500)
 
     part_sched = ReservationScheduler(3, gamma=8)
-    partial = run_engine(part_sched, seq, batch_size=64, backend="sharded",
-                         checkpoint_every=500, trace_path=trace,
-                         stop_after=1000)
+    partial = run_engine(part_sched, seq, batch_size=64, backend="batched",
+                         atomic_batches=True, checkpoint_every=500,
+                         trace_path=trace, stop_after=1000)
     assert partial.interrupted and partial.requests_processed < len(seq)
     records = SessionTrace.read_records(trace)
     assert records[0]["type"] == "header"
     assert SessionTrace.final_record(records) is None  # killed mid-run
 
     res_sched = ReservationScheduler(3, gamma=8)
-    resumed = run_engine(res_sched, seq, batch_size=64, backend="sharded",
-                         checkpoint_every=500, trace_path=trace, resume=True)
+    resumed = run_engine(res_sched, seq, batch_size=64, backend="batched",
+                         atomic_batches=True, checkpoint_every=500,
+                         trace_path=trace, resume=True)
     assert resumed.resumed_from == partial.requests_processed
     assert resumed.requests_processed == len(seq)
     assert not resumed.interrupted
@@ -323,8 +195,9 @@ def test_sweep_resumes_per_cell(tmp_path):
 
 
 def test_sweep_survives_an_incompatible_cell(tmp_path):
-    """One scheduler that cannot run the chosen backend fails its cells
-    gracefully; the rest of the sweep still completes."""
+    """One scheduler that cannot run the chosen plan (atomic bursts on a
+    scheduler without rollback) fails its cells gracefully; the rest of
+    the sweep still completes."""
     from repro.baselines import EDFRebuildScheduler
 
     scenarios = {"a": make_workload(120, seed=1)}
@@ -333,10 +206,10 @@ def test_sweep_survives_an_incompatible_cell(tmp_path):
         "edf": lambda: EDFRebuildScheduler(1),
     }
     results = run_sweep(scenarios, factories, batch_size=32,
-                        backend="sharded")
+                        backend="batched", atomic_batches=True)
     assert not results[("a", "reservation")].failed
     bad = results[("a", "edf")]
-    assert bad.failed and "sharded" in bad.failure
+    assert bad.failed and "atomic" in bad.failure
     assert bad.requests_processed == 0
 
 

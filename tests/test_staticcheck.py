@@ -343,8 +343,7 @@ class TestPickleBoundary:
         assert codes(run(src, only="pickle-boundary")) == ["PKL002"]
 
     def test_scope_excludes_worker_infrastructure(self):
-        # procworkers itself lives in multimachine/, outside the
-        # shipped-state scope: its Locks/Pipes never cross the pipe
+        # multimachine/ lies outside the pickled-state scope
         src = """
         import threading
 
@@ -352,7 +351,7 @@ class TestPickleBoundary:
             def __init__(self) -> None:
                 self._lock = threading.Lock()
         """
-        assert codes(run(src, "multimachine/procworkers.py", only="pickle-boundary")) == []
+        assert codes(run(src, "multimachine/fixture.py", only="pickle-boundary")) == []
 
     def test_plain_attribute_assignments_pass(self):
         src = """
@@ -593,7 +592,7 @@ class TestExceptionFlow:
 
 
 # ---------------------------------------------------------------------------
-# state-boundary (SER001 / SER002)
+# state-boundary (SER001)
 # ---------------------------------------------------------------------------
 
 class TestStateBoundary:
@@ -672,44 +671,6 @@ class TestStateBoundary:
                 self._rebuild_hooks()
         """
         assert codes(run(src, only="state-boundary")) == []
-
-    def test_coordinator_mutation_without_leaving_process_mode_is_flagged(self):
-        src = """
-        class DelegatingScheduler:
-            def _leave_process_mode(self) -> None:
-                self._shard_pool = None
-
-            def rebalance(self, job) -> None:
-                self.machines[0].insert(job)
-        """
-        report = run(src, "multimachine/fixture.py", only="state-boundary")
-        assert codes(report) == ["SER002"]
-
-    def test_leaving_process_mode_first_passes(self):
-        src = """
-        class DelegatingScheduler:
-            def _leave_process_mode(self) -> None:
-                self._shard_pool = None
-
-            def rebalance(self, job) -> None:
-                self._leave_process_mode()
-                self.machines[0].insert(job)
-        """
-        assert codes(
-            run(src, "multimachine/fixture.py", only="state-boundary")) == []
-
-    def test_process_mode_rule_is_scoped_to_multimachine(self):
-        src = """
-        class DelegatingScheduler:
-            def _leave_process_mode(self) -> None:
-                self._shard_pool = None
-
-            def rebalance(self, job) -> None:
-                self.machines[0].insert(job)
-        """
-        # SER002 models the worker-pool split, which only exists in the
-        # delegation layer
-        assert "SER002" not in codes(run(src, only="state-boundary"))
 
 
 # ---------------------------------------------------------------------------

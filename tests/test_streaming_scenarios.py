@@ -72,11 +72,12 @@ def test_session_consumes_a_stream_directly():
     materialized = churn_storm_sequence(requests=n, seed=2, num_machines=3)
     ref_sched = ReservationScheduler(3, gamma=8)
     ref = run_engine(ref_sched, materialized, batch_size=64,
-                     backend="sharded")
+                     backend="batched", atomic_batches=True)
     sched = ReservationScheduler(3, gamma=8)
     result = run_engine(sched, iter_churn_storm(requests=n, seed=2,
                                                 num_machines=3),
-                        batch_size=64, backend="sharded")
+                        batch_size=64, backend="batched",
+                        atomic_batches=True)
     assert not result.failed
     assert result.requests_processed == n
     assert result.ledger_summary == ref.ledger_summary
