@@ -7,7 +7,9 @@ as the proof of Theorem 1 does:
    ``ALIGNED(W)`` (losing a factor <= 4 of slack, Lemma 10);
 2. **Delegate** (Section 3): the job is assigned to a machine by
    per-window round-robin (losing a factor 6, Lemma 3; at most one
-   migration per request);
+   migration per request). With one machine the round-robin is the
+   identity, so an m=1 facade drives its single-machine scheduler
+   directly and builds no delegation layer;
 3. **Reserve** (Section 4): each machine runs single-machine
    pecking-order scheduling with reservations, with windows trimmed to
    ``2 * gamma * n*`` (Lemma 9: ``O(min{log* n, log* Delta})``
@@ -37,6 +39,12 @@ from .window import Window
 
 class ReservationScheduler(ReallocatingScheduler):
     """Theorem 1: m-machine reallocating scheduler for unit jobs.
+
+    The facade aligns each job and costs each request; :attr:`inner`
+    does the rest. At m=1 that is the single-machine scheduler itself
+    (trimmed, deamortized or plain reservation); at m>1 it is a
+    :class:`~repro.multimachine.delegation.DelegatingScheduler` over m
+    of them.
 
     Parameters
     ----------
@@ -108,40 +116,43 @@ class ReservationScheduler(ReallocatingScheduler):
 
             def factory() -> ReallocatingScheduler:
                 return AlignedReservationScheduler(policy, journal=journal)
-        self.delegator = self._adopt(DelegatingScheduler(num_machines,
-                                                         factory))
+        #: the single-machine scheduler at m=1, else the delegation
+        #: layer over m of them; this facade costs every request
+        self.inner: ReallocatingScheduler = self._adopt(
+            factory() if num_machines == 1
+            else DelegatingScheduler(num_machines, factory))
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
-        return self.delegator.placements
+        return self.inner.placements
 
     def _apply_insert(self, job: Job) -> None:
-        self.delegator.insert(align_job(job))
-        self._merge_touched(self.delegator.last_touched)
+        self.inner.insert(align_job(job))
+        self._merge_touched(self.inner.last_touched)
 
     def _apply_delete(self, job: Job) -> None:
-        self.delegator.delete(job.id)
-        self._merge_touched(self.delegator.last_touched)
+        self.inner.delete(job.id)
+        self._merge_touched(self.inner.last_touched)
 
     # ------------------------------------------------------------------
     # batch lifecycle
     # ------------------------------------------------------------------
-    #: placements pass through the delegator, whose own abort restores
-    #: them — no batch touched log needed at this layer (unless top,
-    #: where the batch net diff still requires one)
+    #: placements pass through the inner scheduler, whose own abort
+    #: restores them — no batch touched log needed at this layer
+    #: (unless top, where the batch net diff still requires one)
     _batch_restore_needs_touched = False
 
     def supports_atomic_batches(self) -> bool:
-        return self.delegator.supports_atomic_batches()
+        return self.inner.supports_atomic_batches()
 
     def _flexible_insert_order_key(self) -> "Callable[[Job], Any] | None":
-        """The whole stack agrees on the delegation layer's order."""
-        return self.delegator._flexible_insert_order_key()
+        """The whole stack agrees on the inner scheduler's order."""
+        return self.inner._flexible_insert_order_key()
 
     def _flexible_size_hint(self, deletes: list[DeleteJob],
                             inserts: list[Job]) -> None:
-        """Pass the planned net size change down to the delegation."""
-        self.delegator._flexible_size_hint(deletes, inserts)
+        """Pass the planned net size change down to the inner scheduler."""
+        self.inner._flexible_size_hint(deletes, inserts)
 
     def _batch_prepare(self, inserts: list[Job], *,
                        flexible: bool = False) -> None:
@@ -149,11 +160,11 @@ class ReservationScheduler(ReallocatingScheduler):
 
         Alignment is a total pure function of the job, so aligning the
         whole burst up front is free of semantic risk; the aligned jobs
-        are what the delegator grouping must key on. ``ALIGNED(W)`` is
+        are what the delegation grouping must key on. ``ALIGNED(W)`` is
         computed once per *distinct window* (burst arrivals reuse a
         focus window heavily). A single machine has no plan to make.
         """
-        if self.delegator.num_machines == 1:
+        if self.num_machines == 1:
             return
         windows: dict[Window, Window] = {}
         aligned: list[Job] = []
@@ -163,31 +174,41 @@ class ReservationScheduler(ReallocatingScheduler):
             if win is None:
                 win = windows[window] = window.aligned_within()
             aligned.append(job.with_window(win))
-        self.delegator._batch_prepare(aligned, flexible=flexible)
+        self.inner._batch_prepare(aligned, flexible=flexible)
 
     def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
         super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
                              emit_touched=emit_touched)
-        self.delegator._batch_begin(atomic=atomic, ephemeral=ephemeral)
+        self.inner._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         super()._batch_commit()
-        self.delegator._batch_commit()
+        self.inner._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
-        self.delegator._batch_abort()
+        self.inner._batch_abort()
 
     # ------------------------------------------------------------------
     def check_balance(self) -> None:
-        """Assert the Section 3 per-window balance invariant."""
-        self.delegator.check_balance()
+        """Assert the Section 3 per-window balance invariant.
+
+        One machine is balanced by definition, so m=1 checks nothing.
+        """
+        inner = self.inner
+        if isinstance(inner, DelegatingScheduler):
+            inner.check_balance()
 
     def machine_schedulers(self) -> list[ReallocatingScheduler]:
         """The per-machine single-machine schedulers (diagnostics).
 
-        They are nested (adopted by the delegation layer): their ledgers
-        stay empty, their ``insert``/``delete``/``apply`` return None,
-        and ``apply_batch`` on one raises — drive this scheduler instead.
+        At m=1 that is :attr:`inner` itself; at m>1, the delegation
+        layer's machines. Either way they are nested (adopted by an
+        owning layer): their ledgers stay empty, their
+        ``insert``/``delete``/``apply`` return None, and ``apply_batch``
+        on one raises — drive this scheduler instead.
         """
-        return list(self.delegator.machines)
+        inner = self.inner
+        if isinstance(inner, DelegatingScheduler):
+            return list(inner.machines)
+        return [inner]

@@ -25,8 +25,10 @@ drives (:meth:`ReallocatingScheduler._adopt`), which marks it nested;
 a nested sparse layer publishes its touched log (``last_touched``) for
 its parent and builds no :class:`~repro.core.costs.RequestCost`, so an
 m=1 Theorem 1 stack allocates one cost entry per request instead of
-one per layer. The same mark decides batch costing: a nested layer's
-batch context is never the batch entry point (``ctx.top``).
+one per layer. Span tracking follows the ledger: a nested sparse layer
+keeps no span counts, since only the costed layer reads them. The same
+mark decides batch costing: a nested layer's batch context is never
+the batch entry point (``ctx.top``).
 
 Batch contract
 --------------
@@ -241,6 +243,8 @@ class ReallocatingScheduler(abc.ABC):
         #: one dict allocation per request at every layer of a stack.
         self._touched_spare: dict[JobId, Placement | None] | None = None
         #: span -> active-job count, for O(1) amortized max-span tracking
+        #: (kept only while this layer costs its requests: empty on a
+        #: nested sparse layer)
         self._span_counts: dict[int, int] = {}
         self._max_span_cache = 1
         #: open batch context (None outside apply_batch)
@@ -252,8 +256,9 @@ class ReallocatingScheduler(abc.ABC):
         Every owning layer calls this on each sub-scheduler it creates
         or is handed, and this layer then costs the sub's requests. The
         adopted scheduler becomes nested for good: as a sparse layer it
-        returns None from ``insert``/``delete`` and records no ledger,
-        and its batch contexts open with ``top=False``.
+        returns None from ``insert``/``delete``, records no ledger and
+        stops tracking spans, and its batch contexts open with
+        ``top=False``.
         """
         sub._nested = True
         return sub
@@ -340,8 +345,9 @@ class ReallocatingScheduler(abc.ABC):
 
         A nested sparse layer (one an owner adopted, see :meth:`_adopt`)
         suspends cost finalization and returns None; its parent reads
-        ``last_touched``. Dense layers always cost (parents read their
-        ``rescheduled`` set).
+        ``last_touched``. It keeps no span counts either: only the layer
+        that costs a request reads ``_max_span_cache``. Dense layers
+        always cost (parents read their ``rescheduled`` set).
         """
         if job.id in self.jobs:
             raise InvalidRequestError(f"job {job.id!r} already active")
@@ -361,7 +367,8 @@ class ReallocatingScheduler(abc.ABC):
                 ctx.merge_touched(touched)  # the abort must see these
             self._touched_recycle(touched)
             raise
-        self._span_add(job.span)
+        if costed:
+            self._span_add(job.span)
         # the batch-context calls are guarded inline: most layers of a
         # non-atomic batch keep neither a churn nor a touched log
         if ctx is not None and ctx.inserted is not None:
@@ -413,7 +420,8 @@ class ReallocatingScheduler(abc.ABC):
             self._touched_recycle(touched)
             raise
         del self.jobs[job_id]
-        self._span_remove(job.span)
+        if costed:
+            self._span_remove(job.span)
         if ctx is not None and ctx.deleted is not None:
             ctx.note_delete(job)
         if sparse:
@@ -812,12 +820,16 @@ class ReallocatingScheduler(abc.ABC):
         self._batch = None
         if ctx is None or not ctx.atomic:  # pragma: no cover - defensive
             raise InvalidRequestError("no atomic batch to abort")
+        # a nested sparse layer keeps no span counts (see insert)
+        spans = not (self._sparse_costing and self._nested)
         for job in ctx.inserted.values():
             del self.jobs[job.id]
-            self._span_remove(job.span)
+            if spans:
+                self._span_remove(job.span)
         for job in ctx.deleted.values():
             self.jobs[job.id] = job
-            self._span_add(job.span)
+            if spans:
+                self._span_add(job.span)
         del self.ledger.entries[ctx.ledger_len:]
         self.last_touched = None
         self._batch_restore(ctx)

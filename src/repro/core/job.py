@@ -62,7 +62,14 @@ class Job:
         return self.window.deadline
 
     def with_window(self, window: Window) -> "Job":
-        """Copy of this job with a replaced window (used by ALIGNED/trim)."""
+        """This job with a replaced window (used by ALIGNED/trim).
+
+        Returns ``self`` when ``window`` is the current window object:
+        jobs are frozen, so sharing one is safe, and an already-aligned
+        or untrimmed window allocates nothing.
+        """
+        if window is self.window:
+            return self
         return Job(self.id, window, self.size)
 
     def admissible_start(self, start: int) -> bool:

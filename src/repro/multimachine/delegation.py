@@ -337,9 +337,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         overshoot from the bound only widens trim spans, which is safe
         (see :meth:`TrimmedReservationScheduler._flexible_size_hint`).
         """
-        if self.num_machines == 1:
-            self.machines[0]._flexible_size_hint(deletes, inserts)
-            return
         per_machine: list[list[DeleteJob]] = [
             [] for _ in range(self.num_machines)
         ]
@@ -361,12 +358,9 @@ class DelegatingScheduler(ReallocatingScheduler):
         planned machine equals ``choose_insert_machine`` at apply time.
         A flexible batch's insert phase runs after its coalesced
         deletes with no deletes interleaved, so the same plan built
-        from the live (post-delete) counts is exact there too. A single
-        machine needs no plan: every insert lands on machine 0.
+        from the live (post-delete) counts is exact there too.
         """
         m = self.num_machines
-        if m == 1:
-            return
         groups: dict[Window, int] = {}
         for job in inserts:
             groups[job.window] = groups.get(job.window, 0) + 1

@@ -196,9 +196,12 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
             self._start_phase(self.n_star * 2)
 
     def _apply_delete(self, job: Job) -> None:
-        parity = self._home.pop(job.id)
+        parity = self._home[job.id]
         inner = self._inner(parity)
         inner.delete(job.id)
+        # only now: a delete that fails inside the inner rolls back with
+        # the job still active, so it must keep its home parity
+        del self._home[job.id]
         self._sync_inner(inner, parity, job.id)
         self._tick()
         active_after = len(self.jobs) - 1

@@ -146,7 +146,7 @@ def cost_counter(monkeypatch):
 
 
 def nested_ledgers(stack: ReservationScheduler) -> list:
-    ledgers = [stack.delegator.ledger]
+    ledgers = [stack.inner.ledger]
     for machine in stack.machine_schedulers():
         ledgers.append(machine.ledger)
         ledgers.append(machine.inner.ledger)
