@@ -219,9 +219,10 @@ COMMON_EXEMPT = (
 JOURNAL_CONTRACTS: dict[str, JournalContract] = {
     "Interval": JournalContract(
         attrs=INTERVAL_ATTRS,
-        # seed_lower is pre-publication setup on a fresh interval (no
-        # journal scope can observe it yet), like __init__
-        exempt=COMMON_EXEMPT + ("_swap_raw", "seed_lower"),
+        # materialize and seed_lower are pre-publication setup on a
+        # fresh interval (no journal scope can observe it yet), like
+        # __init__; the scheduler journals the publication itself
+        exempt=COMMON_EXEMPT + ("_swap_raw", "materialize", "seed_lower"),
     ),
     "AlignedReservationScheduler": JournalContract(
         attrs=SCHEDULER_ATTRS,

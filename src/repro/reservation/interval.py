@@ -67,17 +67,27 @@ rebuild or a deamortized phase end replaces is freed by reference
 counting the moment it is dropped, with no cyclic garbage left behind.
 
 Geometry. The enclosing-window ladder ``_windows`` and the span tuple
-``enclosing_spans`` are immutable per (level, index). The interval
-builds its ladder with the trusted
+``enclosing_spans`` are immutable per (level, index). The ladder is
+built on first read, with the trusted
 :func:`~repro.core.window.aligned_ladder` constructor instead of
-validated ``Window(...)`` calls, and the scheduler passes in one
+validated ``Window(...)`` calls; only validation and the derived
+Window-keyed views read it. The scheduler passes in one
 ``enclosing_spans`` tuple shared by every interval of a level.
+
+Materialization. The scheduler creates intervals with
+:meth:`Interval.materialize`, which writes a fresh interval's lowered
+set and baseline fulfillments down in one pass over the slot block
+(Observation 7 makes the baseline a pure function of the allowance).
+``Interval(...)`` followed by :meth:`seed_lower` and :meth:`rebalance`
+builds the same state slot by slot; it is the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..core.job import JobId
 from ..core.window import Window, aligned_ladder
@@ -101,6 +111,41 @@ class Interval:
     def __init__(self, *, level: int, index: int, lo: int, hi: int,
                  enclosing_spans: tuple[int, ...],
                  undo_log: list | None = None) -> None:
+        """An empty, unreconciled interval: no lowered slot, no assignment.
+
+        The scheduler never builds one this way (see :meth:`materialize`);
+        followed by :meth:`seed_lower` and :meth:`rebalance` it is the
+        oracle the one-pass materializer is tested against.
+        """
+        self._init_fixed(level, index, lo, hi, enclosing_spans, undo_log)
+        span = hi - lo
+        npos = len(enclosing_spans)
+        #: per-slot lower-occupied bits (index = slot - lo)
+        self._lower = bytearray(span)
+        #: popcount of ``_lower`` (allowance size = span - _n_lower)
+        self._n_lower = 0
+        #: assigned slot set per ladder position
+        self._aslots: list[set[int]] = [set() for _ in range(npos)]
+        #: assigned slot count per ladder position (len of _aslots entry)
+        self._counts = [0] * npos
+        #: per-slot owner ladder position (-1 = unowned; index = slot - lo)
+        self._owner = [-1] * span
+        #: sorted free allowance slots (in allowance, backing nothing)
+        self._free = list(range(lo, hi))
+        #: memoized positional fulfillment target + validity flag
+        self._tlist = [0] * npos
+        self._tvalid = False
+        #: ``_dirty_all`` widens the next reconciliation to every
+        #: position (target memo invalidated)
+        self._dirty_all = True
+        #: True when a mutation since the last rebalance may have
+        #: unbalanced the assignment (fresh intervals start unreconciled)
+        self._stale = True
+
+    def _init_fixed(self, level: int, index: int, lo: int, hi: int,
+                    enclosing_spans: tuple[int, ...],
+                    undo_log: list | None) -> None:
+        """Geometry and the state every new interval starts with alike."""
         self.level = level
         self.index = index
         self.lo = lo
@@ -113,45 +158,87 @@ class Interval:
         #: when set (by the scheduler, per request), every mutation appends
         #: its inverse here — replayed in reverse to roll back a failure
         self.undo_log = undo_log
-        span = hi - lo
         npos = len(enclosing_spans)
-        #: enclosing-window tuple, one per ladder position (immutable)
-        self._windows: tuple[Window, ...] = aligned_ladder(
-            lo, enclosing_spans)
-        #: per-slot lower-occupied bits (index = slot - lo)
-        self._lower = bytearray(span)
-        #: popcount of ``_lower`` (allowance size = span - _n_lower)
-        self._n_lower = 0
         #: dynamic reservation count per ladder position
         self._dyn = [0] * npos
         #: running sum of ``_dyn`` (slack test input)
         self._dyn_total = 0
-        #: assigned slot set per ladder position
-        self._aslots: list[set[int]] = [set() for _ in range(npos)]
-        #: assigned slot count per ladder position (len of _aslots entry)
-        self._counts = [0] * npos
-        #: per-slot owner ladder position (-1 = unowned; index = slot - lo)
-        self._owner = [-1] * span
         #: owning scheduler's WindowState per ladder position (None when
         #: the window is inactive); maintained by the scheduler
         self._ws: list[WindowState | None] = [None] * npos
-        #: sorted free allowance slots (in allowance, backing nothing)
-        self._free = list(range(lo, hi))
-        #: memoized positional fulfillment target + validity flag
-        self._tlist = [0] * npos
-        self._tvalid = False
         #: ladder positions whose counts may diverge from the target
-        #: since the last rebalance; ``_dirty_all`` widens the next
-        #: reconciliation to every position (target memo invalidated)
+        #: since the last rebalance
         self._dirty: set[int] = set()
-        self._dirty_all = True
-        #: True when a mutation since the last rebalance may have
-        #: unbalanced the assignment (fresh intervals start unreconciled)
-        self._stale = True
+
+    @classmethod
+    def materialize(cls, *, level: int, index: int, lo: int, hi: int,
+                    enclosing_spans: tuple[int, ...],
+                    slot_job: Mapping[int, JobId],
+                    job_levels: Mapping[JobId, int]) -> Interval:
+        """A fresh interval, reconciled against the current occupancy.
+
+        One pass over the slot block sorts each slot into lowered (its
+        occupant's level is below ``level``), empty, or covered (any
+        other occupant). With no dynamic reservation yet, the target is
+        one baseline slot for each of the first ``k = min(npos,
+        allowance)`` ladder positions (Observation 7), and position
+        ``p`` gets the ``p``-th slot of the empty slots followed by the
+        covered ones, each ascending — the pool order of
+        :meth:`rebalance`'s top-up phase. The result equals
+        ``Interval(...)`` + :meth:`seed_lower` + :meth:`rebalance` field
+        for field, without a per-slot assignment. No assignment hook is
+        fired and nothing is journaled: the caller publishes the
+        interval before any window state can point at it.
+        """
+        iv = cls.__new__(cls)
+        iv._init_fixed(level, index, lo, hi, enclosing_spans, None)
+        span = hi - lo
+        npos = len(enclosing_spans)
+        lower = bytearray(span)
+        empties: list[int] = []
+        covered: list[int] = []
+        # the occupied slots are few: classify those, and splice the
+        # empty runs between them in as whole ranges
+        prev = lo
+        for s in sorted(slot_job.keys() & range(lo, hi)):
+            empties += range(prev, s)
+            prev = s + 1
+            if job_levels[slot_job[s]] < level:
+                lower[s - lo] = 1
+            else:
+                covered.append(s)
+        empties += range(prev, hi)
+        # rebalance's top-up order: empty slots first, then covered ones
+        ranked = empties + covered
+        allowance = len(ranked)
+        k = min(npos, allowance)
+        pool = ranked[:k]
+        free = sorted(ranked[k:])
+        owner = [-1] * span
+        for pos, s in enumerate(pool):
+            owner[s - lo] = pos
+        counts = [1] * k + [0] * (npos - k)
+        iv._lower = lower
+        iv._n_lower = span - allowance
+        iv._aslots = [{s} for s in pool] + [set() for _ in range(npos - k)]
+        iv._counts = counts
+        iv._owner = owner
+        iv._free = free
+        iv._tlist = counts.copy()
+        iv._tvalid = True
+        iv._dirty_all = False
+        iv._stale = False
+        return iv
 
     # ------------------------------------------------------------------
     # geometry / demand
     # ------------------------------------------------------------------
+    @cached_property
+    def _windows(self) -> tuple[Window, ...]:
+        """Enclosing-window tuple, one per ladder position (built on
+        first read: only validation and the derived views need it)."""
+        return aligned_ladder(self.lo, self.enclosing_spans)
+
     @property
     def span(self) -> int:
         return self.hi - self.lo

@@ -33,8 +33,10 @@ Deviations from the paper's prose (documented per DESIGN.md):
   preferences: truly empty slots before slots under higher-level jobs,
   then lowest slot number; smallest adequate victim span. These only
   improve constants.
-- Intervals materialize lazily (scanning current occupancy on
-  creation), so no time horizon needs declaring up front.
+- Intervals materialize lazily, when a window first needs them, so
+  no time horizon needs declaring up front. One pass over the block's
+  current occupancy sets the lowered slots and the baseline
+  fulfillments (:meth:`~repro.reservation.interval.Interval.materialize`).
 
 Fast path: PLACE and MOVE consult per-window backed-slot indexes
 (:class:`~repro.reservation.window_state.WindowState` ``backed_empty`` /
@@ -86,10 +88,9 @@ The interval mutators that fire the assignment hooks (``rebalance``,
 ``slot_lowered``, ``swap_slots``) receive the scheduler as an argument,
 so a scheduler that its owner replaces (a trimming rebuild, a
 deamortized phase end, an atomic batch's commit or abort) is freed by
-reference counting as soon as it is dropped. Fresh intervals build
-their enclosing-window ladders with the trusted
-:func:`~repro.core.window.aligned_ladder` constructor, so the intervals
-a rebuild re-materializes construct no validated ``Window`` objects.
+reference counting as soon as it is dropped. Intervals build their
+enclosing-window ladders only when validation first reads them, so the
+intervals a rebuild re-materializes construct no ``Window`` objects.
 
 The scheduler requires *aligned* windows and sufficient underallocation
 (Lemma 8 needs 8-underallocation); when slack runs out it raises
@@ -746,12 +747,11 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def _make_window_state(self, window: Window, level: int) -> WindowState:
         """Create (and journal) the window state, seeding its indexes.
 
-        Materializes every interval of the window first (establishing
-        their baseline fulfillments, as the seed's PLACE scan did
+        Materializes the window's missing intervals first (each with
+        its baseline fulfillments, as the seed's PLACE scan established
         implicitly), then seeds the backed indexes from the live
         assignments. The window state is published only afterwards, so
-        the materialization rebalances cannot double-count through the
-        assignment hooks.
+        no interval is ever materialized under a published window.
         """
         states = self.window_states[level]
         self._jdict(states, window)
@@ -762,10 +762,13 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         slot_job = self.slot_job
         backed_empty_add = ws.backed_empty.add
         backed_covered_add = ws.backed_covered.add
+        table = self.intervals[level]
         member_ivs = []
         pos = -1
         for idx in ws.interval_ids:
-            iv = self._interval(level, idx)
+            iv = table.get(idx)
+            if iv is None:
+                iv = self._materialize_interval(level, idx)
             member_ivs.append(iv)
             if pos < 0:
                 pos = iv._pos(window)
@@ -776,9 +779,8 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 elif levels[occ] != level:
                     backed_covered_add(s)
         ws.ladder_pos = pos
-        # Publish the ladder-cache references only after seeding: the
-        # materialization rebalances above ran with _ws[pos] still None,
-        # so their assignment hooks could not double-count.
+        # Publish the ladder-cache references only after seeding, so
+        # the seeding above is the only thing that fills the indexes.
         for iv in member_ivs:
             self._jws_slot(iv, pos)
             iv._ws[pos] = ws
@@ -797,9 +799,10 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         ws.jobs.add(job_id)
         # Invariant 5: two new dynamic reservations, round-robin targets.
         base_index = ws.interval_ids.start
+        table = self.intervals[level]
         emit = self.tracer.emit
         for pos, delta in rr_diff(x_old, ws.x, ws.n_intervals).items():
-            iv = self._interval(level, base_index + pos)
+            iv = table[base_index + pos]
             if iv.undo_log is None:  # inlined _jtouch first-touch guard
                 self._jtouch(iv)
             iv.add_dynamic(window, delta)
@@ -814,8 +817,9 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         self._jwindow_state(ws)
         ws.jobs.discard(job_id)
         base_index = ws.interval_ids.start
+        table = self.intervals[level]
         for pos, delta in rr_diff(x_old, ws.x, ws.n_intervals).items():
-            iv = self._interval(level, base_index + pos)
+            iv = table[base_index + pos]
             if iv.undo_log is None:  # inlined _jtouch first-touch guard
                 self._jtouch(iv)
             iv.add_dynamic(window, delta)
@@ -826,7 +830,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             del states[window]
             # Drop the ladder-cache references (journaled per entry:
             # _ws lists restore through plain OP_SET replay on abort)
-            table = self.intervals[level]
             pos = ws.ladder_pos
             for idx in ws.interval_ids:
                 iv = table.get(idx)
@@ -1059,43 +1062,30 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _interval(self, level: int, index: int) -> Interval:
-        """Materialize (or fetch) a level-``level`` interval."""
-        table = self.intervals[level]
-        iv = table.get(index)
-        if iv is not None:
-            return iv
+    def _materialize_interval(self, level: int, index: int) -> Interval:
+        """Create, journal and publish a fresh level-``level`` interval.
+
+        Only :meth:`_make_window_state` reaches this, before it
+        publishes its window, and an interval leaves its table only by
+        the rollback that also unpublishes that window. So no published
+        window state covers a fresh interval: its ``_ws`` cache starts
+        all-None, and :meth:`Interval.materialize` writes the baseline
+        fulfillments down in one pass with no hook to fire.
+        """
         span = self.policy.interval_span(level)
-        iv = Interval(
+        iv = Interval.materialize(
             level=level, index=index,
             lo=index * span, hi=(index + 1) * span,
             enclosing_spans=self._enc_spans[level],
+            slot_job=self.slot_job, job_levels=self._job_levels,
         )
-        slot_job = self.slot_job
-        levels = self._job_levels
-        lowered = [s for s in iv.slots()
-                   if (occ := slot_job.get(s)) is not None
-                   and levels[occ] < level]
-        if lowered:
-            iv.seed_lower(lowered)
-        # Seed the ladder cache from the already-published window states
-        # (fresh intervals start with every _ws entry None).
-        states = self.window_states[level]
-        if states:
-            ws_list = iv._ws
-            for pos, w in enumerate(iv._windows):
-                ws_list[pos] = states.get(w)
+        table = self.intervals[level]
         journal = self._journal
         if journal is not None:
             journal.append((OP_POP, table, index))
         elif self._abatch is not None and self._abatch.track:
             self._abatch.created.append((table, index))
         table[index] = iv
-        # Establish baseline fulfillments; a fresh interval has no
-        # assignments, so nothing can be revoked.
-        revoked = iv.rebalance(self._level_probes[level], self._empty_at, self)
-        if revoked:  # pragma: no cover - impossible on a fresh interval
-            raise AssertionError("fresh interval revoked jobs")
         return iv
 
     def _make_level_probe(self, level: int) -> Callable[[int], JobId | None]:

@@ -28,8 +28,8 @@ abort discards wholesale.
 
 A rebuild allocates only what the new schedule needs. The outgoing
 inner is freed by reference counting when it is dropped (intervals hold
-no scheduler reference), and the fresh inner's intervals build their
-window ladders with a trusted constructor. The inner is
+no scheduler reference), and the fresh inner materializes each
+interval in one pass, building no window ladder. The inner is
 *nested*: it publishes its touched log and records no costs, since
 this layer (or the layer above it) costs each request once.
 """

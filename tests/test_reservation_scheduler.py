@@ -16,9 +16,14 @@ from repro.core import (
     verify_schedule,
 )
 from repro.core.requests import InsertJob
+from repro.core.window import aligned_ladder
 from repro.levels import PAPER_POLICY
 from repro.reservation import AlignedReservationScheduler, validate_scheduler
+from repro.reservation.deamortized import DeamortizedReservationScheduler
+from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
+
+from test_reservation_units import oracle_interval
 
 
 def checked(sched):
@@ -340,3 +345,42 @@ class TestHistoryIndependence:
         assert shared
         for key in shared:
             assert f1[key] == f2[key]
+
+
+@pytest.mark.parametrize("stack", ["trimmed", "deamortized"])
+def test_materializations_match_oracle_and_see_no_published_window(
+        stack, monkeypatch):
+    """Every interval a run materializes equals the slot-by-slot oracle
+    built from the live occupancy, and no published window state covers
+    it yet — so skipping the ladder-cache seeding and the assignment
+    hooks loses nothing."""
+    materialize = AlignedReservationScheduler._materialize_interval
+    seen = []
+
+    def checked_materialize(self, level, index):
+        span = PAPER_POLICY.interval_span(level)
+        ladder = aligned_ladder(index * span, self._enc_spans[level])
+        states = self.window_states[level]
+        assert not any(w in states for w in ladder), (level, index)
+        oracle = oracle_interval(level, index, dict(self.slot_job),
+                                 dict(self._job_levels))
+        iv = materialize(self, level, index)
+        assert {k: v for k, v in vars(iv).items() if k != "_windows"} == {
+            k: v for k, v in vars(oracle).items() if k != "_windows"}
+        seen.append(level)
+        return iv
+
+    monkeypatch.setattr(AlignedReservationScheduler, "_materialize_interval",
+                        checked_materialize)
+    if stack == "trimmed":
+        sched = TrimmedReservationScheduler(gamma=8)
+        gamma = 8
+    else:
+        sched = DeamortizedReservationScheduler(min_n_star=4)
+        gamma = 16
+    cfg = AlignedWorkloadConfig(
+        num_requests=600, gamma=gamma, horizon=1 << 11, max_span=1 << 11,
+        min_span=2, delete_fraction=0.35)
+    for req in random_aligned_sequence(cfg, seed=5):
+        sched.apply(req)
+    assert set(seen) == {1, 2}

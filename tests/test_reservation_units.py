@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.window import Window, aligned_window_covering
+from repro.core.window import Window, aligned_ladder, aligned_window_covering
 from repro.levels import PAPER_POLICY
 from repro.reservation.interval import Interval
 from repro.reservation.window_state import (
@@ -219,3 +219,126 @@ class TestInterval:
         wl = iv.waitlisted()
         assert wl[w64] == 101 - 32  # top priority takes full allowance
         assert sum(iv.target_fulfilled().values()) == 32
+
+
+# ----------------------------------------------------------------------
+# one-pass materialization vs the incremental oracle
+# ----------------------------------------------------------------------
+def occupy(level, index, occupancy):
+    """(slot_job, job_levels) with ``occupancy[offset]`` the level of
+    the job on slot ``lo + offset`` (None: empty). Jobs just outside
+    the block are added too; materialization must ignore them."""
+    span = PAPER_POLICY.interval_span(level)
+    lo = index * span
+    slot_job, job_levels = {}, {}
+    cells = dict(occupancy)
+    cells.setdefault(-1, 0)
+    cells.setdefault(span, level + 1)
+    for offset, job_level in cells.items():
+        if job_level is not None and lo + offset >= 0:
+            slot_job[lo + offset] = f"j{lo + offset}"
+            job_levels[f"j{lo + offset}"] = job_level
+    return slot_job, job_levels
+
+
+def oracle_interval(level, index, slot_job, job_levels):
+    """``Interval(...)`` + ``seed_lower`` + ``rebalance``: the
+    slot-by-slot materialization the one-pass path replaces."""
+    iv = make_interval(level, index)
+    lowered = [s for s in iv.slots()
+               if s in slot_job and job_levels[slot_job[s]] < level]
+    if lowered:
+        iv.seed_lower(lowered)
+
+    def probe(s):
+        occ = slot_job.get(s)
+        return occ if occ is not None and job_levels[occ] == level else None
+
+    assert iv.rebalance(probe, lambda s: s not in slot_job) == []
+    return iv
+
+
+def assert_materialize_matches_oracle(level, index, occupancy):
+    slot_job, job_levels = occupy(level, index, occupancy)
+    span = PAPER_POLICY.interval_span(level)
+    spans = tuple(PAPER_POLICY.enclosing_spans(level))
+    fast = Interval.materialize(
+        level=level, index=index, lo=index * span, hi=(index + 1) * span,
+        enclosing_spans=spans, slot_job=slot_job, job_levels=job_levels)
+    oracle = oracle_interval(level, index, slot_job, job_levels)
+    assert "_windows" not in vars(fast), "the ladder must be built lazily"
+    for name in ("_lower", "_n_lower", "_free", "_owner", "_aslots",
+                 "_counts", "_stale", "_ws"):
+        assert getattr(fast, name) == getattr(oracle, name), name
+    assert fast._target_list() == oracle._target_list()
+    # every other field too, memo flags included
+    state = {k: v for k, v in vars(fast).items() if k != "_windows"}
+    assert state == {k: v for k, v in vars(oracle).items()
+                     if k != "_windows"}
+    assert fast._windows == aligned_ladder(fast.lo, spans)
+    assert fast._windows == oracle._windows
+    return fast
+
+
+#: an occupant level per slot offset (None: empty)
+_OCCUPANT = st.one_of(st.none(), st.integers(0, 3))
+
+
+@st.composite
+def occupied_blocks(draw):
+    """(level, index, occupancy): a fill level for the whole block
+    (empty, lowered, or covered by a higher-level job) with random
+    per-slot overrides, so sparse, dense and mixed blocks all occur."""
+    level = draw(st.sampled_from([1, 2]))
+    span = PAPER_POLICY.interval_span(level)
+    index = draw(st.integers(0, 3))
+    fill = draw(st.sampled_from([None, 0, level + 1]))
+    overrides = draw(st.dictionaries(st.integers(0, span - 1), _OCCUPANT,
+                                     max_size=64))
+    occupancy = {offset: fill for offset in range(span)}
+    occupancy.update(overrides)
+    return level, index, occupancy
+
+
+class TestMaterialize:
+    @given(occupied_blocks())
+    def test_matches_incremental_oracle(self, block):
+        assert_materialize_matches_oracle(*block)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_empty_block(self, level):
+        iv = assert_materialize_matches_oracle(level, 1, {})
+        npos = len(PAPER_POLICY.enclosing_spans(level))
+        assert iv._counts == [1] * npos
+        assert iv._free == list(range(iv.lo + npos, iv.hi))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_lowered_slots_leave_the_allowance(self, level):
+        iv = assert_materialize_matches_oracle(
+            level, 2, {0: 0, 1: 0, 5: level - 1})
+        assert iv._n_lower == 3
+        assert [s - iv.lo for s in iv._free][:1] == [
+            len(iv.enclosing_spans) + 3]
+
+    def test_empty_slots_back_the_baseline_before_covered_ones(self):
+        # slots 0-2 sit under level-2 jobs; slots 3.. are empty
+        iv = assert_materialize_matches_oracle(1, 0, {0: 2, 1: 2, 2: 2})
+        assert [sorted(s) for s in iv._aslots] == [[3], [4], [5]]
+        assert iv._free[:3] == [0, 1, 2]
+
+    def test_covered_slots_fill_in_when_empties_run_out(self):
+        # one empty slot, two covered ones, the rest lowered
+        occupancy = {offset: 0 for offset in range(32)}
+        occupancy.update({4: 2, 9: None, 20: 2})
+        iv = assert_materialize_matches_oracle(1, 0, occupancy)
+        assert [sorted(s) for s in iv._aslots] == [[9], [4], [20]]
+        assert iv._free == []
+
+    @pytest.mark.parametrize("holes", [0, 1, 2])
+    def test_allowance_below_ladder_length(self, holes):
+        # a level-1 block with 32 - holes of its 32 slots lowered: only
+        # the first `holes` ladder positions get a baseline slot
+        occupancy = {offset: 0 for offset in range(32 - holes)}
+        iv = assert_materialize_matches_oracle(1, 3, occupancy)
+        assert iv._counts == [1] * holes + [0] * (3 - holes)
+        assert iv._target_list() == iv._counts and not iv._stale
