@@ -20,22 +20,18 @@ reconstruction is exempt from checking) and cost
 one attribute read plus one set probe per mutation — an oracle mode,
 not a production default.
 
-What is checked, by container:
+What is checked: every open scope, a request's or a batch's, is
+checked the same way. A mutation inside it is legal when the open
+journal holds the ``(id(dict), key)`` first-touch token for that key,
+or, for the placement maps (``_placements`` / ``job_slot``, keyed by
+job; ``slot_job``, keyed by slot, with the job taken from the value
+written or the current occupant on delete), when the job is in the
+live touched log: the rollback rewinds those three maps from it.
+``_job_levels`` and the ``window_states[lv]`` tables need the token.
 
-- ``_placements`` / ``job_slot`` (*job*-keyed): request scope requires
-  the ``(id(dict), key)`` first-touch token in the open journal's seen
-  set; atomic-batch scope requires the job in the batch touched log
-  (``_batch_restore`` rewinds placements from exactly that log).
-- ``slot_job`` (*slot*-keyed): same, with the job identity taken from
-  the value being written (or the current occupant on delete).
-- ``_job_levels``: request scope as above; atomic scope is always
-  legal because ``_batch_restore`` rebuilds the level map wholesale.
-- ``window_states[lv]`` tables: request scope as above; atomic scope
-  requires the table's shallow snapshot (``_jstates_dict``).
-
-Mutations outside any scope — construction, ``_batch_restore`` itself
-(the batch log is detached before restoring), journal-free ephemeral
-rebuilds — are always legal.
+Mutations outside any scope — construction, an atomic abort's restore
+(the scope is left before replaying), journal-free rebuilds and
+ephemeral inners — are always legal.
 """
 
 from __future__ import annotations
@@ -73,27 +69,13 @@ class UnjournaledMutationError(RuntimeError):
     """
 
 
-def _touched_covers(owner: Any, job_id: Any) -> bool:
-    """Is ``job_id`` in the live or batch-level touched log?"""
-    if job_id is None:
-        return False
-    touched = getattr(owner, "_touched", None)
-    if touched is not None and job_id in touched:
-        return True
-    batch = getattr(owner, "_batch", None)
-    if batch is not None:
-        batch_touched = batch.touched
-        if batch_touched is not None and job_id in batch_touched:
-            return True
-    return False
-
-
 class SanitizedDict(dict):
     """A journaled container that verifies its own journal coverage.
 
-    ``kind`` selects the atomic-scope discipline (see the module
-    docstring); ``owner`` is the scheduler whose journal state is
-    consulted. The guard only arms once ``_owner`` is set — pickle
+    ``kind`` (``"job"``, ``"slot"``, ``"levels"`` or ``"states"``)
+    says whether touched-log coverage applies and where the job id
+    comes from (see the module docstring); ``owner`` is the scheduler
+    whose journal state is consulted. The guard only arms once ``_owner`` is set — pickle
     restores items before instance state, so reconstruction mutations
     pass — and every owner probe is a defensive ``getattr``, so a
     half-reconstructed owner (deepcopy memo cycles) never trips it.
@@ -123,41 +105,20 @@ class SanitizedDict(dict):
         owner = getattr(self, "_owner", None)
         if owner is None:
             return  # unarmed: construction / pickle reconstruction
-        if getattr(owner, "_journal", None) is not None:
-            if (id(self), key) in owner._jseen:
+        if getattr(owner, "_journal", None) is None:
+            return  # no open scope
+        if (id(self), key) in owner._jseen:
+            return
+        # The rollback rewinds the three placement maps from the live
+        # touched log, so live-touched coverage is as good as a journal
+        # entry for the job/slot kinds.
+        if self._kind in ("job", "slot") and job_id is not None:
+            touched = getattr(owner, "_touched", None)
+            if touched is not None and job_id in touched:
                 return
-            # Placement-map diet: the failed-request rollback rewinds
-            # the three placement maps from the *live* touched log (not
-            # the batch-level one — that only rewinds on batch abort),
-            # so live-touched coverage is as good as a journal entry
-            # for the job/slot kinds.
-            if self._kind in ("job", "slot") and job_id is not None:
-                touched = getattr(owner, "_touched", None)
-                if touched is not None and job_id in touched:
-                    return
-            self._report(
-                key, "the per-request journal holds no first-touch "
-                     "token for this key and the live touched log does "
-                     "not cover it")
-            return
-        abatch = getattr(owner, "_abatch", None)
-        if abatch is None or not abatch.track:
-            return  # no open scope (or an ephemeral, untracked batch)
-        kind = self._kind
-        if kind == "levels":
-            return  # _batch_restore rebuilds the level map wholesale
-        if kind == "states":
-            if id(self) in abatch.seen:
-                return
-            self._report(
-                key, "the atomic batch holds no shallow snapshot of "
-                     "this window-state table")
-            return
-        if _touched_covers(owner, job_id):
-            return
         self._report(
-            key, f"job {job_id!r} is not in the batch touched log, so "
-                 "the atomic rewind would miss it")
+            key, "the open journal holds no first-touch token for this "
+                 "key and the live touched log does not cover it")
 
     def _guard_set(self, key: Any, value: Any) -> None:
         if getattr(self, "_owner", None) is None:

@@ -142,10 +142,10 @@ def _iter_mutations(
 
 
 #: attribute reads that acknowledge the journal (appending an inverse)
-ACK_ATTRS = frozenset({"undo_log", "_journal", "_abatch"})
+ACK_ATTRS = frozenset({"undo_log", "_journal"})
 #: helper calls that acknowledge the journal (first-touch capture)
 ACK_CALLS = frozenset({
-    "_jdict", "_jtouch", "_jwindow_state", "_jstates_dict",
+    "_jdict", "_jtouch", "_jwindow_state",
     "_journal_acquire", "_set_placement", "_clear_placement",
     "_log_touch",
 })
@@ -227,7 +227,7 @@ JOURNAL_CONTRACTS: dict[str, JournalContract] = {
     "AlignedReservationScheduler": JournalContract(
         attrs=SCHEDULER_ATTRS,
         exempt=COMMON_EXEMPT + (
-            "_batch_restore", "_rollback", "_release_batch_log",
+            "_batch_restore", "_rollback",
             "_journal_acquire", "_journal_release",
         ),
     ),

@@ -63,8 +63,7 @@ _EXC_ACK_CALLS = frozenset(ACK_CALLS - {"_journal_acquire"})
 
 #: handler calls that tear the journal down without applying it
 _TEARDOWN_CALLS = frozenset({
-    "truncate", "_journal_release", "_release_batch_log",
-    "commit_txn", "_batch_commit",
+    "truncate", "_journal_release", "commit_txn", "_batch_commit",
 })
 
 #: handler calls that replay/apply the journal (legal teardown prefix)
@@ -150,8 +149,8 @@ def _ack_lines(method: ast.AST) -> set[int]:
 
     A first-touch helper call (``_jdict`` & co, minus the scope-opening
     ``_journal_acquire``) or a mutating call on an ``undo_log`` /
-    ``_journal`` / ``_abatch`` receiver (alias-aware: the interval
-    mutators bind ``undo_log = self.undo_log`` before appending).
+    ``_journal`` receiver (alias-aware: the interval mutators bind
+    ``undo_log = self.undo_log`` before appending).
     """
     aliases = _collect_aliases(method, ACK_ATTRS)
     lines: set[int] = set()

@@ -49,10 +49,9 @@ What the batch amortizes is bookkeeping, not semantics:
 - layers below the batch entry point suspend their own per-request cost
   finalization (diff + ledger record) — wrappers consume the raw
   touched logs instead;
-- with ``atomic=True``, rollback switches from the per-request undo
-  journal to batch-scoped snapshot-on-first-touch: a mid-batch failure
-  restores the exact pre-batch state (all-or-nothing), and successful
-  batches skip the per-mutation journal entirely.
+- with ``atomic=True``, one undo-journal scope spans the burst instead
+  of one per request: a mid-batch failure restores the exact pre-batch
+  state (all-or-nothing).
 
 Failure semantics: non-atomic batches stop at the first failing
 request, roll that request back (per-request journal, as sequential
@@ -501,28 +500,28 @@ class ReallocatingScheduler(abc.ABC):
         if semantics == "flexible":
             plan = self._plan_flexible(batch)
             if plan is not None:
-                deletes, inserts, elided = plan
-                return self._apply_batch_flexible(
-                    batch, atomic=atomic, deletes=deletes,
-                    inserts=inserts, elided=elided,
-                )
+                return self._run_batch(batch, atomic, self._drive_flexible,
+                                       *plan)
             # Protocol-invalid op streams degrade to strict application,
             # which reports the error at its arrival position.
+        return self._run_batch(batch, atomic, self._drive_strict)
+
+    def _run_batch(self, batch: Batch, atomic: bool,
+                   drive: Callable[..., tuple], *plan: Any) -> BatchResult:
+        """Open a batch context, run ``drive(batch, *plan)``, close it.
+
+        ``drive`` applies the requests and returns ``(applied, costs,
+        error, failed_index)``: the costs in the order the requests
+        ran, the costs as the batch commits them, and the first
+        :class:`ReproError` with its arrival index. An atomic failure
+        aborts and reports ``applied``; otherwise the batch commits
+        with one net diff over whatever was applied. Any other
+        exception aborts an atomic batch (commits a non-atomic one)
+        and propagates.
+        """
         self._batch_begin(atomic=atomic)
-        costs: list[RequestCost] = []
-        error: ReproError | None = None
-        failed_index: int | None = None
         try:
-            self._batch_prepare(batch.insert_jobs)
-            for i, request in enumerate(batch):
-                try:
-                    if isinstance(request, InsertJob):
-                        costs.append(self.insert(request.job))
-                    else:
-                        costs.append(self.delete(request.job_id))
-                except ReproError as exc:
-                    error, failed_index = exc, i
-                    break
+            applied, costs, error, failed_index = drive(batch, *plan)
         except BaseException:
             # Unexpected failure: restore what we can, then propagate.
             if atomic:
@@ -530,12 +529,12 @@ class ReallocatingScheduler(abc.ABC):
             else:
                 self._batch_commit()
             raise
+        failure = None if error is None else f"{type(error).__name__}: {error}"
         if error is not None and atomic:
             self._batch_abort()
             return BatchResult(
-                costs=costs, net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=failed_index,
-                failure=f"{type(error).__name__}: {error}",
+                costs=applied, net=None, size=len(batch), atomic=True,
+                failed=True, failed_index=failed_index, failure=failure,
                 rolled_back=True, error=error,
             )
         # Net diff over whatever committed — on a non-atomic failure the
@@ -558,10 +557,22 @@ class ReallocatingScheduler(abc.ABC):
         return BatchResult(
             costs=costs, net=net, size=len(batch), atomic=atomic,
             failed=error is not None, failed_index=failed_index,
-            failure=(None if error is None
-                     else f"{type(error).__name__}: {error}"),
-            error=error,
+            failure=failure, error=error,
         )
+
+    def _drive_strict(self, batch: Batch) -> tuple:
+        """Apply a strict batch in arrival order (see :meth:`_run_batch`)."""
+        costs: list[RequestCost] = []
+        self._batch_prepare(batch.insert_jobs)
+        for i, request in enumerate(batch):
+            try:
+                if isinstance(request, InsertJob):
+                    costs.append(self.insert(request.job))
+                else:
+                    costs.append(self.delete(request.job_id))
+            except ReproError as exc:
+                return costs, costs, exc, i
+        return costs, costs, None, None
 
     # ------------------------------------------------------------------
     # flexible semantics (joint burst planning)
@@ -652,68 +663,48 @@ class ReallocatingScheduler(abc.ABC):
             n_active=len(self.jobs), max_span=self._max_span_cache,
         )
 
-    def _apply_batch_flexible(
+    def _drive_flexible(
         self,
         batch: Batch,
-        *,
-        atomic: bool,
         deletes: list[tuple[int, DeleteJob]],
         inserts: list[tuple[int, InsertJob]],
         elided: list[tuple[int, Request]],
-    ) -> BatchResult:
+    ) -> tuple:
         """Drive a planned flexible batch (deletes, then joint inserts).
 
         Every planned op runs through the normal :meth:`insert` /
         :meth:`delete` request path under the batch context, so rollback
         and cost accounting are untouched; :meth:`_batch_prepare` runs
         *between* the phases, planning the surviving inserts against the
-        post-delete state. At commit the batch's ledger slice is
-        permuted back to arrival order and elided requests receive
-        zero-cost entries, keeping the ledger one-entry-per-request.
+        post-delete state. The batch's ledger slice is then permuted
+        back to arrival order and elided requests receive zero-cost
+        entries, keeping the ledger one-entry-per-request (an atomic
+        abort truncates the slice again). See :meth:`_run_batch` for
+        the returned tuple.
         """
-        self._batch_begin(atomic=atomic)
         insert_jobs = [request.job for _, request in inserts]
         self._flexible_size_hint([request for _, request in deletes],
                                  insert_jobs)
         applied: list[RequestCost] = []
         error: ReproError | None = None
         failed_index: int | None = None
-        try:
-            for index, request in deletes:
+        for index, request in deletes:
+            try:
+                applied.append(self.delete(request.job_id))
+            except ReproError as exc:
+                error, failed_index = exc, index
+                break
+        if error is None:
+            self._batch_prepare(insert_jobs, flexible=True)
+            for index, insert_request in inserts:
                 try:
-                    applied.append(self.delete(request.job_id))
+                    applied.append(self.insert(insert_request.job))
                 except ReproError as exc:
                     error, failed_index = exc, index
                     break
-            if error is None:
-                self._batch_prepare(insert_jobs, flexible=True)
-                for index, insert_request in inserts:
-                    try:
-                        applied.append(self.insert(insert_request.job))
-                    except ReproError as exc:
-                        error, failed_index = exc, index
-                        break
-        except BaseException:
-            # Unexpected failure: restore what we can, then propagate.
-            if atomic:
-                self._batch_abort()
-            else:
-                self._batch_commit()
-            raise
-        if error is not None and atomic:
-            self._batch_abort()
-            return BatchResult(
-                costs=applied, net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=failed_index,
-                failure=f"{type(error).__name__}: {error}",
-                rolled_back=True, error=error,
-            )
-        ctx = self._batch
-        # Per-request ledger entries return to arrival order; elided
-        # net-zero pairs commit as explicit zero-cost entries. On a
-        # non-atomic failure only the applied planned prefix (plus the
-        # no-op elided pairs) committed — failed_index names the failing
-        # request's arrival position.
+        # On a non-atomic failure only the applied planned prefix (plus
+        # the no-op elided pairs) committed — failed_index names the
+        # failing request's arrival position.
         at: list = [None] * len(batch)
         for (index, _), cost in zip(chain(deletes, inserts), applied):
             at[index] = cost
@@ -722,27 +713,8 @@ class ReallocatingScheduler(abc.ABC):
         # without a failure every arrival position holds its entry
         costs = (at if error is None
                  else [cost for cost in at if cost is not None])
-        self.ledger.entries[ctx.ledger_len:] = costs
-        if self._sparse_costing:
-            net = diff_touched(
-                ctx.touched, self.placements,
-                kind="batch", subject="batch",
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        else:
-            net = diff_placements(
-                ctx.before, self.placements,
-                kind="batch", subject="batch",
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        self._batch_commit()
-        return BatchResult(
-            costs=costs, net=net, size=len(batch), atomic=atomic,
-            failed=error is not None, failed_index=failed_index,
-            failure=(None if error is None
-                     else f"{type(error).__name__}: {error}"),
-            error=error,
-        )
+        self.ledger.entries[self._batch.ledger_len:] = costs
+        return applied, costs, error, failed_index
 
     # ------------------------------------------------------------------
     # batch plumbing (overridden by wrapper schedulers)

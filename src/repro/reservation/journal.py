@@ -1,27 +1,20 @@
 """Tuple-opcode undo journals on a reusable arena.
 
-Every failed-request and atomic-batch rollback in the reservation stack
-replays an *undo journal*: a sequence of entries, each restoring one
-mutation, replayed in reverse. The representation is chosen for
-allocation cost:
+Every rollback in the reservation stack, a failed request's or an
+aborted atomic batch's, replays one *undo journal*: a sequence of
+entries, each restoring one mutation, replayed in reverse. The
+representation is chosen for allocation cost:
 
 - **Tuple opcodes** — a journal entry is a plain tuple
   ``(opcode, target, *args)``; one allocation, no closure cells,
   immutable. :func:`replay_entries` is the single dispatch loop that
   replays any journal backwards.
 - **Arena** — :class:`UndoArena` owns the journal's container objects
-  (entry list, first-touch dedup set, attached-interval list, and the
-  atomic batch log's snapshot lists) once per scheduler instead of
-  allocating fresh ones per request/batch. A scope appends entries,
-  optionally replays them backwards on failure, and releases its
-  storage with :meth:`UndoArena.truncate` — so the same storage is
-  reused request after request and, in worker-resident schedulers,
-  burst after burst. In the current stack every scope spans the whole
-  arena (the per-request journal and the atomic batch log never
-  coexist on one scheduler), so production code always truncates to
-  zero; the watermark form (:meth:`UndoArena.mark` /
-  ``truncate(mark)`` / ``rollback(mark)``) generalizes to nested
-  scopes should one layer ever journal inside another. Arenas are
+  (entry list, first-touch dedup set, attached-interval list) once per
+  scheduler instead of allocating fresh ones per scope. A scope
+  appends entries, replays them backwards on failure, and releases its
+  storage with :meth:`UndoArena.truncate`, so the same storage is
+  reused request after request and burst after burst. Arenas are
   process-local scratch: pickling a scheduler drops its arena and a
   fresh one is rebuilt on restore (journals are empty at every
   serialization point anyway).
@@ -36,22 +29,15 @@ Opcode reference (entry layouts)
                                       ladder position, -1 for unowned)
 ``(OP_RAISED, iv, slot)``             undo an allowance growth
 ``(OP_SWAP, iv, s1, s2)``             undo a slot-role swap (involution)
-``(OP_POP, mapping, key)``            remove a key added by the request
+``(OP_POP, mapping, key)``            remove a key added inside the scope
 ``(OP_SET, mapping, key, old)``       restore a mapping entry's old value
 ``(OP_WINDOW_STATE, ws, jobs, empty, covered)``  restore a WindowState
-``(OP_PLACE, sched, job_id, slot)``   undo one placement (all three maps)
-``(OP_UNPLACE, sched, job_id, slot)`` redo one placement (all three maps)
 ========================  ==================================================
 
 Interval entries address state *positionally* (``pos`` = the enclosing
 window's ladder position, ``slot`` relative slot ints) — no Window
-objects, so recording an entry never hashes a window. ``OP_PLACE`` /
-``OP_UNPLACE`` are the placement-map fold: one combined entry replaces
-the three per-map ``OP_SET``/``OP_POP`` entries a placement mutation
-used to record, exploiting that the three maps only ever change
-together through ``_set_placement`` / ``_clear_placement``. They are
-recorded only when no touched log is live (dense-costing schedulers);
-otherwise the rollback rewinds the maps from the touched log.
+objects, so recording an entry never hashes a window. The placement
+maps have no opcode: the rollback rewinds them from a touched log.
 
 Rollback must restore the exact pre-request (or pre-burst) state. The
 property tests in ``tests/test_journal_arena.py`` check that directly:
@@ -73,17 +59,15 @@ OP_WINDOW_STATE = 5
 OP_LOWERED = 6
 OP_RAISED = 7
 OP_SWAP = 8
-OP_PLACE = 9
-OP_UNPLACE = 10
 
 
-def replay_entries(entries: list, stop: int = 0) -> None:
-    """Replay journal entries above watermark ``stop`` in reverse.
+def replay_entries(entries: list) -> None:
+    """Replay journal entries in reverse.
 
     The single dispatch loop shared by failed-request rollback and
     atomic-batch abort; each entry dispatches on its opcode.
     """
-    for i in range(len(entries) - 1, stop - 1, -1):
+    for i in range(len(entries) - 1, -1, -1):
         e = entries[i]
         op = e[0]
         if op == OP_ASSIGN:
@@ -109,10 +93,6 @@ def replay_entries(entries: list, stop: int = 0) -> None:
             # the raw swap is an involution; hooks are not refired on
             # undo (the window-state journal entries restore those)
             e[1]._swap_raw(e[2], e[3], None)
-        elif op == OP_PLACE:
-            e[1]._undo_place(e[2], e[3])
-        elif op == OP_UNPLACE:
-            e[1]._undo_unplace(e[2], e[3])
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown journal opcode in {e!r}")
 
@@ -120,64 +100,44 @@ def replay_entries(entries: list, stop: int = 0) -> None:
 class UndoArena:
     """Reusable journal storage, one per scheduler.
 
-    The containers are allocated once and shared by every per-request
-    journal and every atomic batch log the owning scheduler opens
-    (per-request journals and the batch log never coexist: atomic
-    batches switch the per-request journal off). Scopes append above a
-    watermark and release by truncating back to it; the container
-    objects themselves are never reallocated.
+    The containers are allocated once and shared by every journal
+    scope the owning scheduler opens (one scope at a time: a request's,
+    or a batch's spanning its requests). A scope releases by
+    truncating; the container objects themselves are never
+    reallocated.
 
     Attributes
     ----------
     entries:
-        The append-only journal of tuple opcodes. Intervals append to this list directly via their
-        ``undo_log`` reference, at C speed.
+        The append-only journal of tuple opcodes. Intervals append to
+        this list directly via their ``undo_log`` reference, at C speed.
     seen:
-        First-touch dedup tokens (``(id(mapping), key)`` per-request,
-        ``id(obj)`` per-batch).
+        First-touch dedup tokens (``(id(mapping), key)`` for mapping
+        entries, ``id(ws)`` for window states).
     intervals:
         Intervals whose ``undo_log`` currently points at ``entries``
         (detached and truncated on scope exit).
-    windows / dicts / created:
-        The atomic batch log's snapshot lists (window-state snapshots,
-        table shallow-copies, mid-batch interval materializations).
     entries_total:
         Diagnostic: total journal entries recorded over the arena's
         lifetime (the end-to-end benchmark reports it per request).
     """
 
-    __slots__ = ("entries", "seen", "intervals", "windows", "dicts",
-                 "created", "entries_total")
+    __slots__ = ("entries", "seen", "intervals", "entries_total")
 
     def __init__(self) -> None:
         self.entries: list = []
         self.seen: set = set()
         self.intervals: list = []
-        self.windows: list = []
-        self.dicts: list = []
-        self.created: list = []
         self.entries_total = 0
 
-    def mark(self) -> int:
-        """Watermark delimiting a new journal scope."""
-        return len(self.entries)
-
-    def truncate(self, mark: int = 0) -> None:
-        """Release every journal entry above ``mark`` (scope exit).
-
-        Also counts the released entries into ``entries_total`` and, at
-        the outermost scope (``mark == 0``), clears the shared dedup and
-        snapshot containers for the next scope.
-        """
+    def truncate(self) -> None:
+        """Release the scope: count its entries into ``entries_total``
+        and clear every container for the next scope."""
         entries = self.entries
-        self.entries_total += len(entries) - mark
-        del entries[mark:]
-        if mark == 0:
-            self.seen.clear()
-            self.intervals.clear()
-            self.windows.clear()
-            self.dicts.clear()
-            self.created.clear()
+        self.entries_total += len(entries)
+        entries.clear()
+        self.seen.clear()
+        self.intervals.clear()
 
     def restart(self) -> None:
         """Release the entries and dedup tokens of a finished request,
@@ -187,11 +147,3 @@ class UndoArena:
         self.entries_total += len(entries)
         entries.clear()
         self.seen.clear()
-
-    def rollback(self, mark: int = 0) -> None:
-        """Replay entries above ``mark`` backwards (state restore only).
-
-        The caller still owns scope exit (detaching interval logs and
-        calling :meth:`truncate`).
-        """
-        replay_entries(self.entries, mark)

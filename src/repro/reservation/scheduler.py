@@ -43,45 +43,42 @@ Fast path: PLACE and MOVE consult per-window backed-slot indexes
 ``backed_covered``, maintained on every assignment and occupancy change)
 instead of scanning the window's slot range, intervals memoize their
 fulfillment targets (see ``interval.py``), and cost accounting uses the
-base class's sparse touched-placement log. Failed requests roll back: an
-undo journal records the pre-state of every structure touched by a
-request, and an :class:`UnderallocationError` / :class:`InfeasibleError`
-replays it in reverse before poisoning, so a poisoned scheduler's state
-still equals the state before the failing request (post-mortem
-validation sees no phantom jobs).
+base class's sparse touched-placement log.
 
-Batched fast path: inside an *atomic* ``apply_batch`` the per-request
-journal is replaced by batch-scoped rollback (:class:`_AtomicBatchLog`)
-— one undo journal spans the burst's interval mutations, window states
-and their tables are snapshotted once per batch on first touch, the
-placement maps rewind from the batch-level touched log, and job levels
-rebuild from spans on the (rare) abort. The per-request journal
-setup/teardown and all placement-map journaling disappear entirely,
-while a mid-batch failure still restores the exact pre-batch state.
-Inside a *non-atomic* batch every request still journals and rolls
-back on its own, but the requests share one journal scope: intervals
-stay attached to the arena from one request to the next instead of
-being detached and re-attached, and the batch commit closes the scope.
+Rollback: one undo journal covers every failure path. A journal scope
+records the pre-state of every structure it touches, and
+:meth:`AlignedReservationScheduler._rollback` restores it: the journal
+replays in reverse, then the three placement maps rewind from a touched
+log. ``_set_placement`` / ``_clear_placement`` are the only mutators of
+those maps and always record the touched job first, so the journal
+skips them entirely. A scope has one of three lifetimes:
 
-Placement-map journal diet: the same touched-log rewind covers the
-*per-request* journal too. ``_set_placement`` / ``_clear_placement``
-are the only mutators of the three placement maps and always record
-the touched job first, so whenever a live touched log exists the
-failed-request rollback rewinds the maps from it
-(:meth:`AlignedReservationScheduler._rollback`) and the journal skips
-them entirely; when no touched log is live (dense-costing schedulers),
-one combined ``OP_PLACE`` / ``OP_UNPLACE`` entry per mutation records
-the three-map change.
+- a request opens and closes its own scope. An
+  :class:`UnderallocationError` / :class:`InfeasibleError` rolls it
+  back (rewinding from the request's touched log) before poisoning, so
+  a poisoned scheduler's state still equals the state before the
+  failing request (post-mortem validation sees no phantom jobs);
+- a *non-atomic* batch keeps one scope open across its requests. Each
+  request still rolls back on its own, and releases only its entries
+  and dedup tokens when it finishes, so intervals stay attached to the
+  arena from one request to the next; the batch commit closes the
+  scope;
+- an *atomic* batch holds one scope for the whole burst. Its requests
+  do not roll back on their own; an abort replays the whole journal
+  and rewinds from the batch-level touched log. Window-state tables,
+  fresh intervals and job levels roll back through the same entries a
+  request records.
+
+An ephemeral inner (one an atomic abort discards wholesale, such as a
+trimming rebuild's fresh inner) opens no scope at all.
 
 Journal representation: undo entries are tuple opcodes replayed by one
-dispatch loop, and both the per-request journal and the atomic batch
-log live on a per-scheduler
-:class:`~repro.reservation.journal.UndoArena` — reusable containers
-with watermark truncation, so steady-state request processing allocates
-one tuple per recorded mutation and nothing else. The rollback oracle
-lives in the tests: ``tests/test_journal_arena.py`` fingerprints the
-deep state before each failing request or burst and checks the abort
-restores it exactly.
+dispatch loop on a per-scheduler
+:class:`~repro.reservation.journal.UndoArena` of reusable containers,
+so steady-state request processing allocates one tuple per recorded
+mutation and nothing else. The rollback oracle lives in the tests:
+``tests/test_journal_arena.py`` fingerprints the deep state before each
+failing request or burst and checks the abort restores it exactly.
 
 Object lifecycle: intervals store no reference back to the scheduler.
 The interval mutators that fire the assignment hooks (``rebalance``,
@@ -115,15 +112,7 @@ from ..core.job import Job, JobId, Placement
 from ..core.window import Window
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from .interval import Interval
-from .journal import (
-    OP_PLACE,
-    OP_POP,
-    OP_SET,
-    OP_UNPLACE,
-    OP_WINDOW_STATE,
-    UndoArena,
-    replay_entries,
-)
+from .journal import OP_POP, OP_SET, OP_WINDOW_STATE, UndoArena, replay_entries
 from .window_state import WindowState, rr_diff
 
 _MISSING = object()
@@ -141,56 +130,6 @@ def flexible_span_order(job: Job) -> tuple[int, int, str]:
     """
     window = job.window
     return (window.span, window.release, str(job.id))
-
-
-class _AtomicBatchLog:
-    """Batch-scoped rollback log for atomic batches.
-
-    Inside an atomic batch the *per-request* undo journal is switched
-    off. Intervals share ONE undo journal spanning the whole batch,
-    attached on first touch — the per-request attach/detach cycle and
-    the placement-map journaling disappear, which is where the batched
-    fast path's journal amortization comes from. Window states and
-    window-state tables are snapshotted once per batch on first touch
-    (id-keyed dedup); placement maps rewind from the batch-level touched
-    log. :meth:`AlignedReservationScheduler._batch_restore` replays the
-    journal backwards and reinstates the snapshots on abort.
-
-    The log borrows the scheduler's
-    :class:`~repro.reservation.journal.UndoArena` containers instead of
-    allocating fresh ones — worker-resident schedulers open one atomic
-    context per burst, so the same storage serves every burst of a
-    worker's lifetime. Ephemeral (discard-on-abort) schedulers record
-    nothing and keep cheap private containers.
-    """
-
-    __slots__ = ("seen", "journal", "journal_ivs", "windows", "dicts",
-                 "created", "track", "arena")
-
-    def __init__(self, arena: UndoArena, *, track: bool = True) -> None:
-        #: False for ephemeral (discard-on-abort) schedulers: the
-        #: journal stays off and nothing is recorded either
-        self.track = track
-        self.arena = arena if track else None
-        if self.arena is not None:
-            self.seen = arena.seen
-            self.journal = arena.entries
-            self.journal_ivs = arena.intervals
-            self.windows = arena.windows
-            self.dicts = arena.dicts
-            self.created = arena.created
-            return
-        self.seen: set[int] = set()
-        #: batch-wide undo journal shared by every touched interval
-        self.journal: list = []
-        #: intervals whose undo_log points at the batch journal
-        self.journal_ivs: list[Interval] = []
-        #: (window_state, jobs copy, backed_empty snap, backed_covered snap)
-        self.windows: list = []
-        #: (dict, shallow copy) — window-state tables
-        self.dicts: list = []
-        #: (interval table, index) for intervals materialized mid-batch
-        self.created: list = []
 
 
 class AlignedReservationScheduler(ReallocatingScheduler):
@@ -235,7 +174,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         #: checking proxies that raise on unjournaled mutation inside
         #: an open request/batch scope (see repro.analysis.sanitize)
         self._sanitize = journal == "arena-sanitize"
-        #: reusable journal storage (per-request and per-atomic-batch);
+        #: reusable journal storage shared by every scope;
         #: process-local scratch, rebuilt fresh after unpickling
         self._arena = UndoArena()
         #: slot -> job id (single machine, so slots are global)
@@ -253,13 +192,11 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         }
         self._job_levels: dict[JobId, int] = {}
         self._poisoned = False
-        #: undo journal for the in-flight request (failed-request rollback)
+        #: undo journal of the open scope (request, or batch when one
+        #: holds the scope); None outside any scope
         self._journal: list | None = None
         self._jseen: set | None = None
         self._jtouched: list[Interval] | None = None
-        #: snapshot log while an *atomic* batch is open (replaces the
-        #: per-request journal for the duration of the batch)
-        self._abatch: _AtomicBatchLog | None = None
         # Sanitizer proxies must replace the containers BEFORE the
         # hooks/probes below are built: those closures capture the
         # container objects by reference, and a later rebind would
@@ -297,8 +234,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         and the in-flight request/batch journals, which are None
         between requests and batches.
         """
-        if (self._batch is not None or self._abatch is not None
-                or self._journal is not None):
+        if self._batch is not None or self._journal is not None:
             raise InvalidRequestError(
                 "cannot serialize a scheduler with an open request or "
                 "batch context"
@@ -332,7 +268,10 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 f"window {job.window} is not aligned; use the alignment wrapper"
             )
         level = self.policy.level_of_span(job.span)
-        journaled = self._abatch is None and self._journal_enabled
+        # inside an atomic batch the batch holds the scope (or, when
+        # ephemeral, none is kept) and the request never rolls back alone
+        ctx = self._batch
+        journaled = self._journal_enabled and (ctx is None or not ctx.atomic)
         if journaled:
             self._journal_acquire()
         try:
@@ -344,7 +283,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 self._insert_reserved(job.id, job.window, level)
         except (UnderallocationError, InfeasibleError):
             if journaled:
-                self._rollback()
+                self._rollback(self._touched)
             self._poisoned = True
             raise
         finally:
@@ -353,7 +292,8 @@ class AlignedReservationScheduler(ReallocatingScheduler):
 
     def _apply_delete(self, job: Job) -> None:
         self._check_usable()
-        journaled = self._abatch is None and self._journal_enabled
+        ctx = self._batch
+        journaled = self._journal_enabled and (ctx is None or not ctx.atomic)
         if journaled:
             self._journal_acquire()
         try:
@@ -370,7 +310,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 self._retract_reservations(job.id, job.window, level)
         except UnderallocationError:
             if journaled:
-                self._rollback()
+                self._rollback(self._touched)
             self._poisoned = True
             raise
         finally:
@@ -378,13 +318,12 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 self._journal_release()
 
     # ------------------------------------------------------------------
-    # undo journal (failed-request rollback)
+    # undo journal (one scope per request, or per batch)
     # ------------------------------------------------------------------
     def _journal_acquire(self) -> None:
-        """Open the per-request journal scope on the scheduler's arena
-        (its reusable containers: no allocations). A no-op while a
-        non-atomic batch keeps the scope open (see
-        :meth:`_journal_release`)."""
+        """Open a journal scope on the scheduler's arena (its reusable
+        containers: no allocations). A no-op while a batch keeps the
+        scope open (see :meth:`_journal_release`)."""
         if self._journal is not None:
             return
         arena = self._arena
@@ -393,15 +332,15 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         self._jtouched = arena.intervals
 
     def _journal_release(self) -> None:
-        """End the per-request journal scope.
+        """End a request's part of the journal scope.
 
-        Outside a batch this closes it (detach + truncate). Inside a
-        non-atomic batch the scope spans the batch: only this request's
-        entries and dedup tokens are released
+        Outside a batch this closes the scope (detach + truncate).
+        Inside a non-atomic batch the scope spans the batch: only this
+        request's entries and dedup tokens are released
         (:meth:`~repro.reservation.journal.UndoArena.restart`), and the
         intervals stay attached for the next request instead of being
-        detached and re-attached per request. :meth:`_batch_commit`
-        closes it.
+        detached and re-attached per request. The batch commit or
+        abort closes it.
         """
         if self._batch is not None:
             self._arena.restart()
@@ -411,34 +350,31 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         self._arena.truncate()
         self._journal = self._jseen = self._jtouched = None
 
-    def _rollback(self) -> None:
-        """Replay the undo journal in reverse, restoring pre-request state.
+    def _rollback(self, touched: Mapping[JobId, Placement | None]) -> None:
+        """Restore the state from before the open scope began.
 
-        When the request ran under a live touched log, the journal holds
-        no placement-map entries: the three maps rewind from the touched
-        log instead, exactly as the atomic-batch abort does
-        (``_batch_restore``).
+        The one rollback routine of every failure path: a failed
+        request passes its own touched log, an atomic abort the
+        batch-level one. The journal replays in reverse; it holds no
+        placement-map entries, so the three maps then rewind from
+        ``touched``. Any slot now held by a job it did not hold before
+        the scope belongs to a touched job, so clearing touched jobs
+        first cannot orphan an untouched occupant.
         """
-        replay_entries(self._journal)
-        touched = self._touched
-        if touched is not None:
-            # Same orphan-safety argument as _batch_restore: any slot
-            # now held by a job it did not hold pre-request belongs to
-            # a touched job, so clearing touched jobs first cannot
-            # orphan an untouched occupant.
-            placements = self._placements
-            job_slot = self.job_slot
-            slot_job = self.slot_job
-            for job_id in touched:
-                pl = placements.pop(job_id, None)
-                if pl is not None:
-                    del slot_job[pl.slot]
-                    del job_slot[job_id]
-            for job_id, old in touched.items():
-                if old is not None:
-                    placements[job_id] = old
-                    job_slot[job_id] = old.slot
-                    slot_job[old.slot] = job_id
+        replay_entries(self._arena.entries)
+        placements = self._placements
+        job_slot = self.job_slot
+        slot_job = self.slot_job
+        for job_id in touched:
+            pl = placements.pop(job_id, None)
+            if pl is not None:
+                del slot_job[pl.slot]
+                del job_slot[job_id]
+        for job_id, old in touched.items():
+            if old is not None:
+                placements[job_id] = old
+                job_slot[job_id] = old.slot
+                slot_job[old.slot] = job_id
 
     @property
     def journal_entries_total(self) -> int:
@@ -457,7 +393,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         return "arena-sanitize" if self._sanitize else "arena"
 
     def _jdict(self, d: dict, key: Hashable) -> None:
-        """Journal the pre-state of ``d[key]`` (first touch per request)."""
+        """Journal the pre-state of ``d[key]`` (first touch per scope)."""
         journal = self._journal
         if journal is None:
             return
@@ -473,46 +409,30 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             journal.append((OP_SET, d, key, old))
 
     def _jtouch(self, iv: Interval) -> None:
-        """Guard an interval's state (first touch per request or batch).
+        """Attach the open scope's journal to an interval (first touch).
 
-        Per-request mode attaches the undo journal: the interval appends
-        the exact inverse of each mutation, and ``_apply_insert`` /
-        ``_apply_delete`` detach it when the request finishes. Inside an
-        atomic batch the interval's whole state is captured once instead
-        — no per-mutation closures.
-        """
-        if self._journal is not None:
-            if iv.undo_log is None:
-                iv.undo_log = self._journal
-                self._jtouched.append(iv)
-            return
-        ab = self._abatch
-        if ab is not None and ab.track and iv.undo_log is None:
-            iv.undo_log = ab.journal
-            ab.journal_ivs.append(iv)
-
-    def _jwindow_state(self, ws: WindowState) -> None:
-        """Snapshot a window state's jobs set and backed indexes.
-
-        First touch per request (undo journal) or per atomic batch
-        (batch snapshot log).
+        The interval then appends the exact inverse of each mutation;
+        the scope's release detaches it.
         """
         journal = self._journal
-        if journal is not None:
-            token = id(ws)
-            seen = self._jseen
-            if token in seen:
-                return
-            seen.add(token)
-            journal.append((OP_WINDOW_STATE, ws, set(ws.jobs),
-                            ws.backed_empty.snapshot(),
-                            ws.backed_covered.snapshot()))
+        if journal is not None and iv.undo_log is None:
+            iv.undo_log = journal
+            self._jtouched.append(iv)
+
+    def _jwindow_state(self, ws: WindowState) -> None:
+        """Snapshot a window state's jobs set and backed indexes (first
+        touch per scope)."""
+        journal = self._journal
+        if journal is None:
             return
-        ab = self._abatch
-        if ab is not None and ab.track and id(ws) not in ab.seen:
-            ab.seen.add(id(ws))
-            ab.windows.append((ws, set(ws.jobs), ws.backed_empty.snapshot(),
-                               ws.backed_covered.snapshot()))
+        token = id(ws)
+        seen = self._jseen
+        if token in seen:
+            return
+        seen.add(token)
+        journal.append((OP_WINDOW_STATE, ws, set(ws.jobs),
+                        ws.backed_empty.snapshot(),
+                        ws.backed_covered.snapshot()))
 
     def _jws_slot(self, iv: Interval, pos: int) -> None:
         """Journal one interval ``_ws`` ladder-cache entry before rebinding.
@@ -524,28 +444,11 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         per ladder position in practice.
         """
         journal = self._journal
-        if journal is None:
-            ab = self._abatch
-            if ab is None or not ab.track:
-                return
-            journal = ab.journal
-        journal.append((OP_SET, iv._ws, pos, iv._ws[pos]))
-
-    def _jstates_dict(self, states: dict) -> None:
-        """Capture a window-state table before structural change (atomic).
-
-        Per-request mode covers table membership via :meth:`_jdict`;
-        atomic batches shallow-copy the table once on first touch (the
-        member window states are captured separately on their own first
-        touch).
-        """
-        ab = self._abatch
-        if ab is not None and ab.track and id(states) not in ab.seen:
-            ab.seen.add(id(states))
-            ab.dicts.append((states, dict(states)))
+        if journal is not None:
+            journal.append((OP_SET, iv._ws, pos, iv._ws[pos]))
 
     # ------------------------------------------------------------------
-    # batch lifecycle (atomic snapshots replace the per-request journal)
+    # batch lifecycle (an atomic batch holds one journal scope)
     # ------------------------------------------------------------------
     def supports_atomic_batches(self) -> bool:
         return True
@@ -559,127 +462,41 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                              emit_touched=emit_touched)
         if atomic:
             self._batch.saved["poisoned"] = self._poisoned
-            self._abatch = _AtomicBatchLog(self._arena, track=not ephemeral)
-
-    def _release_batch_log(self, ab: _AtomicBatchLog) -> None:
-        """Detach the batch journal and release its arena scope."""
-        for iv in ab.journal_ivs:
-            iv.undo_log = None
-        if ab.arena is not None:
-            ab.arena.truncate()
+            if not ephemeral:
+                self._journal_acquire()
 
     def _batch_commit(self) -> None:
         super()._batch_commit()
-        ab, self._abatch = self._abatch, None
-        if ab is not None:
-            self._release_batch_log(ab)
-        elif self._journal is not None:
-            # close the non-atomic batch's request journal scope
+        if self._journal is not None:
+            # close the batch's scope (atomic, or opened by a
+            # non-atomic batch's first journaled request)
             self._journal_release()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
-        ab, self._abatch = self._abatch, None
-        # Replay the batch-wide interval journal backwards, then drop
-        # the intervals materialized mid-batch (their own undo entries
-        # restore dead objects, which is harmless).
-        replay_entries(ab.journal)
-        for table, index in ab.created:
-            table.pop(index, None)
-        for ws, jobs, empty, covered in ab.windows:
-            ws.jobs = jobs
-            ws.backed_empty.restore(empty)
-            ws.backed_covered.restore(covered)
-        for d, snap in ab.dicts:
-            d.clear()
-            d.update(snap)
-        self._release_batch_log(ab)
-        # Placement maps rewind from the batch-level touched log. Any
-        # slot now held by a job it did not hold pre-batch belongs to a
-        # touched job, so clearing touched jobs first cannot orphan an
-        # untouched occupant.
-        touched = ctx.touched
-        placements = self._placements
-        job_slot = self.job_slot
-        slot_job = self.slot_job
-        for job_id in touched:
-            pl = placements.pop(job_id, None)
-            if pl is not None:
-                del slot_job[pl.slot]
-                del job_slot[job_id]
-        for job_id, old in touched.items():
-            if old is not None:
-                placements[job_id] = old
-                job_slot[job_id] = old.slot
-                slot_job[old.slot] = job_id
-        # Job levels are a pure function of the span: rebuild them from
-        # the restored job set. Wholesale (O(n), abort-only) rather than
-        # incrementally, because a request that failed deep inside
-        # _apply_insert/_apply_delete mutated the map without being
-        # recorded in the batch's churn.
-        # In place (not rebound): the cached level probes close over
-        # this dict by reference.
-        level_of = self.policy.level_of_span
-        levels_map = self._job_levels
-        levels_map.clear()
-        for job_id, job in self.jobs.items():
-            levels_map[job_id] = level_of(job.span)
+        if self._journal is not None:
+            # Leave the scope before replaying it: the restore itself
+            # is not journaled, like any write outside a scope.
+            self._journal = None
+            self._rollback(ctx.touched)
+            self._journal_release()
         self._poisoned = ctx.saved["poisoned"]
 
     # ------------------------------------------------------------------
-    # placement mutation (journal + sparse-cost log in one place)
+    # placement mutation (sparse-cost log in one place)
     # ------------------------------------------------------------------
     def _set_placement(self, job_id: JobId, slot: int) -> None:
+        # No journal entry: every rollback rewinds the three maps from
+        # the touched log this records into.
         self._log_touch(job_id)
-        journal = self._journal
-        if journal is not None and self._touched is None:
-            # One combined entry for the three-map mutation. When a
-            # live touched log exists even this is skipped: _rollback
-            # rewinds the maps from the touched log, as _batch_restore
-            # does for atomic batches. The dedup tokens keep the
-            # sanitizer's first-touch accounting exact.
-            seen = self._jseen
-            seen.add((id(self._placements), job_id))
-            seen.add((id(self.job_slot), job_id))
-            seen.add((id(self.slot_job), slot))
-            journal.append((OP_PLACE, self, job_id, slot))
         self.slot_job[slot] = job_id
         self.job_slot[job_id] = slot
         self._placements[job_id] = Placement(0, slot)
 
     def _clear_placement(self, job_id: JobId, slot: int) -> None:
         self._log_touch(job_id)
-        journal = self._journal
-        if journal is not None and self._touched is None:
-            seen = self._jseen
-            seen.add((id(self._placements), job_id))
-            seen.add((id(self.job_slot), job_id))
-            seen.add((id(self.slot_job), slot))
-            journal.append((OP_UNPLACE, self, job_id, slot))
         del self.slot_job[slot]
         del self.job_slot[job_id]
         del self._placements[job_id]
-
-    def _undo_place(self, job_id: JobId, slot: int) -> None:
-        """Journal inverse of :meth:`_set_placement`.
-
-        Exact (not just idempotent): every ``_set_placement`` call site
-        clears any previous occupant of ``slot`` and any previous slot
-        of ``job_id`` first, so at record time none of the three keys
-        was present.
-        """
-        del self._placements[job_id]
-        del self.job_slot[job_id]
-        del self.slot_job[slot]
-
-    def _undo_unplace(self, job_id: JobId, slot: int) -> None:
-        """Journal inverse of :meth:`_clear_placement`.
-
-        ``Placement(0, slot)`` reconstructs the cleared value exactly:
-        the single-machine scheduler only ever records machine 0.
-        """
-        self.slot_job[slot] = job_id
-        self.job_slot[job_id] = slot
-        self._placements[job_id] = Placement(0, slot)
 
     # ------------------------------------------------------------------
     # backed-slot indexes (PLACE/MOVE fast path)
@@ -695,7 +512,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         the hot path.
         """
         # inlined dedup fast path: _jwindow_state is a no-op once the
-        # state is snapshotted this request (the common case)
+        # state is snapshotted in this scope (the common case)
         if self._journal is None or id(ws) not in self._jseen:
             self._jwindow_state(ws)
         occ = self.slot_job.get(slot)
@@ -755,7 +572,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         """
         states = self.window_states[level]
         self._jdict(states, window)
-        self._jstates_dict(states)
         ws = WindowState(window, level,
                          self.policy.intervals_of_window(level, window))
         levels = self._job_levels
@@ -826,7 +642,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             self._rebalance(iv)
         if ws.x == 0:
             self._jdict(states, window)
-            self._jstates_dict(states)
             del states[window]
             # Drop the ladder-cache references (journaled per entry:
             # _ws lists restore through plain OP_SET replay on abort)
@@ -1083,8 +898,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         journal = self._journal
         if journal is not None:
             journal.append((OP_POP, table, index))
-        elif self._abatch is not None and self._abatch.track:
-            self._abatch.created.append((table, index))
         table[index] = iv
         return iv
 
@@ -1094,8 +907,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         Built once per level (``_level_probes``) so the rebalance hot
         path performs a dict lookup instead of allocating a closure per
         call. Closes over the live maps by reference, which is why
-        ``_job_levels`` must only ever be mutated in place — see
-        ``_batch_restore``.
+        they must only ever be mutated in place, never rebound.
         """
         slot_job = self.slot_job
         levels = self._job_levels

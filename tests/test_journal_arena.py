@@ -74,14 +74,6 @@ def make_deamortized_workload(num_requests=400, seed=0, machines=1):
     return list(random_aligned_sequence(cfg, seed=seed))
 
 
-class DenseAligned(AlignedReservationScheduler):
-    """Dense (full-snapshot) costing: no touched log is ever live, so
-    every placement mutation journals one ``OP_PLACE``/``OP_UNPLACE``
-    entry instead of rewinding from the touched log."""
-
-    _sparse_costing = False
-
-
 # ----------------------------------------------------------------------
 # deep state fingerprints
 # ----------------------------------------------------------------------
@@ -210,7 +202,7 @@ def _fail_at(mp, method, k, in_batch=False):
 
     def flaky(self, *args):
         nonlocal calls
-        if in_batch and self._abatch is None:
+        if in_batch and (self._batch is None or not self._batch.atomic):
             return orig(self, *args)
         calls += 1
         if calls == k:
@@ -254,23 +246,24 @@ def check_injected_rollbacks(base, request, monkeypatch,
 # ----------------------------------------------------------------------
 def test_arena_watermark_truncation_and_counter():
     arena = UndoArena()
-    d = {"a": 1}
-    arena.entries.append((OP_POP, d, "a"))  # outer scope's entry
-    mark = arena.mark()
-    assert mark == 1
-    arena.entries.append((OP_POP, d, "b"))  # inner scope's entry
+    d = {"a": 1, "b": 2}
+    # a non-atomic batch's first request: restart keeps the scope's
+    # attached intervals and releases only the request's entries
+    arena.entries.append((OP_POP, d, "b"))
     arena.seen.add("token")
-    # inner scope: replay + truncate back to the watermark
-    d["b"] = 2
-    arena.rollback(mark)
-    assert d == {"a": 1}
-    arena.truncate(mark)
-    assert len(arena.entries) == 1 and arena.entries_total == 1
-    assert arena.seen  # inner truncation leaves shared containers alone
-    # outer scope exit clears everything
-    arena.truncate()
+    arena.intervals.append("iv")
+    arena.restart()
     assert not arena.entries and not arena.seen
-    assert arena.entries_total == 2
+    assert arena.intervals == ["iv"] and arena.entries_total == 1
+    # the next request's entries, then the scope closes
+    arena.entries.append((OP_POP, d, "b"))
+    arena.entries.append((OP_POP, d, "a"))
+    arena.seen.add("token")
+    replay_entries(arena.entries)
+    assert d == {}
+    arena.truncate()
+    assert not arena.entries and not arena.seen and not arena.intervals
+    assert arena.entries_total == 3
 
 
 def _interval_state(iv):
@@ -491,71 +484,6 @@ def test_deamortized_failed_request_in_phase_identical(monkeypatch):
     failure anywhere in it should roll back exactly as well."""
     injected = inject_deamortized(monkeypatch, in_phase=True)
     assert injected[DeleteJob] > 0 and injected[InsertJob] > 0
-
-
-@pytest.mark.parametrize("seed", [5, 23])
-def test_placement_diet_poisoned_request_identical(seed, monkeypatch):
-    """Both placement-map rollback protocols restore the pre-request
-    state after deep failures: the touched-log rewind (sparse costing,
-    no placement entries) and the folded ``OP_PLACE``/``OP_UNPLACE``
-    journal (dense costing, checked by the sanitizer proxies)."""
-    seq = make_workload(258, seed=seed)
-    scheds = (AlignedReservationScheduler(),
-              DenseAligned(journal="arena-sanitize"))
-    for s in scheds:
-        for r in seq[:250]:
-            s.apply(r)
-    assert stack_fingerprint(scheds[0]) == stack_fingerprint(scheds[1])
-    for r in seq[250:]:
-        injected = [check_injected_rollbacks(s, r, monkeypatch)
-                    for s in scheds]
-        assert injected[0] == injected[1]
-        for s in scheds:
-            s.apply(r)
-    assert stack_fingerprint(scheds[0]) == stack_fingerprint(scheds[1])
-
-
-def _counting_scheduler(cls, deltas):
-    """Scheduler of ``cls`` recording journal-entry deltas per placement
-    mutation (only while a request journal is open)."""
-
-    class Counting(cls):
-        def _set_placement(self, job_id, slot):
-            before = None if self._journal is None else len(self._journal)
-            super()._set_placement(job_id, slot)
-            if before is not None:
-                deltas.append(len(self._journal) - before)
-
-        def _clear_placement(self, job_id, slot):
-            before = None if self._journal is None else len(self._journal)
-            super()._clear_placement(job_id, slot)
-            if before is not None:
-                deltas.append(len(self._journal) - before)
-
-    return Counting()
-
-
-def test_placement_fold_journals_one_entry_not_three():
-    """Entry-count pin for the fold: without a live touched log (dense
-    costing) every placement mutation journals exactly ONE combined
-    opcode, not three per-map entries; with one (sparse costing) it
-    journals none at all."""
-    seq = make_workload(200, seed=7)
-
-    sparse_deltas: list[int] = []
-    sparse = _counting_scheduler(AlignedReservationScheduler, sparse_deltas)
-    dense_deltas: list[int] = []
-    dense = _counting_scheduler(DenseAligned, dense_deltas)
-
-    for r in seq:
-        sparse.apply(r)
-        dense.apply(r)
-
-    assert stack_fingerprint(sparse) == stack_fingerprint(dense)
-    # both saw the same (nonzero) placement mutation traffic
-    assert len(sparse_deltas) == len(dense_deltas) > 0
-    assert set(sparse_deltas) == {0}, "touched log must replace journaling"
-    assert set(dense_deltas) == {1}, "fold must journal one combined entry"
 
 
 # ----------------------------------------------------------------------
@@ -783,6 +711,47 @@ def test_failure_between_materializations_rolls_back(
             assert stack_fingerprint(sched) == expected, j
             injected += 1
     assert injected >= 5
+
+
+def test_atomic_abort_recomputes_no_job_levels(monkeypatch):
+    """An atomic abort undoes the burst from its journal alone: the job
+    levels come back through their journal entries, so the abort never
+    recomputes a level, however many jobs the scheduler holds."""
+    sched = AlignedReservationScheduler()
+    for r in make_workload(900, seed=3):
+        sched.apply(r)
+    assert len(sched.jobs) >= 200
+    pre = stack_fingerprint(sched)
+    policy_cls = type(sched.policy)
+    level_of_span = policy_cls.level_of_span
+    batch_abort = AlignedReservationScheduler._batch_abort
+    aborting = False
+    calls = []
+
+    def counting_level_of_span(self, span):
+        if aborting:
+            calls.append(span)
+        return level_of_span(self, span)
+
+    def watched_abort(self):
+        nonlocal aborting
+        aborting = True
+        try:
+            batch_abort(self)
+        finally:
+            aborting = False
+
+    monkeypatch.setattr(policy_cls, "level_of_span", counting_level_of_span)
+    monkeypatch.setattr(AlignedReservationScheduler, "_batch_abort",
+                        watched_abort)
+    victim = next(iter(sched.jobs))
+    bad = [InsertJob(Job("new", Window(0, 64))), DeleteJob(victim),
+           InsertJob(Job("new", Window(0, 64)))]
+    result = sched.apply_batch(bad, atomic=True)
+    assert result.failed and result.rolled_back
+    assert calls == []
+    assert stack_fingerprint(sched) == pre
+    validate_scheduler(sched)
 
 
 def test_trimming_rebuild_abort_identical():

@@ -73,7 +73,9 @@ class TestSeededFaultInjection:
         assert self.exc_findings(mutated) == [
             ("EXC001", "AlignedReservationScheduler._apply_insert")]
 
-    @pytest.mark.parametrize("stack", ["aligned", "theorem1-m1", "theorem1-m3"])
+    @pytest.mark.parametrize("stack", [
+        "aligned", "theorem1-m1", "theorem1-m3",
+        "atomic-theorem1-m1", "atomic-theorem1-m3"])
     def test_sanitizer_catches_the_same_fault_at_runtime(self, monkeypatch,
                                                          stack):
         monkeypatch.setattr(
@@ -82,12 +84,17 @@ class TestSeededFaultInjection:
         if stack == "aligned":
             sched = aligned_sanitized()
         else:
-            machines = 1 if stack == "theorem1-m1" else 3
+            machines = 1 if stack.endswith("m1") else 3
             sched = ReservationScheduler(machines, gamma=8,
                                          journal="arena-sanitize")
+        jobs = [Job(f"j{i}", Window(0, 64)) for i in range(8)]
         with pytest.raises(UnjournaledMutationError):
-            for i in range(8):  # several inserts: the first journaled
-                sched.insert(Job(f"j{i}", Window(0, 64)))  # dict op raises
+            if stack.startswith("atomic"):
+                # an atomic batch's scope is checked like a request's
+                sched.apply_batch([InsertJob(j) for j in jobs], atomic=True)
+            else:
+                for job in jobs:  # several inserts: the first journaled
+                    sched.insert(job)  # dict op raises
 
     def test_without_the_fault_the_same_stacks_run_clean(self):
         for sched in (aligned_sanitized(),

@@ -274,7 +274,8 @@ def test_sequential_rebuild_runs_journal_free(monkeypatch):
     orig = _ARS._apply_insert
 
     def spy(self, job):
-        engaged.append(self._abatch is None and self._journal_enabled)
+        engaged.append((self._batch is None or not self._batch.atomic)
+                       and self._journal_enabled)
         return orig(self, job)
 
     monkeypatch.setattr(_ARS, "_apply_insert", spy)
