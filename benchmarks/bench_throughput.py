@@ -318,9 +318,10 @@ def test_e12_backend_comparison_m3(benchmark, record_result, record_json,
     the same 3-machine stream segment by segment, alternating which
     runs first, and placements + ledgers are asserted identical at the
     end — both do the same scheduling work. The batched side crosses
-    machines through ``apply_batch`` itself: the delegation layer plans
-    each burst's per-window machines once and opens one batch context
-    per machine, so only bookkeeping is batchable and the honest
+    machines through ``apply_batch`` itself: the delegation layer opens
+    one batch context per machine and places each insert by the same
+    round-robin choice as a single request, so only bookkeeping is
+    batchable and the honest
     expectation is parity with sequential (measured 0.95-0.98x on a
     shared 2-core container).
     """

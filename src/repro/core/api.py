@@ -24,17 +24,15 @@ migration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Mapping
 
 from ..alignment.align import align_job
 from ..analysis.sanitize import sanitize_enabled
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from ..multimachine.delegation import DelegatingScheduler
 from ..reservation.trimming import TrimmedReservationScheduler
-from .base import ReallocatingScheduler, _BatchContext
+from .base import ReallocatingScheduler
 from .job import Job, JobId, Placement
-from .requests import DeleteJob
-from .window import Window
 
 
 class ReservationScheduler(ReallocatingScheduler):
@@ -142,52 +140,8 @@ class ReservationScheduler(ReallocatingScheduler):
     #: (unless top, where the batch net diff still requires one)
     _batch_restore_needs_touched = False
 
-    def supports_atomic_batches(self) -> bool:
-        return self.inner.supports_atomic_batches()
-
-    def _flexible_insert_order_key(self) -> "Callable[[Job], Any] | None":
-        """The whole stack agrees on the inner scheduler's order."""
-        return self.inner._flexible_insert_order_key()
-
-    def _flexible_size_hint(self, deletes: list[DeleteJob],
-                            inserts: list[Job]) -> None:
-        """Pass the planned net size change down to the inner scheduler."""
-        self.inner._flexible_size_hint(deletes, inserts)
-
-    def _batch_prepare(self, inserts: list[Job], *,
-                       flexible: bool = False) -> None:
-        """Plan the delegation from the batch's aligned insert jobs.
-
-        Alignment is a total pure function of the job, so aligning the
-        whole burst up front is free of semantic risk; the aligned jobs
-        are what the delegation grouping must key on. ``ALIGNED(W)`` is
-        computed once per *distinct window* (burst arrivals reuse a
-        focus window heavily). A single machine has no plan to make.
-        """
-        if self.num_machines == 1:
-            return
-        windows: dict[Window, Window] = {}
-        aligned: list[Job] = []
-        for job in inserts:
-            window = job.window
-            win = windows.get(window)
-            if win is None:
-                win = windows[window] = window.aligned_within()
-            aligned.append(job.with_window(win))
-        self.inner._batch_prepare(aligned, flexible=flexible)
-
-    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
-                     emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
-                             emit_touched=emit_touched)
-        self.inner._batch_begin(atomic=atomic, ephemeral=ephemeral)
-
-    def _batch_commit(self) -> None:
-        super()._batch_commit()
-        self.inner._batch_commit()
-
-    def _batch_restore(self, ctx: _BatchContext) -> None:
-        self.inner._batch_abort()
+    def _subs(self) -> tuple[ReallocatingScheduler]:
+        return (self.inner,)
 
     # ------------------------------------------------------------------
     def check_balance(self) -> None:

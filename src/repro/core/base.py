@@ -75,8 +75,7 @@ that freedom without bypassing the per-request cost model:
   *elided* — neither touches the schedule; both still get (zero-cost)
   ledger entries so the ledger stays one entry per request;
 - deletes of pre-existing jobs are coalesced up front (arrival order),
-  so :meth:`_batch_prepare` plans the surviving inserts against the
-  post-delete state — one target computation per touched window;
+  so the surviving inserts run against the post-delete state;
 - surviving inserts run jointly, ordered by the stack's
   :meth:`_flexible_insert_order_key` (span-ascending for the
   reservation stacks, mirroring the trimming rebuild order), which
@@ -98,7 +97,7 @@ from __future__ import annotations
 
 import abc
 from itertools import chain
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .costs import (
     NO_JOBS,
@@ -142,16 +141,14 @@ class _BatchContext:
     """
 
     __slots__ = ("atomic", "top", "touched", "before", "inserted", "deleted",
-                 "ledger_len", "saved", "ephemeral", "emit_touched")
+                 "ledger_len", "saved", "ephemeral")
 
     def __init__(self, *, atomic: bool, top: bool, sparse: bool,
                  placements: Mapping[JobId, Placement], ledger_len: int,
-                 ephemeral: bool = False, emit_touched: bool = True,
-                 needs_touched: bool = True) -> None:
+                 ephemeral: bool = False, needs_touched: bool = True) -> None:
         self.atomic = atomic
         self.top = top
         self.ephemeral = ephemeral
-        self.emit_touched = emit_touched or top
         track = atomic and not ephemeral
         self.touched: dict[JobId, Placement | None] | None = (
             {} if sparse and (top or (track and needs_touched)) else None)
@@ -202,11 +199,15 @@ class ReallocatingScheduler(abc.ABC):
     - Sparse-costing subclasses (``_sparse_costing = True``) must call
       :meth:`_log_touch` (or :meth:`_merge_touched`) before mutating any
       job's placement, including wrapped sub-schedulers' moves.
-    - Batch-aware wrappers override :meth:`_batch_begin` /
-      :meth:`_batch_commit` / :meth:`_batch_restore` to propagate the
-      batch context to inner schedulers, and
-      :meth:`supports_atomic_batches` when the whole stack can restore
-      its exact pre-batch state on abort.
+    - Wrappers name the sub-schedulers they drive right now in
+      :meth:`_subs`; the base class carries every batch hook to them
+      (begin, commit, abort, the flexible order key and size hint),
+      and the stack supports atomic batches when every sub does. A
+      wrapper extends :meth:`_batch_begin` / :meth:`_batch_commit` /
+      :meth:`_batch_restore` only for its own state (saved fields, a
+      balancer transaction, a merged placement map); only a leaf
+      overrides :meth:`supports_atomic_batches` and
+      :meth:`_flexible_insert_order_key`.
 
     Subclasses must raise :class:`InfeasibleError` /
     :class:`UnderallocationError` *before* corrupting state, or restore
@@ -354,7 +355,7 @@ class ReallocatingScheduler(abc.ABC):
         sparse = self._sparse_costing
         costed = not (sparse and self._nested)
         before = dict(self.placements) if (costed and not sparse) else None
-        if sparse and (ctx is None or ctx.emit_touched):
+        if sparse:
             self._touched = self._touched_acquire()
         self.jobs[job.id] = job
         try:
@@ -408,7 +409,7 @@ class ReallocatingScheduler(abc.ABC):
         sparse = self._sparse_costing
         costed = not (sparse and self._nested)
         before = dict(self.placements) if (costed and not sparse) else None
-        if sparse and (ctx is None or ctx.emit_touched):
+        if sparse:
             self._touched = self._touched_acquire()
         try:
             self._apply_delete(job)
@@ -563,7 +564,6 @@ class ReallocatingScheduler(abc.ABC):
     def _drive_strict(self, batch: Batch) -> tuple:
         """Apply a strict batch in arrival order (see :meth:`_run_batch`)."""
         costs: list[RequestCost] = []
-        self._batch_prepare(batch.insert_jobs)
         for i, request in enumerate(batch):
             try:
                 if isinstance(request, InsertJob):
@@ -580,14 +580,15 @@ class ReallocatingScheduler(abc.ABC):
     def _flexible_insert_order_key(self) -> "Callable[[Job], Any] | None":
         """Sort key over :class:`Job` for the flexible insert phase.
 
-        None (the default) keeps arrival order. Reservation stacks
-        return a span-ascending key — the same order the trimming
-        rebuild uses — so a joint burst places small-span jobs before
-        the large-span jobs that could displace them, avoiding
-        intra-burst move chains. Wrappers delegate to their inner
-        scheduler so the whole stack agrees on one order.
+        None keeps arrival order. Reservation leaves return a
+        span-ascending key — the same order the trimming rebuild uses —
+        so a joint burst places small-span jobs before the large-span
+        jobs that could displace them, avoiding intra-burst move
+        chains. A wrapper takes its first sub's key (see :meth:`_subs`)
+        so the whole stack agrees on one order.
         """
-        return None
+        subs = self._subs()
+        return subs[0]._flexible_insert_order_key() if subs else None
 
     def _plan_flexible(
         self, batch: Batch
@@ -674,17 +675,14 @@ class ReallocatingScheduler(abc.ABC):
 
         Every planned op runs through the normal :meth:`insert` /
         :meth:`delete` request path under the batch context, so rollback
-        and cost accounting are untouched; :meth:`_batch_prepare` runs
-        *between* the phases, planning the surviving inserts against the
-        post-delete state. The batch's ledger slice is then permuted
-        back to arrival order and elided requests receive zero-cost
-        entries, keeping the ledger one-entry-per-request (an atomic
-        abort truncates the slice again). See :meth:`_run_batch` for
-        the returned tuple.
+        and cost accounting are untouched. The batch's ledger slice is
+        then permuted back to arrival order and elided requests receive
+        zero-cost entries, keeping the ledger one-entry-per-request (an
+        atomic abort truncates the slice again). See :meth:`_run_batch`
+        for the returned tuple.
         """
-        insert_jobs = [request.job for _, request in inserts]
         self._flexible_size_hint([request for _, request in deletes],
-                                 insert_jobs)
+                                 [request.job for _, request in inserts])
         applied: list[RequestCost] = []
         error: ReproError | None = None
         failed_index: int | None = None
@@ -695,7 +693,6 @@ class ReallocatingScheduler(abc.ABC):
                 error, failed_index = exc, index
                 break
         if error is None:
-            self._batch_prepare(insert_jobs, flexible=True)
             for index, insert_request in inserts:
                 try:
                     applied.append(self.insert(insert_request.job))
@@ -717,23 +714,24 @@ class ReallocatingScheduler(abc.ABC):
         return applied, costs, error, failed_index
 
     # ------------------------------------------------------------------
-    # batch plumbing (overridden by wrapper schedulers)
+    # batch plumbing: one fan-out over the sub-schedulers a wrapper names
     # ------------------------------------------------------------------
-    def supports_atomic_batches(self) -> bool:
-        """Whether this scheduler (stack) can restore pre-batch state."""
-        return False
+    def _subs(self) -> Sequence[ReallocatingScheduler]:
+        """The sub-schedulers this scheduler drives right now.
 
-    def _batch_prepare(self, inserts: list[Job], *,
-                       flexible: bool = False) -> None:
-        """Hook: plan the batch from its insert jobs (grouping, memos).
-
-        ``flexible=True`` marks a flexible batch's insert phase: the
-        hook runs *after* the coalesced deletes, ``inserts`` is the
-        planner's (reordered, elision-free) insert list, and the
-        inserts will be applied in exactly this order with no
-        intervening deletes — so plans may key off live post-delete
-        state and may memoize per touched window.
+        Empty on a leaf. A wrapper returns the (adopted) schedulers its
+        next request would reach, so every batch hook below reaches
+        exactly the live stack; a sub created mid-batch is begun by the
+        wrapper that creates it.
         """
+        return ()
+
+    def supports_atomic_batches(self) -> bool:
+        """Whether this scheduler (stack) can restore pre-batch state:
+        a wrapper can when every sub can; a leaf overrides this."""
+        subs = self._subs()
+        return bool(subs) and all(sub.supports_atomic_batches()
+                                  for sub in subs)
 
     def _flexible_size_hint(self, deletes: list[DeleteJob],
                             inserts: list[Job]) -> None:
@@ -746,39 +744,41 @@ class ReallocatingScheduler(abc.ABC):
         count instead of rebuilding at every mid-batch threshold
         crossing; placements are free under the flexible contract, so
         the skipped rebuilds only change them, never the job table,
-        max-span, or feasibility.
+        max-span, or feasibility. The default passes the hint to every
+        sub.
         """
+        for sub in self._subs():
+            sub._flexible_size_hint(deletes, inserts)
 
     #: pass-through wrappers whose placements restore entirely through a
     #: child's abort set this False to skip batch touched-log upkeep
     _batch_restore_needs_touched = True
 
-    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
-                     emit_touched: bool = True) -> None:
-        """Open a batch context. Wrappers extend this to snapshot their
-        own state and begin their (adopted, hence nested) children. The
-        context is the batch entry point (``top``) exactly when this
-        scheduler is not nested.
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        """Open a batch context here and on every sub. The context is
+        the batch entry point (``top``) exactly when this scheduler is
+        not nested. Wrappers extend this to save their own state.
 
         ``ephemeral`` marks a scheduler *created inside* an open atomic
         batch (e.g. a trimming rebuild's fresh inner): an abort discards
         the object wholesale, so it skips rollback tracking entirely —
         no journal, no snapshots — and runs at full batch speed.
-        ``emit_touched=False`` additionally suspends per-request touched
-        logs, for children whose parent never reads ``last_touched``
-        during the batch (rebuild inners log survivors wholesale).
         """
         self._batch = _BatchContext(
             atomic=atomic, top=not self._nested, sparse=self._sparse_costing,
             placements=self.placements, ledger_len=len(self.ledger.entries),
-            ephemeral=ephemeral, emit_touched=emit_touched,
+            ephemeral=ephemeral,
             needs_touched=self._batch_restore_needs_touched,
         )
+        for sub in self._subs():
+            sub._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
-        """Close the batch context, keeping all applied requests.
-        Wrappers extend this to commit their (current) children."""
+        """Close the batch context here and on every current sub,
+        keeping all applied requests."""
         self._batch = None
+        for sub in self._subs():
+            sub._batch_commit()
 
     def _batch_abort(self) -> None:
         """Restore the exact pre-batch state (atomic batches only).
@@ -786,7 +786,7 @@ class ReallocatingScheduler(abc.ABC):
         Base-class state (jobs, span tracking, ledger) is restored here;
         :meth:`_batch_restore` then restores subclass structures — it
         runs *after* the job set is back, so hooks may derive state from
-        ``self.jobs``.
+        ``self.jobs`` — and finally the subs it restored abort in turn.
         """
         ctx = self._batch
         self._batch = None
@@ -805,9 +805,12 @@ class ReallocatingScheduler(abc.ABC):
         del self.ledger.entries[ctx.ledger_len:]
         self.last_touched = None
         self._batch_restore(ctx)
+        for sub in self._subs():
+            sub._batch_abort()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
-        """Hook: restore subclass structures from ``ctx`` on abort."""
+        """Hook: restore subclass structures from ``ctx`` on abort
+        (a wrapper swaps back the subs it saved at begin)."""
 
     def _restore_placement_map(
         self,

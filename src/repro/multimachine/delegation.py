@@ -17,17 +17,17 @@ underallocated (losing a factor 6) when the full instance is; the
 delegator is scheduler-agnostic and works over any per-machine
 :class:`~repro.core.base.ReallocatingScheduler` factory.
 
-A burst crosses machines through ``apply_batch`` alone:
-:meth:`DelegatingScheduler._batch_prepare` plans each window's grouped
-inserts once per burst and :meth:`DelegatingScheduler._batch_begin`
-opens a batch context on every machine, so an atomic burst aborts
-machine by machine while the balancer replays its transaction log.
+A burst crosses machines through ``apply_batch`` alone: the machines
+are this layer's sub-schedulers (``_subs``), so the base class opens,
+commits and aborts a batch context on every machine, and an atomic
+burst aborts machine by machine while the balancer replays its
+transaction log. Each insert of a burst takes the same O(1)
+round-robin choice a single request does.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 from ..core.base import ReallocatingScheduler, _BatchContext
 from ..core.costs import RequestCost
@@ -49,9 +49,8 @@ def _changed_ids(sub: ReallocatingScheduler, cost: RequestCost,
     placement it may have changed (batch mode suspends sub-costs, so
     the touched log is the one signal available in both modes); a
     non-sparse sub reports them via ``cost.subject`` +
-    ``cost.rescheduled``. The request's subject is included explicitly
-    — a trimming rebuild suspends its inner touched logs, so the
-    triggering job may be absent from them.
+    ``cost.rescheduled``. The request's subject is included explicitly,
+    so the merged map follows it even from a log that does not name it.
     """
     changed = sub.last_touched
     if changed is None:
@@ -92,9 +91,6 @@ class WindowBalancer:
 
     def machine_of(self, job_id: JobId) -> int:
         return self._where[job_id][1]
-
-    def window_of(self, job_id: JobId) -> Window:
-        return self._where[job_id][0]
 
     def choose_insert_machine(self, window: Window) -> int:
         """Machine for a new job with this window: round-robin position."""
@@ -259,9 +255,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         #: merged machine-tagged placement map, maintained incrementally
         #: from the sub-schedulers' touched logs / request costs
         self._placements: dict[JobId, Placement] = {}
-        #: per-batch round-robin plan: window -> machine queue for the
-        #: batch's grouped inserts (invalidated per window by deletes)
-        self._batch_plan: dict[Window, deque[int]] = {}
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
@@ -286,22 +279,12 @@ class DelegatingScheduler(ReallocatingScheduler):
                 placements[job_id] = Placement(machine, pl.slot)
 
     def _apply_insert(self, job: Job) -> None:
-        plan = self._batch_plan
-        if plan:
-            queue = plan.get(job.window)
-            machine = (queue.popleft() if queue
-                       else self.balancer.choose_insert_machine(job.window))
-        else:
-            machine = self.balancer.choose_insert_machine(job.window)
+        machine = self.balancer.choose_insert_machine(job.window)
         cost = self.machines[machine].insert(job)
         self.balancer.record_insert(job.id, job.window, machine)
         self._sync_machine(machine, cost, job.id)
 
     def _apply_delete(self, job: Job) -> None:
-        if self._batch_plan:
-            # A delete changes this window's round-robin position: the
-            # rest of its planned insert machines would be stale.
-            self._batch_plan.pop(self.balancer.window_of(job.id), None)
         machine, mover = self.balancer.plan_delete(job.id)
         cost = self.machines[machine].delete(job.id)
         self.balancer.record_delete(job.id)
@@ -318,14 +301,10 @@ class DelegatingScheduler(ReallocatingScheduler):
             self.balancer.record_migration(mover, machine)
 
     # ------------------------------------------------------------------
-    # batch lifecycle and per-window grouping
+    # batch lifecycle
     # ------------------------------------------------------------------
-    def supports_atomic_batches(self) -> bool:
-        return all(sub.supports_atomic_batches() for sub in self.machines)
-
-    def _flexible_insert_order_key(self) -> "Callable[[Job], Any] | None":
-        """Adopt the per-machine sub-schedulers' preferred joint order."""
-        return self.machines[0]._flexible_insert_order_key()
+    def _subs(self) -> list[ReallocatingScheduler]:
+        return self.machines
 
     def _flexible_size_hint(self, deletes: list[DeleteJob],
                             inserts: list[Job]) -> None:
@@ -346,50 +325,16 @@ class DelegatingScheduler(ReallocatingScheduler):
         for machine, sub in enumerate(self.machines):
             sub._flexible_size_hint(per_machine[machine], inserts)
 
-    def _batch_prepare(self, inserts: list[Job], *,
-                       flexible: bool = False) -> None:
-        """Group the batch's inserts per window and plan their machines.
-
-        The plan is the round-robin continuation for each window's
-        grouped inserts, computed once per batch instead of per request;
-        a mid-batch delete of a window drops that window's remaining
-        plan (its round-robin position moved) and those inserts fall
-        back to the live choice. Sequential equivalence is exact: the
-        planned machine equals ``choose_insert_machine`` at apply time.
-        A flexible batch's insert phase runs after its coalesced
-        deletes with no deletes interleaved, so the same plan built
-        from the live (post-delete) counts is exact there too.
-        """
-        m = self.num_machines
-        groups: dict[Window, int] = {}
-        for job in inserts:
-            groups[job.window] = groups.get(job.window, 0) + 1
-        count = self.balancer.count
-        self._batch_plan = {
-            window: deque((count(window) + i) % m for i in range(n))
-            for window, n in groups.items()
-        }
-
-    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
-                     emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
-                             emit_touched=emit_touched)
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral)
         if atomic and not ephemeral:
             self.balancer.begin_txn()
-        for sub in self.machines:
-            sub._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         super()._batch_commit()
-        self._batch_plan = {}
         self.balancer.commit_txn()
-        for sub in self.machines:
-            sub._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
-        self._batch_plan = {}
-        for sub in self.machines:
-            sub._batch_abort()
         self.balancer.abort_txn()
         self._restore_placement_map(self._placements, ctx.touched)
 

@@ -38,20 +38,31 @@ from a heap built once per phase, on its first migration, so each
 migration costs O(log n) instead of a scan of the outgoing side. At
 phase end the retired side is freed by reference counting. Both inner
 schedulers are nested: this wrapper costs each request itself.
+
+The wrapper keeps no job-to-side map: a job's side is the parity of
+its real slot in the merged placement map. Its sub-schedulers
+(``_subs``) are the active side, plus the incoming side during a
+phase, so a batch reaches exactly the sides the next request would; an
+atomic abort swaps back the saved pre-batch pair and aborts it.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..core.base import ReallocatingScheduler, _BatchContext
 from ..core.exceptions import InvalidRequestError
 from ..core.job import Job, JobId, Placement
 from ..core.window import Window
 from ..levels.policy import LevelPolicy, PAPER_POLICY
-from .scheduler import AlignedReservationScheduler, flexible_span_order
-from .trimming import trim_aligned
+from .scheduler import AlignedReservationScheduler
+from .trimming import MIN_N_STAR, trim_aligned
+
+#: jobs migrated from the outgoing to the incoming side per in-phase
+#: request — the paper's two, enough to drain a phase before the next
+#: n* boundary (the 4x hysteresis)
+MIGRATE_PER_REQUEST = 2
 
 
 def virtual_window(window: Window) -> Window:
@@ -70,8 +81,9 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
     """n*-trimmed reservation scheduler with O(1) worst-case rebuilds.
 
     Parameters mirror :class:`TrimmedReservationScheduler`; the
-    underallocation requirement doubles (see module docstring).
-    ``migrate_per_request`` is the paper's 2.
+    underallocation requirement doubles (see module docstring). Each
+    in-phase request migrates ``MIGRATE_PER_REQUEST`` (the paper's 2)
+    jobs.
 
     Cost accounting is sparse: the merged real-coordinate placement map
     is maintained incrementally from the inner schedulers' touched logs
@@ -87,22 +99,14 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         gamma: int = 8,
         policy: LevelPolicy = PAPER_POLICY,
         *,
-        min_n_star: int = 4,
-        migrate_per_request: int = 2,
         journal: str = "arena",
     ) -> None:
         super().__init__(num_machines=1)
         if gamma < 1 or gamma & (gamma - 1):
             raise ValueError("gamma must be a positive power of two")
-        if min_n_star < 1 or min_n_star & (min_n_star - 1):
-            raise ValueError("min_n_star must be a positive power of two")
-        if migrate_per_request < 2:
-            raise ValueError("must migrate >= 2 jobs per request to keep up")
         self.gamma = gamma
         self.policy = policy
-        self.min_n_star = min_n_star
-        self.n_star = min_n_star
-        self.migrate_per_request = migrate_per_request
+        self.n_star = MIN_N_STAR
         self.journal_impl = journal
         self.parity = 0
         self.active = self._new_side()
@@ -113,8 +117,6 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         #: jobs, built once per phase on the first migration; entries of
         #: jobs deleted since are skipped lazily (None = not built)
         self._drain: list[tuple[int, str, int, JobId]] | None = None
-        #: job id -> parity of the inner scheduler holding it
-        self._home: dict[JobId, int] = {}
         #: merged real-coordinate placement map (incremental)
         self._placements: dict[JobId, Placement] = {}
         self.phases_started = 0
@@ -190,23 +192,20 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         inner = self._inner(target_parity)
         inner.insert(self._effective(job))
         self._sync_inner(inner, target_parity, job.id)
-        self._home[job.id] = target_parity
         self._tick()
         if len(self.jobs) > self.n_star:
             self._start_phase(self.n_star * 2)
 
     def _apply_delete(self, job: Job) -> None:
-        parity = self._home[job.id]
+        # a job's real slot is 2 * virtual + parity of the side holding it
+        parity = self._placements[job.id].slot & 1
         inner = self._inner(parity)
         inner.delete(job.id)
-        # only now: a delete that fails inside the inner rolls back with
-        # the job still active, so it must keep its home parity
-        del self._home[job.id]
         self._sync_inner(inner, parity, job.id)
         self._tick()
         active_after = len(self.jobs) - 1
-        if active_after < self.n_star // 4 and self.n_star > self.min_n_star:
-            self._start_phase(max(self.min_n_star, self.n_star // 2))
+        if active_after < self.n_star // 4 and self.n_star > MIN_N_STAR:
+            self._start_phase(max(MIN_N_STAR, self.n_star // 2))
 
     # ------------------------------------------------------------------
     # phase machinery
@@ -235,7 +234,7 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
 
     def _tick(self) -> None:
         if self.in_phase:
-            self._migrate_some(self.migrate_per_request)
+            self._migrate_some(MIGRATE_PER_REQUEST)
 
     def _migrate_some(self, count: int) -> None:
         """Move up to ``count`` jobs from the outgoing to the incoming side.
@@ -269,7 +268,6 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
             self._sync_inner(active, self.parity, job_id)
             incoming.insert(self._effective(original))
             self._sync_inner(incoming, self.incoming_parity, job_id)
-            self._home[job_id] = self.incoming_parity
         if not outgoing_jobs:
             self._finish_phase()
 
@@ -294,53 +292,29 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
     # ------------------------------------------------------------------
     # batch lifecycle
     # ------------------------------------------------------------------
-    def supports_atomic_batches(self) -> bool:
-        return True
+    def _subs(self) -> tuple[AlignedReservationScheduler, ...]:
+        if self.incoming is None:
+            return (self.active,)
+        return (self.active, self.incoming)
 
-    def _flexible_insert_order_key(self) -> "Callable[[Job], object] | None":
-        """Joint inserts span-ascending (matches the migration drain order)."""
-        return flexible_span_order
-
-    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
-                     emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
-                             emit_touched=emit_touched)
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral)
         if atomic and not ephemeral:
             self._batch.saved["deam"] = (
                 self.parity, self.incoming_parity, self.active,
                 self.incoming, self.n_star, self.phases_started,
                 self.bulk_finishes, self._journal_entries_carry,
             )
-        self.active._batch_begin(atomic=atomic, ephemeral=ephemeral)
-        if self.incoming is not None:
-            self.incoming._batch_begin(atomic=atomic, ephemeral=ephemeral)
-
-    def _batch_commit(self) -> None:
-        super()._batch_commit()
-        self.active._batch_commit()
-        if self.incoming is not None:
-            self.incoming._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
+        # the saved sides swap back, then abort (see _batch_abort)
         (self.parity, self.incoming_parity, self.active, self.incoming,
          self.n_star, self.phases_started, self.bulk_finishes,
          self._journal_entries_carry) = ctx.saved["deam"]
-        self.active._batch_abort()
-        if self.incoming is not None:
-            self.incoming._batch_abort()
         # the batch's migrations popped drain entries of jobs the abort
         # brought back: rebuild the heap on the next migration
         self._drain = None
         self._restore_placement_map(self._placements, ctx.touched)
-        # The home map is derivable from the inners' restored job sets.
-        # (``jobs`` here is the inner scheduler's insertion-ordered job
-        # dict, not a set — iteration order is deterministic.)
-        home = {job_id: self.parity for job_id
-                in self.active.jobs}  # staticcheck: ignore[determinism]
-        if self.incoming is not None:
-            for job_id in self.incoming.jobs:  # staticcheck: ignore[determinism]
-                home[job_id] = self.incoming_parity
-        self._home = home
 
     # ------------------------------------------------------------------
     @property

@@ -382,9 +382,12 @@ class AlignedReservationScheduler(ReallocatingScheduler):
 
         Diagnostic counter (one tuple allocation per entry; the
         end-to-end benchmark reports it per request). Process-local
-        (resets when a scheduler crosses a pickle boundary).
+        (resets when a scheduler crosses a pickle boundary). It includes
+        the open scope's entries, so an owner that retires this
+        scheduler mid-batch, scope still open, carries all of them.
         """
-        return self._arena.entries_total
+        arena = self._arena
+        return arena.entries_total + len(arena.entries)
 
     @property
     def journal_impl(self) -> str:
@@ -456,10 +459,8 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def _flexible_insert_order_key(self) -> "Callable[[Job], object] | None":
         return flexible_span_order
 
-    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
-                     emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
-                             emit_touched=emit_touched)
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral)
         if atomic:
             self._batch.saved["poisoned"] = self._poisoned
             if not ephemeral:

@@ -36,7 +36,7 @@ this layer (or the layer above it) costs each request once.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..core.base import ReallocatingScheduler, _BatchContext
 from ..core.events import EventTracer, NullTracer
@@ -45,7 +45,12 @@ from ..core.job import Job, JobId, Placement
 from ..core.requests import DeleteJob
 from ..core.window import Window
 from ..levels.policy import LevelPolicy, PAPER_POLICY
-from .scheduler import AlignedReservationScheduler, flexible_span_order
+from .scheduler import AlignedReservationScheduler
+
+
+#: floor of the n* estimate (a power of two; avoids degenerate trims at
+#: tiny n)
+MIN_N_STAR = 4
 
 
 def trim_aligned(window: Window, max_span: int) -> Window:
@@ -70,8 +75,6 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         *instance* to be 8-underallocated — gamma defaults to 8).
     policy:
         Level policy for the inner schedulers.
-    min_n_star:
-        Floor for the n* estimate (avoids degenerate trims at tiny n).
     journal:
         Undo-journal mode of the inner schedulers (``"arena"`` default
         or ``"arena-sanitize"`` — see
@@ -86,19 +89,15 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         gamma: int = 8,
         policy: LevelPolicy = PAPER_POLICY,
         *,
-        min_n_star: int = 4,
         tracer: EventTracer | NullTracer | None = None,
         journal: str = "arena",
     ) -> None:
         super().__init__(num_machines=1)
         if gamma < 1 or gamma & (gamma - 1):
             raise ValueError("gamma must be a positive power of two")
-        if min_n_star < 1 or min_n_star & (min_n_star - 1):
-            raise ValueError("min_n_star must be a positive power of two")
         self.gamma = gamma
         self.policy = policy
-        self.min_n_star = min_n_star
-        self.n_star = min_n_star
+        self.n_star = MIN_N_STAR
         self.tracer = tracer if tracer is not None else NullTracer()
         self.journal_impl = journal
         self.inner = self._new_inner()
@@ -145,7 +144,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         self.inner.delete(job.id)
         self._merge_touched(self.inner.last_touched)
         active = len(self.jobs) - 1  # base class removes after we return
-        if active < self.n_star // 4 and self.n_star > self.min_n_star:
+        if active < self.n_star // 4 and self.n_star > MIN_N_STAR:
             hint = self._flex_final_hint
             if hint is not None and hint >= self.n_star // 4:
                 # Flexible burst with a planned refill: the batch's own
@@ -153,7 +152,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
                 # the halving rebuild (and the doubling rebuild that
                 # would follow it) is pure thrash.
                 return
-            self._resize(max(self.min_n_star, self.n_star // 2))
+            self._resize(max(MIN_N_STAR, self.n_star // 2))
 
     def _resize(self, new_n_star: int) -> None:
         """Change n* and rebuild the schedule from scratch (amortized O(1))."""
@@ -175,11 +174,8 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
             # Inside an atomic batch the fresh inner is ephemeral: an
             # abort restores the saved pre-batch inner and discards this
             # one, so its rebuild inserts skip all rollback tracking.
-            # Its touched logs are suspended too — the wholesale
-            # pre-rebuild merge above already logged every survivor.
             self.inner._batch_begin(atomic=ctx.atomic,
-                                    ephemeral=ctx.atomic or ctx.ephemeral,
-                                    emit_touched=False)
+                                    ephemeral=ctx.atomic or ctx.ephemeral)
         if ctx is None or not ctx.atomic:
             # A failed rebuild poisons regardless, so the fresh inner's
             # survivor inserts run journal-free (atomic batches already
@@ -193,11 +189,6 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
                 self.inner.insert(eff)
         finally:
             self.inner._journal_enabled = True
-        if ctx is not None:
-            # Touched logs stay off only for the rebuild itself; later
-            # requests in the batch need them (their displacements must
-            # reach the wrappers' merged maps).
-            self.inner._batch.emit_touched = True
 
     # ------------------------------------------------------------------
     # batch lifecycle
@@ -206,12 +197,8 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
     #: restores them — no batch touched log needed at this layer
     _batch_restore_needs_touched = False
 
-    def supports_atomic_batches(self) -> bool:
-        return self.inner.supports_atomic_batches()
-
-    def _flexible_insert_order_key(self) -> "Callable[[Job], object] | None":
-        """Joint inserts in rebuild order (span-ascending, see _resize)."""
-        return flexible_span_order
+    def _subs(self) -> tuple[AlignedReservationScheduler]:
+        return (self.inner,)
 
     def _flexible_size_hint(self, deletes: list[DeleteJob],
                             inserts: list[Job]) -> None:
@@ -238,30 +225,26 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
             self.n_star = target
         self._flex_final_hint = final
 
-    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False,
-                     emit_touched: bool = True) -> None:
-        super()._batch_begin(atomic=atomic, ephemeral=ephemeral,
-                             emit_touched=emit_touched)
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral)
         if atomic and not ephemeral:
             self._batch.saved["trim"] = (self.inner, self.n_star, self.rebuilds,
                                          self._journal_entries_carry)
-        self.inner._batch_begin(atomic=atomic, ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
         self._flex_final_hint = None
         super()._batch_commit()
-        self.inner._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
         # If a rebuild replaced the inner mid-batch, the saved pre-batch
-        # inner swaps back and the replacement is simply dropped — the
-        # rebuild's carry increment rolls back with it, so
-        # journal_entries_total matches a scheduler that never saw the
-        # batch (the restored inner still holds its own lifetime count).
+        # inner swaps back (and then aborts) and the replacement is
+        # simply dropped — the rebuild's carry increment rolls back with
+        # it, so journal_entries_total matches a scheduler that never
+        # saw the batch (the restored inner still holds its own lifetime
+        # count).
         self._flex_final_hint = None
         (self.inner, self.n_star, self.rebuilds,
          self._journal_entries_carry) = ctx.saved["trim"]
-        self.inner._batch_abort()
 
     # ------------------------------------------------------------------
     @property

@@ -297,8 +297,9 @@ def test_verify_batch_detects_unreported_change():
 # delegation grouping
 # ----------------------------------------------------------------------
 def test_batch_plan_invalidated_by_mid_batch_delete():
-    """A delete of a window mid-batch drops the remaining plan for that
-    window; equivalence with sequential still holds."""
+    """A delete of a window mid-batch moves that window's round-robin
+    position; every later insert of the batch makes the live choice a
+    single request makes, so equivalence with sequential still holds."""
     window = Window(0, 64)
     other = Window(64, 128)
     requests = [InsertJob(Job("a", window)), InsertJob(Job("b", window)),

@@ -39,8 +39,6 @@ class TestDeamortizedScheduler:
     def test_params(self):
         with pytest.raises(ValueError):
             DeamortizedReservationScheduler(gamma=3)
-        with pytest.raises(ValueError):
-            DeamortizedReservationScheduler(migrate_per_request=1)
 
     def test_basic_insert_delete(self):
         s = DeamortizedReservationScheduler(gamma=8)
@@ -54,7 +52,7 @@ class TestDeamortizedScheduler:
 
     def test_parities_partition(self):
         """During a phase, old jobs sit on one parity, new on the other."""
-        s = DeamortizedReservationScheduler(gamma=8, min_n_star=4)
+        s = DeamortizedReservationScheduler(gamma=8)
         for i in range(12):
             s.insert(Job(i, Window(0, 1 << 12)))
             verify_schedule(s.jobs, s.placements, 1)
@@ -133,7 +131,7 @@ class TestDeamortizedAtomicAbort:
         jobs the batch migrated are back on the outgoing side, and the
         rest of the phase matches a scheduler that never saw the batch."""
         def build():
-            return DeamortizedReservationScheduler(gamma=8, min_n_star=4)
+            return DeamortizedReservationScheduler(gamma=8)
 
         prefix = [InsertJob(_phase_job(i)) for i in range(36)]
         prefix += [DeleteJob("j001"), DeleteJob("j004")]

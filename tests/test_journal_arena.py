@@ -122,7 +122,7 @@ def deamortized_fingerprint(s: DeamortizedReservationScheduler):
     incoming = (None if s.incoming is None
                 else aligned_fingerprint(s.incoming))
     return (s.parity, s.incoming_parity, s.n_star, s.phases_started,
-            dict(s._home), dict(s.placements), set(s.jobs),
+            dict(s.placements), set(s.jobs),
             aligned_fingerprint(s.active), incoming)
 
 
@@ -162,6 +162,18 @@ def validate_stack(s):
             validate_stack(machine)
     else:
         raise AssertionError(f"cannot validate {type(s).__name__}")
+
+
+def assert_no_open_scopes(s):
+    """After a batch commits or aborts, no scheduler the stack reaches
+    through ``_subs()`` holds an open batch context, and no leaf holds
+    an open journal scope (the one batch fan-out closed them all)."""
+    assert s._batch is None, type(s).__name__
+    subs = s._subs()
+    if not subs:
+        assert s._journal is None, type(s).__name__
+    for sub in subs:
+        assert_no_open_scopes(sub)
 
 
 def is_poisoned(s):
@@ -333,7 +345,7 @@ def test_journal_entry_counter_survives_aborted_rebuild():
     double count the restored inner's lifetime entries. (The counter
     still grows by the aborted batch's own recorded entries: it counts
     journaling work done, not surviving state.)"""
-    sched = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+    sched = TrimmedReservationScheduler(gamma=8)
     warm = make_workload(60, seed=29)
     for r in warm:
         sched.apply(r)
@@ -358,7 +370,7 @@ def test_journal_entry_counter_survives_aborted_rebuild():
 def test_deamortized_counter_exists_and_carries_phases():
     """The deamortized stack exposes the same introspection as every
     other stack, and retired phase inners keep their counts."""
-    sched = DeamortizedReservationScheduler(min_n_star=4)
+    sched = DeamortizedReservationScheduler()
     seq = make_workload(300, seed=31)
     counts = []
     for r in seq:
@@ -372,6 +384,49 @@ def test_deamortized_counter_exists_and_carries_phases():
         facade.apply(r)
     assert sum(m.journal_entries_total
                for m in facade.machine_schedulers()) > 0
+
+
+def _spread_job(i):
+    """Job ``i`` of a stream spread over 64 aligned windows of span 64."""
+    k = i % 64
+    return Job(f"s{i}", Window(64 * k, 64 * k + 64))
+
+
+@pytest.mark.parametrize("kind", ["trimmed", "deamortized"])
+def test_journal_counter_counts_subs_retired_mid_batch(kind, monkeypatch):
+    """A sub retired inside an atomic batch — a trimming rebuild's
+    pre-batch inner, a deamortized phase's outgoing side — still holds
+    the batch's open journal scope. Its entries must reach the
+    wrapper's ``journal_entries_total`` all the same: the counter
+    equals the entries every inner's arena ever recorded."""
+    created = []
+    init = AlignedReservationScheduler.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(AlignedReservationScheduler, "__init__",
+                        recording_init)
+    if kind == "trimmed":
+        sched = TrimmedReservationScheduler(gamma=8)
+        warm, burst, retirements = 40, 26, "rebuilds"
+    else:
+        sched = DeamortizedReservationScheduler(gamma=8)
+        warm, burst, retirements = 0, 200, "phases_started"
+    i = 0
+    while i < warm or (kind == "deamortized" and not sched.in_phase):
+        sched.insert(_spread_job(i))
+        i += 1
+    before = getattr(sched, retirements)
+    batch = [InsertJob(_spread_job(j)) for j in range(i, i + burst)]
+    assert not sched.apply_batch(batch, atomic=True).failed
+    assert getattr(sched, retirements) > before
+    # an inner retired with its batch scope open still holds entries
+    assert any(inner._arena.entries for inner in created)
+    recorded = sum(inner._arena.entries_total + len(inner._arena.entries)
+                   for inner in created)
+    assert sched.journal_entries_total == recorded
 
 
 def test_journal_entry_counter_counts_both_modes():
@@ -527,6 +582,7 @@ def test_atomic_abort_state_identical(name, machines, factory):
     result = sched.apply_batch(bad, atomic=True)
     assert result.failed and result.rolled_back
     assert stack_fingerprint(sched) == pre
+    assert_no_open_scopes(sched)
     for r in inside + after:
         sched.apply(r)
         twin.apply(r)
@@ -551,6 +607,7 @@ def test_injected_atomic_abort_restores_pre_burst(name, machines, factory,
     pre = stack_fingerprint(fresh())
     twin = fresh()
     assert not twin.apply_batch(burst, atomic=True).failed
+    assert_no_open_scopes(twin)
     post = stack_fingerprint(twin)
     injected = 0
     for method in INJECTION_POINTS:
@@ -563,8 +620,10 @@ def test_injected_atomic_abort_restores_pre_burst(name, machines, factory,
                     break  # fewer than k calls in the burst
                 assert result.rolled_back and "injected" in result.failure
                 assert stack_fingerprint(sched) == pre, (method, k)
+                assert_no_open_scopes(sched)
                 injected += 1
                 assert not sched.apply_batch(burst, atomic=True).failed
+                assert_no_open_scopes(sched)
                 assert stack_fingerprint(sched) == post
     assert injected >= 8
 
@@ -758,8 +817,8 @@ def test_trimming_rebuild_abort_identical():
     """An atomic batch that replaces the trimming inner mid-batch and
     then aborts: the pre-batch inner swaps back with the pre-burst
     state, and later rebuilds match a twin that never saw the burst."""
-    sched = TrimmedReservationScheduler(gamma=8, min_n_star=4)
-    twin = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+    sched = TrimmedReservationScheduler(gamma=8)
+    twin = TrimmedReservationScheduler(gamma=8)
     warm = make_workload(60, seed=13)
     for r in warm:
         sched.apply(r)

@@ -115,7 +115,7 @@ def test_aborted_atomic_rebuild_frees_the_replacement(monkeypatch):
 
 
 def test_deamortized_phase_end_frees_the_retired_side():
-    sched = DeamortizedReservationScheduler(gamma=8, min_n_star=4)
+    sched = DeamortizedReservationScheduler(gamma=8)
     phases_ended = 0
     with collector_off():
         for i in range(200):

@@ -56,19 +56,19 @@ class TestTrimmedExtras:
         assert not s.poisoned
 
     def test_effective_window_shrinks(self):
-        s = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+        s = TrimmedReservationScheduler(gamma=8)
         eff = s.effective_window(Window(0, 1 << 16))
         assert eff.span == s.trim_span  # 2 * 8 * 4 = 64
 
 
 class TestDeamortizedExtras:
     def test_virtual_trim_span(self):
-        s = DeamortizedReservationScheduler(gamma=8, min_n_star=4)
+        s = DeamortizedReservationScheduler(gamma=8)
         assert s.virtual_trim_span == 8 * 4
         assert not s.in_phase
 
     def test_ledger_counts_migration_ticks(self):
-        s = DeamortizedReservationScheduler(gamma=8, min_n_star=4)
+        s = DeamortizedReservationScheduler(gamma=8)
         for i in range(10):
             s.insert(Job(i, Window(0, 1 << 10)))
         # phase ticks moved settled jobs; their moves were ledgered

@@ -376,7 +376,7 @@ def test_materializations_match_oracle_and_see_no_published_window(
         sched = TrimmedReservationScheduler(gamma=8)
         gamma = 8
     else:
-        sched = DeamortizedReservationScheduler(min_n_star=4)
+        sched = DeamortizedReservationScheduler()
         gamma = 16
     cfg = AlignedWorkloadConfig(
         num_requests=600, gamma=gamma, horizon=1 << 11, max_span=1 << 11,

@@ -38,11 +38,9 @@ class TestTrimmedScheduler:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             TrimmedReservationScheduler(gamma=3)
-        with pytest.raises(ValueError):
-            TrimmedReservationScheduler(min_n_star=5)
 
     def test_large_window_gets_trimmed(self):
-        s = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+        s = TrimmedReservationScheduler(gamma=8)
         # trim bound = 2 * 8 * 4 = 64
         assert s.trim_span == 64
         s.insert(Job("big", Window(0, 1 << 12)))
@@ -52,7 +50,7 @@ class TestTrimmedScheduler:
         verify_schedule(s.jobs, s.placements, 1)
 
     def test_doubling_rebuild(self):
-        s = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+        s = TrimmedReservationScheduler(gamma=8)
         for i in range(20):
             s.insert(Job(i, Window(0, 1 << 10)))
             verify_schedule(s.jobs, s.placements, 1)
@@ -62,7 +60,7 @@ class TestTrimmedScheduler:
         assert s.rebuilds >= 2
 
     def test_halving_rebuild(self):
-        s = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+        s = TrimmedReservationScheduler(gamma=8)
         for i in range(40):
             s.insert(Job(i, Window(0, 1 << 10)))
         big_n_star = s.n_star
@@ -72,7 +70,7 @@ class TestTrimmedScheduler:
         assert s.n_star < big_n_star
 
     def test_amortized_cost_constant(self):
-        s = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+        s = TrimmedReservationScheduler(gamma=8)
         cfg = AlignedWorkloadConfig(
             num_requests=500, gamma=16, horizon=1 << 12, max_span=1 << 12,
             delete_fraction=0.4,
@@ -96,7 +94,7 @@ class TestTrimmedScheduler:
 
     def test_trim_preserves_validity_through_resize(self):
         """Windows are re-trimmed against the new bound at every rebuild."""
-        s = TrimmedReservationScheduler(gamma=8, min_n_star=4)
+        s = TrimmedReservationScheduler(gamma=8)
         jobs = [Job(i, Window((i % 4) * 4096, (i % 4) * 4096 + 4096))
                 for i in range(30)]
         for j in jobs:
