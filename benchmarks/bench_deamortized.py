@@ -14,10 +14,8 @@ with n; the deamortized max must stay constant.
 from __future__ import annotations
 
 from repro.core import Job, Window
-from repro.reservation import (
-    DeamortizedReservationScheduler,
-    TrimmedReservationScheduler,
-)
+from repro.core.api import TrimmedReservationScheduler
+from repro.reservation import DeamortizedReservationScheduler
 from repro.sim import fit_growth, format_series
 from repro.sim.report import experiment_header
 

@@ -12,8 +12,8 @@ per request, Theorem 1's regime).
 """
 
 from repro.core import Job, Window
+from repro.core.api import TrimmedReservationScheduler
 from repro.multimachine import ElasticScheduler
-from repro.reservation import TrimmedReservationScheduler
 from repro.sim import format_table
 
 

@@ -1,5 +1,5 @@
 """Window alignment transform ALIGNED(W) (Section 5, Lemma 10)."""
 
-from .align import AligningScheduler, align_job, align_jobs
+from .align import align_job, align_jobs
 
-__all__ = ["AligningScheduler", "align_job", "align_jobs"]
+__all__ = ["align_job", "align_jobs"]

@@ -42,7 +42,7 @@ class NaivePeckingScheduler(ReallocatingScheduler):
             raise InvalidRequestError("naive pecking handles unit jobs only")
         if not job.window.is_aligned:
             raise InvalidRequestError(
-                f"window {job.window} is not aligned; wrap with AligningScheduler"
+                f"window {job.window} is not aligned; align it first (align_job)"
             )
         current_id, current_window = job.id, job.window
         # Spans strictly double along the cascade, so the loop is bounded

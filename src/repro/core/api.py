@@ -15,6 +15,17 @@ as the proof of Theorem 1 does:
    ``2 * gamma * n*`` (Lemma 9: ``O(min{log* n, log* Delta})``
    reallocations per request).
 
+Alignment and trimming are window transforms, not scheduler layers.
+The default one-machine scheduler — trimmed, amortized — is
+:class:`TrimmedReservationScheduler`, a facade that aligns, trims and
+costs each request itself and drives one
+:class:`~repro.reservation.scheduler.AlignedReservationScheduler`,
+replaced wholesale whenever n* changes. ``ReservationScheduler(1)``
+returns one (the way ``pathlib.Path`` returns its concrete flavour),
+and at m>1 the delegation layer runs one per machine. The plain facade
+keeps only align + delegate (m>1), or align over the deamortized or
+untrimmed scheduler (m=1).
+
 Guarantee: for gamma-underallocated request sequences (gamma a
 sufficiently large constant; the paper does not optimize it and neither
 do we — experiment E9 measures the empirical threshold), every request
@@ -24,15 +35,18 @@ migration.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Mapping
 
 from ..alignment.align import align_job
 from ..analysis.sanitize import sanitize_enabled
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from ..multimachine.delegation import DelegatingScheduler
-from ..reservation.trimming import TrimmedReservationScheduler
-from .base import ReallocatingScheduler
+from ..reservation.deamortized import DeamortizedReservationScheduler
+from ..reservation.scheduler import AlignedReservationScheduler
+from ..reservation.trimming import MIN_N_STAR, trim_aligned
+from .base import ReallocatingScheduler, _BatchContext
 from .job import Job, JobId, Placement
+from .requests import DeleteJob
 
 
 class ReservationScheduler(ReallocatingScheduler):
@@ -40,7 +54,9 @@ class ReservationScheduler(ReallocatingScheduler):
 
     The facade aligns each job and costs each request; :attr:`inner`
     does the rest. At m=1 that is the single-machine scheduler itself
-    (trimmed, deamortized or plain reservation); at m>1 it is a
+    (deamortized or plain reservation — the trimmed default is a
+    :class:`TrimmedReservationScheduler`, which trims for itself); at
+    m>1 it is a
     :class:`~repro.multimachine.delegation.DelegatingScheduler` over m
     of them.
 
@@ -49,12 +65,12 @@ class ReservationScheduler(ReallocatingScheduler):
     num_machines:
         Machine count m.
     gamma:
-        Power-of-two slack constant used by the trimming layer.
+        Power-of-two slack constant used by the trim bound.
     policy:
         Level decomposition policy (paper tower by default).
     trim:
-        Disable to skip the n*-trimming layer (pure log* Delta bound);
-        enabled by default, giving the min{log* n, log* Delta} bound.
+        Disable to skip n*-trimming (pure log* Delta bound); enabled by
+        default, giving the min{log* n, log* Delta} bound.
     deamortized:
         Use the even/odd-slot incremental rebuild (Section 4, end):
         O(1) *worst-case* cost per request instead of O(1) amortized
@@ -83,6 +99,20 @@ class ReservationScheduler(ReallocatingScheduler):
 
     _sparse_costing = True
 
+    def __new__(cls, num_machines: int = 1, *, trim: bool = True,
+                deamortized: bool = False,
+                **options: Any) -> ReservationScheduler:
+        # one trimmed, amortized machine: the trimming facade is the stack
+        flavour = (TrimmedReservationScheduler
+                   if cls is ReservationScheduler and num_machines == 1
+                   and trim and not deamortized else cls)
+        return object.__new__(flavour)
+
+    def __getnewargs_ex__(self) -> tuple[tuple[int], dict[str, bool]]:
+        """Pickle re-creates through ``__new__``: pass what picks the class."""
+        return ((self.num_machines,),
+                {"trim": self.trim, "deamortized": self.deamortized})
+
     def __init__(
         self,
         num_machines: int = 1,
@@ -98,27 +128,28 @@ class ReservationScheduler(ReallocatingScheduler):
             journal = "arena-sanitize"
         self.gamma = gamma
         self.policy = policy
+        self.trim = trim
+        self.deamortized = deamortized
         self.journal_impl = journal
-        if deamortized:
-            from ..reservation.deamortized import DeamortizedReservationScheduler
-
-            def factory() -> ReallocatingScheduler:
-                return DeamortizedReservationScheduler(gamma=gamma, policy=policy,
-                                                       journal=journal)
-        elif trim:
-            def factory() -> ReallocatingScheduler:
-                return TrimmedReservationScheduler(gamma=gamma, policy=policy,
-                                                   journal=journal)
-        else:
-            from ..reservation.scheduler import AlignedReservationScheduler
-
-            def factory() -> ReallocatingScheduler:
-                return AlignedReservationScheduler(policy, journal=journal)
         #: the single-machine scheduler at m=1, else the delegation
         #: layer over m of them; this facade costs every request
-        self.inner: ReallocatingScheduler = self._adopt(
-            factory() if num_machines == 1
-            else DelegatingScheduler(num_machines, factory))
+        self.inner: ReallocatingScheduler = self._new_inner()
+
+    def _new_inner(self) -> ReallocatingScheduler:
+        """The adopted scheduler this facade drives (see :attr:`inner`)."""
+        m = self.num_machines
+        return self._adopt(self._new_machine() if m == 1
+                           else DelegatingScheduler(m, self._new_machine))
+
+    def _new_machine(self) -> ReallocatingScheduler:
+        """One machine's single-machine scheduler."""
+        if self.deamortized:
+            return DeamortizedReservationScheduler(
+                gamma=self.gamma, policy=self.policy, journal=self.journal_impl)
+        if self.trim:
+            return TrimmedReservationScheduler(
+                gamma=self.gamma, policy=self.policy, journal=self.journal_impl)
+        return AlignedReservationScheduler(self.policy, journal=self.journal_impl)
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
@@ -156,13 +187,204 @@ class ReservationScheduler(ReallocatingScheduler):
     def machine_schedulers(self) -> list[ReallocatingScheduler]:
         """The per-machine single-machine schedulers (diagnostics).
 
-        At m=1 that is :attr:`inner` itself; at m>1, the delegation
-        layer's machines. Either way they are nested (adopted by an
-        owning layer): their ledgers stay empty, their
-        ``insert``/``delete``/``apply`` return None, and ``apply_batch``
-        on one raises — drive this scheduler instead.
+        At m=1 that is :attr:`inner` (the trimmed default returns
+        itself); at m>1, the delegation layer's machines. A nested one
+        (adopted by an owning layer) keeps an empty ledger, returns
+        None from ``insert``/``delete``/``apply``, and refuses
+        ``apply_batch`` — drive this scheduler instead.
         """
         inner = self.inner
         if isinstance(inner, DelegatingScheduler):
             return list(inner.machines)
         return [inner]
+
+
+class TrimmedReservationScheduler(ReservationScheduler):
+    """One machine, n*-trimmed (Section 4, end): the default m=1 facade.
+
+    Each insert is aligned (``ALIGNED(W)``), then trimmed by
+    :func:`~repro.reservation.trimming.trim_aligned` to span at most
+    ``2 * gamma * n*``; the request is costed here and placed by
+    :attr:`inner`, one
+    :class:`~repro.reservation.scheduler.AlignedReservationScheduler`.
+    n* doubles when the active count exceeds it and halves when the
+    count drops below ``n*/4``; each change rebuilds the schedule on a
+    fresh inner (:meth:`_resize`), an amortized O(1) reallocations per
+    request. The trimmed instance stays gamma-underallocated because at
+    most n* other jobs live in a trimmed window.
+
+    Non-atomic rebuilds run journal-free: the fresh inner's survivor
+    re-inserts skip the per-request undo journal, because a failed
+    rebuild poisons the scheduler regardless. Atomic batches run
+    rebuilds on an ephemeral inner that an abort discards wholesale.
+
+    Parameters are :class:`ReservationScheduler`'s, for one trimmed,
+    amortized machine; ``gamma`` must be a power of two (the paper's
+    Lemma 8 needs the *instance* to be 8-underallocated — gamma
+    defaults to 8).
+    """
+
+    inner: AlignedReservationScheduler
+
+    def __init__(
+        self,
+        num_machines: int = 1,
+        *,
+        gamma: int = 8,
+        policy: LevelPolicy = PAPER_POLICY,
+        trim: bool = True,
+        deamortized: bool = False,
+        journal: str = "arena",
+    ) -> None:
+        if num_machines != 1 or not trim or deamortized:
+            raise ValueError(
+                "TrimmedReservationScheduler runs one trimmed, amortized "
+                "machine; use ReservationScheduler for other stacks")
+        if gamma < 1 or gamma & (gamma - 1):
+            raise ValueError("gamma must be a positive power of two")
+        self.n_star = MIN_N_STAR
+        self.rebuilds = 0
+        #: journal entries recorded by inners replaced in rebuilds
+        #: (``journal_entries_total`` folds the live inner back in)
+        self._journal_entries_carry = 0
+        #: planned final job count of the current flexible batch
+        #: (None outside flexible batches; see _flexible_size_hint)
+        self._flex_final_hint: int | None = None
+        super().__init__(gamma=gamma, policy=policy, journal=journal)
+
+    def _new_inner(self) -> AlignedReservationScheduler:
+        """A fresh inner scheduler; this layer costs its requests."""
+        return self._adopt(AlignedReservationScheduler(
+            self.policy, journal=self.journal_impl))
+
+    @property
+    def trim_span(self) -> int:
+        """Current maximum effective window span: 2 * gamma * n*."""
+        return 2 * self.gamma * self.n_star
+
+    def _apply_insert(self, job: Job) -> None:
+        if len(self.jobs) > self.n_star:
+            self._resize(self.n_star * 2)
+        job = align_job(job)
+        inner = self.inner
+        inner.insert(job.with_window(trim_aligned(job.window, self.trim_span)))
+        # placements are coordinate-identical to the inner scheduler's,
+        # so its touched log folds straight into this request's.
+        self._merge_touched(inner.last_touched)
+
+    def _apply_delete(self, job: Job) -> None:
+        self.inner.delete(job.id)
+        self._merge_touched(self.inner.last_touched)
+        active = len(self.jobs) - 1  # base class removes after we return
+        if active < self.n_star // 4 and self.n_star > MIN_N_STAR:
+            hint = self._flex_final_hint
+            if hint is not None and hint >= self.n_star // 4:
+                # Flexible burst with a planned refill: the batch's own
+                # inserts restore n >= n*/4 before the next request, so
+                # the halving rebuild (and the doubling rebuild that
+                # would follow it) is pure thrash.
+                return
+            self._resize(max(MIN_N_STAR, self.n_star // 2))
+
+    def _resize(self, new_n_star: int) -> None:
+        """Change n* and rebuild the schedule from scratch (amortized O(1))."""
+        self.n_star = new_n_star
+        self.rebuilds += 1
+        inner = self.inner
+        # A rebuild can move every survivor: log all pre-rebuild
+        # placements (O(n), amortized O(1) like the rebuild itself).
+        self._merge_touched(dict(inner.placements))
+        # Deterministic rebuild order over the aligned, untrimmed
+        # windows: short spans first, then by release.
+        survivors = [job.with_window(job.window.aligned_within())
+                     for job in self.jobs.values() if job.id in inner.jobs]
+        survivors.sort(key=lambda j: (j.span, j.release, str(j.id)))
+        self._journal_entries_carry += inner.journal_entries_total
+        # The outgoing inner is freed by reference counting here, before
+        # the survivors are re-inserted (intervals hold no scheduler
+        # reference), so the two schedules never coexist.
+        inner = self.inner = self._new_inner()
+        ctx = self._batch
+        if ctx is not None:
+            # Inside an atomic batch the fresh inner is ephemeral: an
+            # abort restores the saved pre-batch inner and discards this
+            # one, so its rebuild inserts skip all rollback tracking.
+            inner._batch_begin(atomic=ctx.atomic,
+                               ephemeral=ctx.atomic or ctx.ephemeral)
+        if ctx is None or not ctx.atomic:
+            # A failed rebuild poisons regardless, so the fresh inner's
+            # survivor inserts run journal-free (atomic batches already
+            # do, via the ephemeral discard-on-abort path).
+            inner._journal_enabled = False
+        trim = self.trim_span
+        try:
+            for job in survivors:
+                inner.insert(job.with_window(trim_aligned(job.window, trim)))
+        finally:
+            inner._journal_enabled = True
+
+    # ------------------------------------------------------------------
+    # batch lifecycle
+    # ------------------------------------------------------------------
+    def _flexible_size_hint(self, deletes: list[DeleteJob],
+                            inserts: list[Job]) -> None:
+        """Pre-size n* for the batch's planned final count (no rebuild).
+
+        Raising n* without rebuilding is safe: already-placed jobs keep
+        their narrower trimmed windows, which nest inside the wider
+        trim bound, so every existing placement stays feasible, and
+        window-containment sets can only shrink — the instance stays
+        gamma-underallocated (Lemma 8's argument needs n <= n*, which
+        the planned final count satisfies by construction). Only
+        placements differ from the strict replay, which the flexible
+        contract allows; the rebuilds this skips were the dominant
+        per-batch cost under churn.
+
+        The hint runs after ``_batch_begin`` snapshotted ``n_star``, so
+        an atomic abort restores the pre-batch value exactly.
+        """
+        final = len(self.jobs) - len(deletes) + len(inserts)
+        target = self.n_star
+        while final > target:
+            target *= 2
+        if target > self.n_star:
+            self.n_star = target
+        self._flex_final_hint = final
+
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral)
+        if atomic and not ephemeral:
+            self._batch.saved["trim"] = (self.inner, self.n_star, self.rebuilds,
+                                         self._journal_entries_carry)
+
+    def _batch_commit(self) -> None:
+        self._flex_final_hint = None
+        super()._batch_commit()
+
+    def _batch_restore(self, ctx: _BatchContext) -> None:
+        # If a rebuild replaced the inner mid-batch, the saved pre-batch
+        # inner swaps back (and then aborts) and the replacement is
+        # simply dropped — the rebuild's carry increment rolls back with
+        # it, so journal_entries_total matches a scheduler that never
+        # saw the batch (the restored inner still holds its own lifetime
+        # count).
+        self._flex_final_hint = None
+        (self.inner, self.n_star, self.rebuilds,
+         self._journal_entries_carry) = ctx.saved["trim"]
+
+    # ------------------------------------------------------------------
+    def machine_schedulers(self) -> list[ReallocatingScheduler]:
+        """This scheduler: it is the one machine's scheduler."""
+        return [self]
+
+    @property
+    def journal_entries_total(self) -> int:
+        """Lifetime undo-journal entries, rebuild-replaced inners included."""
+        return self._journal_entries_carry + self.inner.journal_entries_total
+
+    @property
+    def poisoned(self) -> bool:
+        return self.inner.poisoned
+
+    def active_levels(self) -> dict[int, int]:
+        return self.inner.active_levels()

@@ -314,7 +314,8 @@ class DelegatingScheduler(ReallocatingScheduler):
         not yet assigned to machines at hint time, so every machine
         receives the full insert list as its upper bound. An n*
         overshoot from the bound only widens trim spans, which is safe
-        (see :meth:`TrimmedReservationScheduler._flexible_size_hint`).
+        (see
+        :meth:`repro.core.api.TrimmedReservationScheduler._flexible_size_hint`).
         """
         per_machine: list[list[DeleteJob]] = [
             [] for _ in range(self.num_machines)

@@ -3,7 +3,6 @@
 from .deamortized import DeamortizedReservationScheduler, virtual_window
 from .interval import Interval
 from .scheduler import AlignedReservationScheduler
-from .trimming import TrimmedReservationScheduler
 from .validation import validate_scheduler
 from .window_state import WindowState, dynamic_count, rr_counts, rr_diff
 
@@ -12,7 +11,6 @@ __all__ = [
     "virtual_window",
     "Interval",
     "AlignedReservationScheduler",
-    "TrimmedReservationScheduler",
     "validate_scheduler",
     "WindowState",
     "dynamic_count",

@@ -80,8 +80,9 @@ def virtual_window(window: Window) -> Window:
 class DeamortizedReservationScheduler(ReallocatingScheduler):
     """n*-trimmed reservation scheduler with O(1) worst-case rebuilds.
 
-    Parameters mirror :class:`TrimmedReservationScheduler`; the
-    underallocation requirement doubles (see module docstring). Each
+    Parameters are the trimmed facade's ``gamma``, ``policy`` and
+    ``journal`` (see :class:`repro.core.api.TrimmedReservationScheduler`);
+    the underallocation requirement doubles (see module docstring). Each
     in-phase request migrates ``MIGRATE_PER_REQUEST`` (the paper's 2)
     jobs.
 

@@ -91,9 +91,10 @@ intervals a rebuild re-materializes construct no ``Window`` objects.
 
 The scheduler requires *aligned* windows and sufficient underallocation
 (Lemma 8 needs 8-underallocation); when slack runs out it raises
-:class:`UnderallocationError` and poisons itself — wrap with the
-trimming/alignment/multi-machine layers for the full Theorem 1
-scheduler.
+:class:`UnderallocationError` and poisons itself. The full Theorem 1
+scheduler (:class:`repro.core.api.ReservationScheduler`) aligns and
+trims each window before it reaches this scheduler, and delegates
+across machines at m > 1.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import InvalidRequestError, Job, Window, verify_schedule
+from repro.core.api import TrimmedReservationScheduler
 from repro.core.requests import DeleteJob, InsertJob
 from repro.reservation import DeamortizedReservationScheduler, virtual_window
-from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
 

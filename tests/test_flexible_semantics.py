@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.api import ReservationScheduler
+from repro.core.api import ReservationScheduler, TrimmedReservationScheduler
 from repro.core.base import BATCH_SEMANTICS, resolve_batch_semantics
 from repro.core.exceptions import InvalidRequestError, ReproError
 from repro.core.job import Job
@@ -34,7 +34,6 @@ from repro.reservation.scheduler import (
     AlignedReservationScheduler,
     flexible_span_order,
 )
-from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.sim.driver import run_sequence
 from repro.sim.engine import run_engine
 from repro.sim.session import ExecutionPlan

@@ -34,7 +34,7 @@ import random
 
 import pytest
 
-from repro.core.api import ReservationScheduler
+from repro.core.api import ReservationScheduler, TrimmedReservationScheduler
 from repro.core.exceptions import ReproError, UnderallocationError
 from repro.core.job import Job
 from repro.core.requests import DeleteJob, InsertJob
@@ -52,7 +52,6 @@ from repro.reservation.journal import (
     UndoArena,
     replay_entries,
 )
-from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.reservation.validation import validate_scheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -115,6 +114,7 @@ def aligned_fingerprint(s: AlignedReservationScheduler):
 
 def trimmed_fingerprint(s: TrimmedReservationScheduler):
     return (s.n_star, s.rebuilds, set(s.jobs), s._max_span_cache,
+            dict(s._span_counts), len(s.ledger.entries),
             aligned_fingerprint(s.inner))
 
 

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.api import ReservationScheduler
+from repro.core.api import ReservationScheduler, TrimmedReservationScheduler
 from repro.core.costs import RequestCost
 from repro.core.exceptions import InvalidRequestError
 from repro.core.job import Job
@@ -31,7 +31,7 @@ from repro.core.requests import InsertJob, insert, iter_batches
 from repro.core.window import Window
 from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
-from repro.reservation.trimming import TrimmedReservationScheduler
+from repro.reservation.scheduler import AlignedReservationScheduler
 from repro.sim.session import placements_fingerprint
 from repro.workloads import churn_storm_sequence
 
@@ -70,6 +70,28 @@ def test_trimming_rebuild_frees_the_replaced_inner():
                 assert ref() is None, "replaced inner survived its rebuild"
                 rebuilds += 1
     assert rebuilds >= 2
+
+
+def test_trimming_rebuild_frees_the_outgoing_inner_before_reinserting(
+        monkeypatch):
+    """The old and new schedules never coexist: the replaced inner is
+    dead by the time the rebuild re-inserts its first survivor."""
+    stack = ReservationScheduler(1, gamma=8)
+    for request in growth_requests(4):
+        stack.apply(request)
+    ref = weakref.ref(stack.inner)
+    outgoing_alive = []
+    insert = AlignedReservationScheduler.insert
+
+    def watching(self, job):
+        outgoing_alive.append(ref() is not None)
+        return insert(self, job)
+
+    monkeypatch.setattr(AlignedReservationScheduler, "insert", watching)
+    with collector_off():
+        stack.apply(growth_requests(1, start=4)[0])
+    assert stack.rebuilds == 1
+    assert outgoing_alive and not any(outgoing_alive)
 
 
 def test_committed_atomic_rebuild_frees_the_saved_inner():
@@ -146,10 +168,12 @@ def cost_counter(monkeypatch):
 
 
 def nested_ledgers(stack: ReservationScheduler) -> list:
-    ledgers = [stack.inner.ledger]
-    for machine in stack.machine_schedulers():
-        ledgers.append(machine.ledger)
-        ledgers.append(machine.inner.ledger)
+    """The ledger of every scheduler the stack drives, at any depth."""
+    ledgers, todo = [], list(stack._subs())
+    while todo:
+        sub = todo.pop()
+        ledgers.append(sub.ledger)
+        todo.extend(sub._subs())
     return ledgers
 
 
@@ -178,7 +202,7 @@ def test_one_cost_per_request_in_the_top_ledger(cost_counter, machines,
 @pytest.mark.parametrize("factory", [
     lambda: TrimmedReservationScheduler(gamma=8),
     lambda: DeamortizedReservationScheduler(gamma=8),
-    lambda: DelegatingScheduler(2, lambda: TrimmedReservationScheduler(8)),
+    lambda: DelegatingScheduler(2, lambda: TrimmedReservationScheduler(gamma=8)),
 ], ids=["trimmed", "deamortized", "delegating"])
 def test_standalone_layers_record_their_own_ledger(factory):
     sched = factory()
@@ -199,7 +223,7 @@ def test_standalone_layers_record_their_own_ledger(factory):
 def test_adopted_scheduler_records_nothing_and_refuses_batches():
     """An adopted (nested) sparse scheduler returns no cost and keeps
     an empty ledger; a batch must go through its owner."""
-    owner = DelegatingScheduler(1, lambda: TrimmedReservationScheduler(8))
+    owner = DelegatingScheduler(1, lambda: TrimmedReservationScheduler(gamma=8))
     sub = owner.machines[0]
     assert sub.apply(InsertJob(Job("a", Window(0, 8)))) is None
     assert sub.last_touched is not None and len(sub.ledger) == 0

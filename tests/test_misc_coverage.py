@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core import Job, Window
+from repro.core.api import TrimmedReservationScheduler
 from repro.core.costs import CostLedger, diff_placements
 from repro.core.job import Placement
 from repro.core.schedule import format_schedule
 from repro.levels import PAPER_POLICY
-from repro.reservation import TrimmedReservationScheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
 from repro.reservation.interval import Interval
 from repro.sim import SessionResult, sparkline, summarize_series
@@ -57,8 +57,9 @@ class TestTrimmedExtras:
 
     def test_effective_window_shrinks(self):
         s = TrimmedReservationScheduler(gamma=8)
-        eff = s.effective_window(Window(0, 1 << 16))
-        assert eff.span == s.trim_span  # 2 * 8 * 4 = 64
+        s.insert(Job("wide", Window(0, 1 << 16)))
+        eff = s.inner.jobs["wide"].window
+        assert eff == Window(0, s.trim_span)  # 2 * 8 * 4 = 64
 
 
 class TestDeamortizedExtras:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Job, Window, verify_schedule
 from repro.core.api import ReservationScheduler
-from repro.alignment import AligningScheduler, align_job, align_jobs
+from repro.alignment import align_job, align_jobs
 from repro.multimachine import DelegatingScheduler, WindowBalancer
 from repro.reservation import AlignedReservationScheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
@@ -113,14 +113,6 @@ class TestAlignment:
         jobs = {"a": Job("a", Window(1, 8)), "b": Job("b", Window(0, 4))}
         out = align_jobs(jobs)
         assert out["a"].window.is_aligned and out["b"].window == Window(0, 4)
-
-    def test_aligning_scheduler_transparent(self):
-        s = AligningScheduler(lambda: AlignedReservationScheduler())
-        s.insert(Job("a", Window(3, 9)))  # span 6, unaligned
-        verify_schedule(s.jobs, s.placements, 1)
-        assert s.placements["a"].slot in Window(3, 9)
-        s.delete("a")
-        assert not s.jobs
 
 
 class TestReservationSchedulerFacade:

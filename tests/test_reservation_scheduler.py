@@ -15,12 +15,12 @@ from repro.core import (
     Window,
     verify_schedule,
 )
+from repro.core.api import TrimmedReservationScheduler
 from repro.core.requests import InsertJob
 from repro.core.window import aligned_ladder
 from repro.levels import PAPER_POLICY
 from repro.reservation import AlignedReservationScheduler, validate_scheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
-from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
 from test_reservation_units import oracle_interval

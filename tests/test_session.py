@@ -15,12 +15,11 @@ import json
 
 import pytest
 
-from repro.core.api import ReservationScheduler
+from repro.core.api import ReservationScheduler, TrimmedReservationScheduler
 from repro.core.exceptions import ReproError, UnderallocationError
 from repro.core.job import Job
 from repro.core.window import Window
 from repro.reservation.scheduler import AlignedReservationScheduler as _ARS
-from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.sim import run_comparison, run_engine, run_sequence, run_sweep
 from repro.sim.session import (
     DEFAULT_FULL_AUDIT_EVERY,

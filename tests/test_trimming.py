@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import Job, Window, verify_schedule
-from repro.reservation import TrimmedReservationScheduler, validate_scheduler
+from repro.core.api import TrimmedReservationScheduler
+from repro.reservation import validate_scheduler
 from repro.reservation.trimming import trim_aligned
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -87,10 +88,18 @@ class TestTrimmedScheduler:
         assert s.rebuilds >= 1
 
     def test_rejects_unaligned(self):
-        from repro.core import InvalidRequestError
-        s = TrimmedReservationScheduler()
-        with pytest.raises(InvalidRequestError):
-            s.insert(Job("a", Window(1, 3)))
+        """An unaligned window is aligned, then trimmed: the window the
+        reservation scheduler sees is aligned, within the trim bound,
+        and nests in the original."""
+        s = TrimmedReservationScheduler(gamma=8)
+        original = Window(3, 1000)
+        s.insert(Job("a", original))
+        eff = s.inner.jobs["a"].window
+        assert eff.is_aligned and eff.span <= s.trim_span
+        assert original.aligned_within().contains_window(eff)
+        assert original.contains_window(eff)
+        assert s.jobs["a"].window == original
+        verify_schedule(s.jobs, s.placements, 1)
 
     def test_trim_preserves_validity_through_resize(self):
         """Windows are re-trimmed against the new bound at every rebuild."""
