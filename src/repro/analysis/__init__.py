@@ -1,26 +1,23 @@
-"""Analysis helpers: iterated logs, bound overlays, growth-rate fitting."""
+"""Analysis helpers: iterated logs, bound overlays, growth-rate fitting.
 
-from .bounds import (
-    PAPER_SLACK,
-    SlackBudget,
-    lemma4_cost_bound,
-    lemma11_migration_bound,
-    lemma12_reallocation_bound,
-    observation13_bound,
-    theorem1_cost_bound,
-)
-from .logstar import log_star, paper_level_count, paper_thresholds, tower
+Each name below loads its submodule on first access.
+"""
 
-__all__ = [
-    "PAPER_SLACK",
-    "SlackBudget",
-    "lemma4_cost_bound",
-    "lemma11_migration_bound",
-    "lemma12_reallocation_bound",
-    "observation13_bound",
-    "theorem1_cost_bound",
-    "log_star",
-    "paper_level_count",
-    "paper_thresholds",
-    "tower",
-]
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    "PAPER_SLACK": ".bounds",
+    "SlackBudget": ".bounds",
+    "lemma4_cost_bound": ".bounds",
+    "lemma11_migration_bound": ".bounds",
+    "lemma12_reallocation_bound": ".bounds",
+    "observation13_bound": ".bounds",
+    "theorem1_cost_bound": ".bounds",
+    "log_star": ".logstar",
+    "paper_level_count": ".logstar",
+    "paper_thresholds": ".logstar",
+    "tower": ".logstar",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

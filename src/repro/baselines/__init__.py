@@ -8,23 +8,24 @@
   reallocation via the Hungarian method (our yardstick);
 - :class:`SizedGreedyScheduler` — first-fit rebuild for the sized-job
   lower bound (Observation 13).
+
+Each name below loads its submodule on first access; the matching
+baseline imports numpy and scipy only when it solves.
 """
 
-from .edf import EDFRebuildScheduler, edf_schedule
-from .llf import LLFRebuildScheduler, llf_schedule
-from .matching import MinChangeMatchingScheduler
-from .naive_pecking import NaivePeckingScheduler
-from .sized_jobs import SizedGreedyScheduler, sized_first_fit
-from .uniform_sized import UniformSizedReservationScheduler
+from .._exports import lazy_exports
 
-__all__ = [
-    "UniformSizedReservationScheduler",
-    "EDFRebuildScheduler",
-    "edf_schedule",
-    "LLFRebuildScheduler",
-    "llf_schedule",
-    "MinChangeMatchingScheduler",
-    "NaivePeckingScheduler",
-    "SizedGreedyScheduler",
-    "sized_first_fit",
-]
+_EXPORTS = {
+    "UniformSizedReservationScheduler": ".uniform_sized",
+    "EDFRebuildScheduler": ".edf",
+    "edf_schedule": ".edf",
+    "LLFRebuildScheduler": ".llf",
+    "llf_schedule": ".llf",
+    "MinChangeMatchingScheduler": ".matching",
+    "NaivePeckingScheduler": ".naive_pecking",
+    "SizedGreedyScheduler": ".sized_jobs",
+    "sized_first_fit": ".sized_jobs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

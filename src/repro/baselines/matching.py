@@ -23,9 +23,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from ..core.base import ReallocatingScheduler
 from ..core.exceptions import InfeasibleError, InvalidRequestError
 from ..core.job import Job, JobId, Placement
@@ -80,6 +77,9 @@ class MinChangeMatchingScheduler(ReallocatingScheduler):
     ) -> dict[JobId, Placement]:
         if not jobs:
             return {}
+        import numpy as np
+        from scipy.optimize import linear_sum_assignment
+
         job_ids = sorted(jobs, key=str)
         slots = sorted({s for j in jobs.values() for s in j.window.slots()})
         columns = [(m, s) for s in slots for m in range(self.num_machines)]

@@ -43,25 +43,19 @@ from .analysis.bounds import (
     lemma12_reallocation_bound,
     theorem1_cost_bound,
 )
-from .baselines import (
-    EDFRebuildScheduler,
-    LLFRebuildScheduler,
-    MinChangeMatchingScheduler,
-    NaivePeckingScheduler,
-)
+from .baselines.edf import EDFRebuildScheduler
+from .baselines.llf import LLFRebuildScheduler
+from .baselines.matching import MinChangeMatchingScheduler
+from .baselines.naive_pecking import NaivePeckingScheduler
 from .core.api import ReservationScheduler
 from .core.base import BATCH_SEMANTICS
 from .core.requests import RequestSequence
-from .sim import (
-    format_table,
-    run_comparison,
-    run_engine,
-    run_sequence,
-    run_sweep,
-    sweep_table,
-)
+from .sim.driver import run_comparison, run_sequence
+from .sim.engine import run_engine, run_sweep, sweep_table
+from .sim.report import format_table
 from .sim.session import BACKENDS
-from .workloads import SCENARIOS, AlignedWorkloadConfig, random_aligned_sequence
+from .workloads.random_aligned import AlignedWorkloadConfig, random_aligned_sequence
+from .workloads.scenarios import SCENARIOS
 
 SCHEDULERS = {
     "reservation": lambda m: ReservationScheduler(m, gamma=8),

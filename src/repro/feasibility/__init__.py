@@ -1,27 +1,25 @@
-"""Offline feasibility and underallocation substrate (matching, Hall/density)."""
+"""Offline feasibility and underallocation substrate (matching, Hall/density).
 
-from .checker import (
-    check_feasible,
-    check_gamma_underallocated,
-    density_gamma,
-    max_density,
-    offline_schedule,
-)
-from .hall import LaminarLoadTree, coarse_grid_jobs, interval_density_bound, underallocation_factor
-from .matching import HopcroftKarp, feasible_assignment, greedy_edf_feasible, max_matching_size
+Each name below loads its submodule on first access.
+"""
 
-__all__ = [
-    "check_feasible",
-    "check_gamma_underallocated",
-    "density_gamma",
-    "max_density",
-    "offline_schedule",
-    "LaminarLoadTree",
-    "coarse_grid_jobs",
-    "interval_density_bound",
-    "underallocation_factor",
-    "HopcroftKarp",
-    "feasible_assignment",
-    "greedy_edf_feasible",
-    "max_matching_size",
-]
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    "check_feasible": ".checker",
+    "check_gamma_underallocated": ".checker",
+    "density_gamma": ".checker",
+    "max_density": ".checker",
+    "offline_schedule": ".checker",
+    "LaminarLoadTree": ".hall",
+    "coarse_grid_jobs": ".hall",
+    "interval_density_bound": ".hall",
+    "underallocation_factor": ".hall",
+    "HopcroftKarp": ".matching",
+    "feasible_assignment": ".matching",
+    "greedy_edf_feasible": ".matching",
+    "max_matching_size": ".matching",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,19 +1,21 @@
-"""The paper's core contribution: pecking-order scheduling with reservations."""
+"""The paper's core contribution: pecking-order scheduling with reservations.
 
-from .deamortized import DeamortizedReservationScheduler, virtual_window
-from .interval import Interval
-from .scheduler import AlignedReservationScheduler
-from .validation import validate_scheduler
-from .window_state import WindowState, dynamic_count, rr_counts, rr_diff
+Each name below loads its submodule on first access.
+"""
 
-__all__ = [
-    "DeamortizedReservationScheduler",
-    "virtual_window",
-    "Interval",
-    "AlignedReservationScheduler",
-    "validate_scheduler",
-    "WindowState",
-    "dynamic_count",
-    "rr_counts",
-    "rr_diff",
-]
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    "DeamortizedReservationScheduler": ".deamortized",
+    "virtual_window": ".deamortized",
+    "Interval": ".interval",
+    "AlignedReservationScheduler": ".scheduler",
+    "validate_scheduler": ".validation",
+    "WindowState": ".window_state",
+    "dynamic_count": ".window_state",
+    "rr_counts": ".window_state",
+    "rr_diff": ".window_state",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,8 +14,7 @@ variant lives in ``deamortized.py``.
 
 from __future__ import annotations
 
-from typing import Any
-
+from .._exports import lazy_exports
 from ..core.window import Window
 
 
@@ -35,10 +34,7 @@ def trim_aligned(window: Window, max_span: int) -> Window:
     return Window(window.release, window.release + span)
 
 
-def __getattr__(name: str) -> Any:
-    """The old import path of ``TrimmedReservationScheduler``, resolved
-    lazily: the class subclasses the facade, which imports this module."""
-    if name == "TrimmedReservationScheduler":
-        from ..core.api import TrimmedReservationScheduler
-        return TrimmedReservationScheduler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: the old import path of ``TrimmedReservationScheduler``, resolved on
+#: first access: the class subclasses the facade, which imports this module
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"TrimmedReservationScheduler": "..core.api"})

@@ -1,56 +1,44 @@
 """Simulation harness: drivers, engine, metrics, growth fitting, reports.
 
 Every drive surface returns one result type, :class:`SessionResult`, and
-records one trace format, :class:`SessionTrace`.
+records one trace format, :class:`SessionTrace`. Each name below loads
+its submodule on first access, so ``from repro.sim import Session``
+does not import the growth fits or the engine.
 """
 
-from .breakdown import breakdown_table, by_level, cascade_depths, movement_breakdown
-from .driver import run_comparison, run_sequence
-from .engine import run_engine, run_sweep, sweep_table
-from .incremental import IncrementalVerifier
-from .metrics import GrowthFit, doubling_series, fit_growth, summarize_series
-from .replay import replay_and_diff, shrink_failing_prefix
-from .report import experiment_header, format_series, format_table, sparkline
-from .session import (
-    BatchedBackend,
-    Checkpoint,
-    DEFAULT_FULL_AUDIT_EVERY,
-    DriveBackend,
-    ExecutionPlan,
-    SequentialBackend,
-    Session,
-    SessionResult,
-    SessionTrace,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "breakdown_table",
-    "by_level",
-    "cascade_depths",
-    "movement_breakdown",
-    "replay_and_diff",
-    "shrink_failing_prefix",
-    "run_comparison",
-    "run_sequence",
-    "Checkpoint",
-    "IncrementalVerifier",
-    "run_engine",
-    "run_sweep",
-    "sweep_table",
-    "BatchedBackend",
-    "DEFAULT_FULL_AUDIT_EVERY",
-    "DriveBackend",
-    "ExecutionPlan",
-    "SequentialBackend",
-    "Session",
-    "SessionResult",
-    "SessionTrace",
-    "GrowthFit",
-    "doubling_series",
-    "fit_growth",
-    "summarize_series",
-    "experiment_header",
-    "format_series",
-    "format_table",
-    "sparkline",
-]
+_EXPORTS = {
+    "breakdown_table": ".breakdown",
+    "by_level": ".breakdown",
+    "cascade_depths": ".breakdown",
+    "movement_breakdown": ".breakdown",
+    "replay_and_diff": ".replay",
+    "shrink_failing_prefix": ".replay",
+    "run_comparison": ".driver",
+    "run_sequence": ".driver",
+    "Checkpoint": ".session",
+    "IncrementalVerifier": ".incremental",
+    "run_engine": ".engine",
+    "run_sweep": ".engine",
+    "sweep_table": ".engine",
+    "BatchedBackend": ".session",
+    "DEFAULT_FULL_AUDIT_EVERY": ".session",
+    "DriveBackend": ".session",
+    "ExecutionPlan": ".session",
+    "SequentialBackend": ".session",
+    "Session": ".session",
+    "SessionResult": ".session",
+    "SessionTrace": ".session",
+    "GrowthFit": ".metrics",
+    "doubling_series": ".metrics",
+    "fit_growth": ".metrics",
+    "summarize_series": ".metrics",
+    "experiment_header": ".report",
+    "format_series": ".report",
+    "format_table": ".report",
+    "sparkline": ".report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

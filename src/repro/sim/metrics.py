@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..analysis.logstar import log_star
 
 
@@ -32,13 +30,15 @@ class GrowthFit:
         return self.residuals[shape]
 
 
+#: shape -> basis function of (numpy, x); numpy is passed in so that
+#: importing this module does not import it
 _SHAPES = {
-    "constant": lambda x: np.ones_like(x, dtype=float),
-    "logstar": lambda x: np.array([log_star(v) for v in x], dtype=float),
-    "log": lambda x: np.log2(np.maximum(x, 1.0)),
-    "sqrt": lambda x: np.sqrt(x),
-    "linear": lambda x: np.asarray(x, dtype=float),
-    "quadratic": lambda x: np.asarray(x, dtype=float) ** 2,
+    "constant": lambda np, x: np.ones_like(x, dtype=float),
+    "logstar": lambda np, x: np.array([log_star(v) for v in x], dtype=float),
+    "log": lambda np, x: np.log2(np.maximum(x, 1.0)),
+    "sqrt": lambda np, x: np.sqrt(x),
+    "linear": lambda np, x: np.asarray(x, dtype=float),
+    "quadratic": lambda np, x: np.asarray(x, dtype=float) ** 2,
 }
 
 
@@ -53,6 +53,8 @@ def fit_growth(
     near-ties within 5%) resolve toward the *slower-growing* shape, since
     a bounded series fits every faster shape with a tiny coefficient.
     """
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.size < 3:
@@ -62,7 +64,7 @@ def fit_growth(
     coefficients: dict[str, tuple[float, float]] = {}
     order = [s for s in _SHAPES if s in shapes]
     for shape in order:
-        basis = _SHAPES[shape](x)
+        basis = _SHAPES[shape](np, x)
         a_mat = np.column_stack([basis, np.ones_like(basis)])
         sol, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
         pred = a_mat @ sol

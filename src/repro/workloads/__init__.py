@@ -1,43 +1,30 @@
-"""Workload generators: random underallocated churn, scenarios, adversaries."""
+"""Workload generators: random underallocated churn, scenarios, adversaries.
 
-from .random_aligned import (
-    AlignedWorkloadConfig,
-    random_aligned_sequence,
-    saturated_aligned_jobs,
-)
-from .scenarios import (
-    SCENARIO_STREAMS,
-    SCENARIOS,
-    adversarial_span_mix_sequence,
-    appointment_book_sequence,
-    burst_arrivals_sequence,
-    churn_storm_sequence,
-    cluster_trace_sequence,
-    iter_adversarial_span_mix,
-    iter_appointment_book,
-    iter_burst_arrivals,
-    iter_churn_storm,
-    iter_cluster_trace,
-    iter_steady_state,
-    steady_state_sequence,
-)
+Each name below loads its submodule on first access; the generators
+import numpy only when they run.
+"""
 
-__all__ = [
-    "AlignedWorkloadConfig",
-    "random_aligned_sequence",
-    "saturated_aligned_jobs",
-    "SCENARIOS",
-    "SCENARIO_STREAMS",
-    "appointment_book_sequence",
-    "cluster_trace_sequence",
-    "churn_storm_sequence",
-    "adversarial_span_mix_sequence",
-    "steady_state_sequence",
-    "burst_arrivals_sequence",
-    "iter_appointment_book",
-    "iter_cluster_trace",
-    "iter_churn_storm",
-    "iter_adversarial_span_mix",
-    "iter_steady_state",
-    "iter_burst_arrivals",
-]
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    "AlignedWorkloadConfig": ".random_aligned",
+    "random_aligned_sequence": ".random_aligned",
+    "saturated_aligned_jobs": ".random_aligned",
+    "SCENARIOS": ".scenarios",
+    "SCENARIO_STREAMS": ".scenarios",
+    "appointment_book_sequence": ".scenarios",
+    "cluster_trace_sequence": ".scenarios",
+    "churn_storm_sequence": ".scenarios",
+    "adversarial_span_mix_sequence": ".scenarios",
+    "steady_state_sequence": ".scenarios",
+    "burst_arrivals_sequence": ".scenarios",
+    "iter_appointment_book": ".scenarios",
+    "iter_cluster_trace": ".scenarios",
+    "iter_churn_storm": ".scenarios",
+    "iter_adversarial_span_mix": ".scenarios",
+    "iter_steady_state": ".scenarios",
+    "iter_burst_arrivals": ".scenarios",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

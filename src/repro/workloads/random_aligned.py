@@ -17,13 +17,15 @@ Generators are deterministic given a seed (``numpy.random.Generator``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.job import Job
 from ..core.requests import DeleteJob, InsertJob, RequestSequence
 from ..core.window import Window
 from ..feasibility.hall import LaminarLoadTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class AlignedWorkloadConfig:
 
 
 def _draw_span(rng: np.random.Generator, cfg: AlignedWorkloadConfig) -> int:
+    import numpy as np
+
     lo = cfg.min_span.bit_length() - 1
     hi = cfg.max_span.bit_length() - 1
     exps = np.arange(lo, hi + 1)
@@ -97,6 +101,8 @@ def random_aligned_sequence(
     density budget rejects too many candidate windows in a row the
     generator falls back to deleting, so it always terminates.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     seq = RequestSequence()
     tree = LaminarLoadTree(cfg.horizon)
@@ -149,6 +155,8 @@ def saturated_aligned_jobs(
     gamma-underallocated but nearly tight, maximizing reservation
     contention.
     """
+    import numpy as np
+
     if max_span is None:
         max_span = horizon
     cfg = AlignedWorkloadConfig(

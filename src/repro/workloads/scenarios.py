@@ -54,14 +54,15 @@ hold, and all are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.job import Job
 from ..core.requests import DeleteJob, InsertJob, Request, RequestSequence
 from ..core.window import Window
 from ..feasibility.hall import LaminarLoadTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _admit(tree: LaminarLoadTree, window: Window, m: int, gamma: int) -> bool:
@@ -89,6 +90,8 @@ def iter_appointment_book(
     within one day (narrow: a specific hour; flexible: whole morning,
     whole day). Cancellations arrive randomly among active patients.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     horizon_bits = (days * slots_per_day - 1).bit_length()
     horizon = 1 << horizon_bits
@@ -157,6 +160,8 @@ def iter_cluster_trace(
     log-uniform between 4 and horizon/4; jobs leave (finish/cancel) at
     the given churn rate.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     tree = LaminarLoadTree(horizon)
     active: list[str] = []
@@ -256,6 +261,8 @@ def iter_churn_storm(
     Exercises mass retraction of dynamic reservations, allowance
     regrowth, and the reinsertion fast path at scale.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     tree = LaminarLoadTree(horizon)
     active: list[str] = []
@@ -319,6 +326,8 @@ def iter_adversarial_span_mix(
     cross-level displacement, slot_lowered/raised churn, and MOVE
     cascades dominate — the worst case for the allowance bookkeeping.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     tree = LaminarLoadTree(horizon)
     active: list[str] = []
@@ -394,6 +403,8 @@ def iter_burst_arrivals(
     back-to-back. Feed it to ``run_engine(batch_size=burst_size)`` for
     aligned burst/batch boundaries.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     tree = LaminarLoadTree(horizon)
     active: list[str] = []
@@ -472,6 +483,8 @@ def iter_steady_state(
     flat per-request cost (and the engine's flat per-request wall time)
     must show.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     tree = LaminarLoadTree(horizon)
     active: list[str] = []

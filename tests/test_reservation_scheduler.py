@@ -16,7 +16,6 @@ from repro.core import (
     verify_schedule,
 )
 from repro.core.api import TrimmedReservationScheduler
-from repro.core.requests import InsertJob
 from repro.core.window import aligned_ladder
 from repro.levels import PAPER_POLICY
 from repro.reservation import AlignedReservationScheduler, validate_scheduler
