@@ -33,7 +33,11 @@ from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
 from repro.reservation.scheduler import AlignedReservationScheduler
 from repro.sim.session import placements_fingerprint
-from repro.workloads import churn_storm_sequence
+from repro.workloads import (
+    AlignedWorkloadConfig,
+    churn_storm_sequence,
+    random_aligned_sequence,
+)
 
 
 @contextmanager
@@ -248,6 +252,18 @@ GOLDEN = {
         "requests": 4000, "total_realloc": 724, "total_migrations": 418,
         "max_realloc": 60, "mean_realloc": 0.181, "max_migration": 1,
         "mean_migration": 0.1045, "p99_realloc": 1}),
+    "untrimmed-m1": ("413fd8f911659a38", {
+        "requests": 4000, "total_realloc": 44, "total_migrations": 0,
+        "max_realloc": 2, "mean_realloc": 0.011, "max_migration": 0,
+        "mean_migration": 0.0, "p99_realloc": 0}),
+    "strict-trimmed-m3": ("b5395cfccd4b4875", {
+        "requests": 4000, "total_realloc": 946, "total_migrations": 421,
+        "max_realloc": 50, "mean_realloc": 0.2365, "max_migration": 1,
+        "mean_migration": 0.1052, "p99_realloc": 2}),
+    "deamortized-m3": ("e04fc746d69afc21", {
+        "requests": 4000, "total_realloc": 2062, "total_migrations": 383,
+        "max_realloc": 7, "mean_realloc": 0.5155, "max_migration": 1,
+        "mean_migration": 0.0958, "p99_realloc": 5}),
 }
 
 
@@ -273,6 +289,41 @@ def test_golden_churn_storm_runs(name, machines, deamortized, batch):
     if deamortized:
         assert sum(m.phases_started for m in machines_) > 0
     else:
+        assert sum(m.rebuilds for m in machines_) > 0
+    fingerprint, summary = GOLDEN[name]
+    assert placements_fingerprint(stack) == fingerprint
+    assert stack.ledger.summary() == summary
+
+
+def _slack2_sequence(machines):
+    """2*gamma slack and span >= 2, as the deamortized stack requires."""
+    cfg = AlignedWorkloadConfig(num_requests=4000, num_machines=machines,
+                                gamma=16, min_span=2)
+    return list(random_aligned_sequence(cfg, seed=5))
+
+
+@pytest.mark.parametrize("name,machines,options", [
+    ("untrimmed-m1", 1, {"trim": False}),
+    ("strict-trimmed-m3", 3, {}),
+    ("deamortized-m3", 3, {"deamortized": True}),
+])
+def test_golden_sequential_runs(name, machines, options):
+    """Stacks driven one request at a time: untrimmed at m=1 (churn
+    storm), trimmed at m=3 (churn storm), and deamortized at m=3 (a
+    2*gamma-slack stream, which that stack requires)."""
+    if options.get("deamortized"):
+        seq = _slack2_sequence(machines)
+    else:
+        seq = list(churn_storm_sequence(requests=4000, seed=5,
+                                        num_machines=machines))
+    stack = ReservationScheduler(machines, gamma=8, **options)
+    for request in seq:
+        stack.apply(request)
+    machines_ = stack.machine_schedulers()
+    # the pins must cover the replacement paths the stack has
+    if options.get("deamortized"):
+        assert sum(m.phases_started for m in machines_) > 0
+    elif options.get("trim", True):
         assert sum(m.rebuilds for m in machines_) > 0
     fingerprint, summary = GOLDEN[name]
     assert placements_fingerprint(stack) == fingerprint
