@@ -52,25 +52,30 @@ from repro.workloads import (  # noqa: E402
 
 BACKENDS = ("sequential", "batched", "batched-atomic")
 
-#: (machines, batch_size, seed, delete_fraction) smoke matrix — one
-#: single-machine and one delegated case, mirroring the tier-1
-#: sanitized-differential test's axes at smoke-sized request counts
-CASES = [(1, 16, 0, 0.35), (3, 16, 3, 0.35)]
+#: (machines, batch_size, seed, delete_fraction, deamortized) smoke
+#: matrix — a single-machine and a delegated case of the trimmed and of
+#: the deamortized stack, mirroring the tier-1 sanitized-differential
+#: test's axes at smoke-sized request counts
+CASES = [(1, 16, 0, 0.35, False), (3, 16, 3, 0.35, False),
+         (1, 16, 5, 0.35, True), (3, 16, 7, 0.35, True)]
 
 
 def churn(requests: int, seed: int, machines: int,
-          delete_fraction: float) -> list[Any]:
+          delete_fraction: float, deamortized: bool) -> list[Any]:
+    # the deamortized stack needs 2*gamma slack and spans >= 2
     cfg = AlignedWorkloadConfig(
-        num_requests=requests, num_machines=machines, gamma=8,
-        horizon=1 << 11, max_span=1 << 11,
-        delete_fraction=delete_fraction,
+        num_requests=requests, num_machines=machines,
+        gamma=16 if deamortized else 8, horizon=1 << 11, max_span=1 << 11,
+        min_span=2 if deamortized else 1, delete_fraction=delete_fraction,
     )
     return list(random_aligned_sequence(cfg, seed=seed))
 
 
 def run_backend(seq: list[Any], backend: str, *, machines: int,
-                batch_size: int, journal: str) -> tuple[Any, ...]:
-    sched = ReservationScheduler(machines, gamma=8, journal=journal)
+                batch_size: int, deamortized: bool,
+                journal: str) -> tuple[Any, ...]:
+    sched = ReservationScheduler(machines, gamma=8, deamortized=deamortized,
+                                 journal=journal)
     if backend == "sequential":
         for r in seq:
             sched.apply(r)
@@ -122,18 +127,21 @@ def main(argv: list[str] | None = None) -> int:
         "reports": 0,
         "ok": True,
     }
-    for machines, batch_size, seed, delete_fraction in CASES:
-        seq = churn(args.requests, seed, machines, delete_fraction)
+    for machines, batch_size, seed, delete_fraction, deamortized in CASES:
+        seq = churn(args.requests, seed, machines, delete_fraction,
+                    deamortized)
         case: dict[str, Any] = {
             "machines": machines, "batch_size": batch_size, "seed": seed,
-            "backends": {},
+            "deamortized": deamortized, "backends": {},
         }
         reference = run_backend(seq, "sequential", machines=machines,
-                                batch_size=batch_size, journal="arena")
+                                batch_size=batch_size,
+                                deamortized=deamortized, journal="arena")
         for backend in BACKENDS:
             try:
                 got = run_backend(seq, backend, machines=machines,
                                   batch_size=batch_size,
+                                  deamortized=deamortized,
                                   journal="arena-sanitize")
             except UnjournaledMutationError as exc:
                 case["backends"][backend] = f"report: {exc}"
@@ -145,7 +153,8 @@ def main(argv: list[str] | None = None) -> int:
             if not matched:
                 summary["ok"] = False
         summary["cases"].append(case)
-        print(f"m={machines} batch={batch_size} seed={seed}: "
+        print(f"m={machines} batch={batch_size} seed={seed} "
+              f"deamortized={deamortized}: "
               + ", ".join(f"{b}={v}" for b, v in case["backends"].items()))
 
     summary["nonvacuous"] = check_nonvacuous()

@@ -45,7 +45,10 @@ class LLFRebuildScheduler(ReallocatingScheduler):
 
     def _rebuild(self, jobs: Mapping[JobId, Job] | None = None) -> None:
         jobs = self.jobs if jobs is None else jobs
-        self._placements = llf_schedule(jobs, self.num_machines)
+        placements = llf_schedule(jobs, self.num_machines)
+        # a rebuild may move every job: log all pre-request placements
+        self._merge_touched(self._placements)
+        self._placements = placements
 
 
 def llf_schedule(

@@ -65,10 +65,16 @@ class MinChangeMatchingScheduler(ReallocatingScheduler):
         previous = dict(self._placements)
         del previous[job.id]
         remaining = {k: v for k, v in self.jobs.items() if k != job.id}
-        self._placements = self._solve(remaining, previous)
+        self._replace(self._solve(remaining, previous))
 
     def _resolve(self) -> None:
-        self._placements = self._solve(self.jobs, self._placements)
+        self._replace(self._solve(self.jobs, self._placements))
+
+    def _replace(self, placements: dict[JobId, Placement]) -> None:
+        """Adopt a re-solved schedule, which may move every job: log all
+        pre-request placements first."""
+        self._merge_touched(self._placements)
+        self._placements = placements
 
     def _solve(
         self,

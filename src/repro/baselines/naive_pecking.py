@@ -45,6 +45,7 @@ class NaivePeckingScheduler(ReallocatingScheduler):
                 f"window {job.window} is not aligned; align it first (align_job)"
             )
         current_id, current_window = job.id, job.window
+        self._log_touch(current_id)  # each later one is a logged victim
         # Spans strictly double along the cascade, so the loop is bounded
         # by the number of distinct spans (log Delta).
         for _ in range(current_window.span.bit_length() + 64):
@@ -60,6 +61,7 @@ class NaivePeckingScheduler(ReallocatingScheduler):
                     "windows; instance is infeasible"
                 )
             vslot = self._placements[victim].slot
+            self._log_touch(victim)
             self.slot_job[vslot] = current_id
             self._placements[current_id] = Placement(0, vslot)
             del self._placements[victim]
@@ -68,6 +70,7 @@ class NaivePeckingScheduler(ReallocatingScheduler):
         raise AssertionError("cascade exceeded span-doubling bound")  # pragma: no cover
 
     def _apply_delete(self, job: Job) -> None:
+        self._log_touch(job.id)
         slot = self._placements.pop(job.id).slot
         del self.slot_job[slot]
 

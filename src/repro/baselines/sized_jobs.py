@@ -46,7 +46,10 @@ class SizedGreedyScheduler(ReallocatingScheduler):
         self._rebuild(remaining)
 
     def _rebuild(self, jobs: Mapping[JobId, Job]) -> None:
-        self._placements = sized_first_fit(jobs, self.num_machines)
+        placements = sized_first_fit(jobs, self.num_machines)
+        # a rebuild may move every job: log all pre-request placements
+        self._merge_touched(self._placements)
+        self._placements = placements
 
 
 def sized_first_fit(

@@ -91,9 +91,19 @@ class UniformSizedReservationScheduler(ReallocatingScheduler):
             )
         coarse = Job(job.id, self._coarse_window(job.window))
         self.inner.insert(coarse)
+        self._merge_scaled()
 
     def _apply_delete(self, job: Job) -> None:
         self.inner.delete(job.id)
+        self._merge_scaled()
+
+    def _merge_scaled(self) -> None:
+        """Fold the inner request's touched log into this one's, scaled
+        from coarse to real slots."""
+        touched, k = self.inner.last_touched or {}, self.size
+        self._merge_touched({
+            job_id: None if pl is None else Placement(pl.machine, pl.slot * k)
+            for job_id, pl in touched.items()})
 
     def check_balance(self) -> None:
         self.inner.check_balance()

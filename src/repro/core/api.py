@@ -8,23 +8,31 @@ as the proof of Theorem 1 does:
 2. **Delegate** (Section 3): the job is assigned to a machine by
    per-window round-robin (losing a factor 6, Lemma 3; at most one
    migration per request). With one machine the round-robin is the
-   identity, so an m=1 facade drives its single-machine scheduler
-   directly and builds no delegation layer;
+   identity, so an m=1 stack builds no delegation;
 3. **Reserve** (Section 4): each machine runs single-machine
    pecking-order scheduling with reservations, with windows trimmed to
    ``2 * gamma * n*`` (Lemma 9: ``O(min{log* n, log* Delta})``
    reallocations per request).
 
-Alignment and trimming are window transforms, not scheduler layers.
-The default one-machine scheduler — trimmed, amortized — is
-:class:`TrimmedReservationScheduler`, a facade that aligns, trims and
-costs each request itself and drives one
-:class:`~repro.reservation.scheduler.AlignedReservationScheduler`,
-replaced wholesale whenever n* changes. ``ReservationScheduler(1)``
-returns one (the way ``pathlib.Path`` returns its concrete flavour),
-and at m>1 the delegation layer runs one per machine. The plain facade
-keeps only align + delegate (m>1), or align over the deamortized or
-untrimmed scheduler (m=1).
+Alignment and trimming are window transforms, not scheduler layers:
+each stack's top scheduler is its one costed layer. It aligns each
+insert once (:meth:`ReservationScheduler._apply_insert`) and costs
+every request; the schedulers below it only trim (or split into phase
+sides, keeping their own n*) and place. ``ReservationScheduler(m,
+trim=..., deamortized=...)`` returns the class of that stack, the way
+``pathlib.Path`` returns its flavour (the deamortized classes live in
+:mod:`repro.reservation.deamortized`):
+
+=====  =====  ===========  ==============================================  =================================================
+m      trim   deamortized  class                                           layers below it
+=====  =====  ===========  ==============================================  =================================================
+1      yes    no           :class:`TrimmedReservationScheduler`            one ``AlignedReservationScheduler``
+1      no     no           :class:`UntrimmedReservationScheduler`          one ``AlignedReservationScheduler``
+1      any    yes          ``DeamortizedReservationScheduler``             two phase sides (``AlignedReservationScheduler``)
+> 1    yes    no           :class:`DelegatingReservationScheduler`         m :class:`TrimmedMachine` → one aligned each
+> 1    no     no           :class:`DelegatingReservationScheduler`         m ``AlignedReservationScheduler``
+> 1    any    yes          :class:`DelegatingReservationScheduler`         m ``DeamortizedMachine`` → two phase sides each
+=====  =====  ===========  ==============================================  =================================================
 
 Guarantee: for gamma-underallocated request sequences (gamma a
 sufficiently large constant; the paper does not optimize it and neither
@@ -35,13 +43,13 @@ migration.
 
 from __future__ import annotations
 
+import abc
 from typing import Any, Mapping
 
 from ..alignment.align import align_job
 from ..analysis.sanitize import sanitize_enabled
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from ..multimachine.delegation import DelegatingScheduler
-from ..reservation.deamortized import DeamortizedReservationScheduler
 from ..reservation.scheduler import AlignedReservationScheduler
 from ..reservation.trimming import MIN_N_STAR, trim_aligned
 from .base import ReallocatingScheduler, _BatchContext
@@ -49,16 +57,24 @@ from .job import Job, JobId, Placement
 from .requests import DeleteJob
 
 
+def _stack_class(num_machines: int, trim: bool,
+                 deamortized: bool) -> type[ReservationScheduler]:
+    """The concrete class ``ReservationScheduler(...)`` builds (module table)."""
+    if num_machines > 1:
+        return DelegatingReservationScheduler
+    if deamortized:
+        # imported on use: the deamortized scheduler subclasses the facade
+        from ..reservation.deamortized import DeamortizedReservationScheduler
+        return DeamortizedReservationScheduler
+    return TrimmedReservationScheduler if trim else UntrimmedReservationScheduler
+
+
 class ReservationScheduler(ReallocatingScheduler):
     """Theorem 1: m-machine reallocating scheduler for unit jobs.
 
-    The facade aligns each job and costs each request; :attr:`inner`
-    does the rest. At m=1 that is the single-machine scheduler itself
-    (deamortized or plain reservation — the trimmed default is a
-    :class:`TrimmedReservationScheduler`, which trims for itself); at
-    m>1 it is a
-    :class:`~repro.multimachine.delegation.DelegatingScheduler` over m
-    of them.
+    The facade of every stack: it aligns each insert and costs each
+    request. ``ReservationScheduler(...)`` returns the concrete class of
+    the stack its arguments name (see the module table).
 
     Parameters
     ----------
@@ -78,7 +94,7 @@ class ReservationScheduler(ReallocatingScheduler):
         (2*gamma-underallocated instances) and aligned spans >= 2, so
         original windows must have span >= 5 to survive ALIGNED().
     journal:
-        Undo-journal mode of the per-machine reservation schedulers:
+        Undo-journal mode of the reservation schedulers:
         ``"arena"`` (default — tuple-opcode entries on a reusable
         arena) or ``"arena-sanitize"`` (arena plus checking container
         proxies, the runtime journal-coverage oracle; also selected by
@@ -97,15 +113,11 @@ class ReservationScheduler(ReallocatingScheduler):
     True
     """
 
-    _sparse_costing = True
-
     def __new__(cls, num_machines: int = 1, *, trim: bool = True,
                 deamortized: bool = False,
                 **options: Any) -> ReservationScheduler:
-        # one trimmed, amortized machine: the trimming facade is the stack
-        flavour = (TrimmedReservationScheduler
-                   if cls is ReservationScheduler and num_machines == 1
-                   and trim and not deamortized else cls)
+        flavour = (_stack_class(num_machines, trim, deamortized)
+                   if cls is ReservationScheduler else cls)
         return object.__new__(flavour)
 
     def __getnewargs_ex__(self) -> tuple[tuple[int], dict[str, bool]]:
@@ -113,17 +125,21 @@ class ReservationScheduler(ReallocatingScheduler):
         return ((self.num_machines,),
                 {"trim": self.trim, "deamortized": self.deamortized})
 
-    def __init__(
-        self,
-        num_machines: int = 1,
-        *,
-        gamma: int = 8,
-        policy: LevelPolicy = PAPER_POLICY,
-        trim: bool = True,
-        deamortized: bool = False,
-        journal: str = "arena",
-    ) -> None:
+    def __init__(self, num_machines: int = 1, **options: Any) -> None:
+        self._configure(num_machines, **options)
         super().__init__(num_machines=num_machines)
+
+    def _configure(self, num_machines: int, *, gamma: int = 8,
+                   policy: LevelPolicy = PAPER_POLICY, trim: bool = True,
+                   deamortized: bool = False, journal: str = "arena") -> None:
+        """Check that the arguments name this class's stack; keep them."""
+        stack = _stack_class(num_machines, trim, deamortized)
+        if not isinstance(self, stack):
+            raise ValueError(
+                f"{type(self).__name__} does not run this stack; "
+                f"ReservationScheduler builds a {stack.__name__}")
+        if gamma < 1 or gamma & (gamma - 1):
+            raise ValueError("gamma must be a positive power of two")
         if journal == "arena" and sanitize_enabled():
             journal = "arena-sanitize"
         self.gamma = gamma
@@ -131,76 +147,82 @@ class ReservationScheduler(ReallocatingScheduler):
         self.trim = trim
         self.deamortized = deamortized
         self.journal_impl = journal
-        #: the single-machine scheduler at m=1, else the delegation
-        #: layer over m of them; this facade costs every request
-        self.inner: ReallocatingScheduler = self._new_inner()
 
-    def _new_inner(self) -> ReallocatingScheduler:
-        """The adopted scheduler this facade drives (see :attr:`inner`)."""
-        m = self.num_machines
-        return self._adopt(self._new_machine() if m == 1
-                           else DelegatingScheduler(m, self._new_machine))
+    def _apply_insert(self, job: Job) -> None:
+        # ALIGNED(W), once per request: every layer below sees aligned
+        # windows, and placements nest inside the original ones
+        self._insert_aligned(align_job(job))
 
-    def _new_machine(self) -> ReallocatingScheduler:
-        """One machine's single-machine scheduler."""
-        if self.deamortized:
-            return DeamortizedReservationScheduler(
-                gamma=self.gamma, policy=self.policy, journal=self.journal_impl)
-        if self.trim:
-            return TrimmedReservationScheduler(
-                gamma=self.gamma, policy=self.policy, journal=self.journal_impl)
-        return AlignedReservationScheduler(self.policy, journal=self.journal_impl)
+    @abc.abstractmethod
+    def _insert_aligned(self, job: Job) -> None:
+        """Place ``job``, whose window is already aligned."""
+
+
+class UntrimmedReservationScheduler(ReservationScheduler):
+    """One machine, untrimmed: the pure ``O(log* Delta)`` bound.
+
+    Aligns each insert, costs each request and places it on
+    :attr:`inner`, one
+    :class:`~repro.reservation.scheduler.AlignedReservationScheduler`.
+    :class:`TrimmedReservationScheduler` extends it with n*-trimming.
+    """
+
+    inner: AlignedReservationScheduler
+
+    #: placements pass through the inner scheduler, whose own abort
+    #: restores them (the top context still keeps the batch's log)
+    _batch_restore_needs_touched = False
+
+    def __init__(self, num_machines: int = 1, *, trim: bool = False,
+                 **options: Any) -> None:
+        super().__init__(num_machines, trim=trim, **options)
+        self.inner = self._new_inner()
+
+    def _new_inner(self) -> AlignedReservationScheduler:
+        """A fresh inner scheduler; this layer costs its requests."""
+        return self._adopt(AlignedReservationScheduler(
+            self.policy, journal=self.journal_impl))
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
         return self.inner.placements
 
-    def _apply_insert(self, job: Job) -> None:
-        self.inner.insert(align_job(job))
-        self._merge_touched(self.inner.last_touched)
+    def _insert_aligned(self, job: Job) -> None:
+        inner = self.inner
+        inner.insert(job)
+        # placements are coordinate-identical to the inner scheduler's,
+        # so its touched log folds straight into this request's.
+        self._merge_touched(inner.last_touched)
 
     def _apply_delete(self, job: Job) -> None:
         self.inner.delete(job.id)
         self._merge_touched(self.inner.last_touched)
 
-    # ------------------------------------------------------------------
-    # batch lifecycle
-    # ------------------------------------------------------------------
-    #: placements pass through the inner scheduler, whose own abort
-    #: restores them — no batch touched log needed at this layer
-    #: (unless top, where the batch net diff still requires one)
-    _batch_restore_needs_touched = False
-
-    def _subs(self) -> tuple[ReallocatingScheduler]:
+    def _subs(self) -> tuple[AlignedReservationScheduler]:
         return (self.inner,)
 
-    # ------------------------------------------------------------------
     def check_balance(self) -> None:
-        """Assert the Section 3 per-window balance invariant.
-
-        One machine is balanced by definition, so m=1 checks nothing.
-        """
-        inner = self.inner
-        if isinstance(inner, DelegatingScheduler):
-            inner.check_balance()
+        """Section 3's balance: one machine is balanced by definition."""
 
     def machine_schedulers(self) -> list[ReallocatingScheduler]:
-        """The per-machine single-machine schedulers (diagnostics).
+        """This scheduler: it is the one machine's scheduler."""
+        return [self]
 
-        At m=1 that is :attr:`inner` (the trimmed default returns
-        itself); at m>1, the delegation layer's machines. A nested one
-        (adopted by an owning layer) keeps an empty ledger, returns
-        None from ``insert``/``delete``/``apply``, and refuses
-        ``apply_batch`` — drive this scheduler instead.
-        """
-        inner = self.inner
-        if isinstance(inner, DelegatingScheduler):
-            return list(inner.machines)
-        return [inner]
+    @property
+    def journal_entries_total(self) -> int:
+        """Lifetime undo-journal entries of the inner scheduler."""
+        return self.inner.journal_entries_total
+
+    @property
+    def poisoned(self) -> bool:
+        return self.inner.poisoned
+
+    def active_levels(self) -> dict[int, int]:
+        return self.inner.active_levels()
 
 
-class TrimmedReservationScheduler(ReservationScheduler):
-    """One machine, n*-trimmed (Section 4, end): the default m=1 facade.
+class TrimmedReservationScheduler(UntrimmedReservationScheduler):
+    """One machine, n*-trimmed (Section 4, end): the default m=1 stack.
 
     Each insert is aligned (``ALIGNED(W)``), then trimmed by
     :func:`~repro.reservation.trimming.trim_aligned` to span at most
@@ -224,24 +246,11 @@ class TrimmedReservationScheduler(ReservationScheduler):
     defaults to 8).
     """
 
-    inner: AlignedReservationScheduler
-
-    def __init__(
-        self,
-        num_machines: int = 1,
-        *,
-        gamma: int = 8,
-        policy: LevelPolicy = PAPER_POLICY,
-        trim: bool = True,
-        deamortized: bool = False,
-        journal: str = "arena",
-    ) -> None:
-        if num_machines != 1 or not trim or deamortized:
-            raise ValueError(
-                "TrimmedReservationScheduler runs one trimmed, amortized "
-                "machine; use ReservationScheduler for other stacks")
-        if gamma < 1 or gamma & (gamma - 1):
-            raise ValueError("gamma must be a positive power of two")
+    def __init__(self, num_machines: int = 1, *, trim: bool = True,
+                 **options: Any) -> None:
+        if not trim:
+            raise ValueError("TrimmedReservationScheduler trims; "
+                             "ReservationScheduler(1, trim=False) does not")
         self.n_star = MIN_N_STAR
         self.rebuilds = 0
         #: journal entries recorded by inners replaced in rebuilds
@@ -250,31 +259,22 @@ class TrimmedReservationScheduler(ReservationScheduler):
         #: planned final job count of the current flexible batch
         #: (None outside flexible batches; see _flexible_size_hint)
         self._flex_final_hint: int | None = None
-        super().__init__(gamma=gamma, policy=policy, journal=journal)
-
-    def _new_inner(self) -> AlignedReservationScheduler:
-        """A fresh inner scheduler; this layer costs its requests."""
-        return self._adopt(AlignedReservationScheduler(
-            self.policy, journal=self.journal_impl))
+        super().__init__(num_machines, trim=trim, **options)
 
     @property
     def trim_span(self) -> int:
         """Current maximum effective window span: 2 * gamma * n*."""
         return 2 * self.gamma * self.n_star
 
-    def _apply_insert(self, job: Job) -> None:
+    def _insert_aligned(self, job: Job) -> None:
         if len(self.jobs) > self.n_star:
             self._resize(self.n_star * 2)
-        job = align_job(job)
         inner = self.inner
         inner.insert(job.with_window(trim_aligned(job.window, self.trim_span)))
-        # placements are coordinate-identical to the inner scheduler's,
-        # so its touched log folds straight into this request's.
         self._merge_touched(inner.last_touched)
 
     def _apply_delete(self, job: Job) -> None:
-        self.inner.delete(job.id)
-        self._merge_touched(self.inner.last_touched)
+        super()._apply_delete(job)
         active = len(self.jobs) - 1  # base class removes after we return
         if active < self.n_star // 4 and self.n_star > MIN_N_STAR:
             hint = self._flex_final_hint
@@ -373,18 +373,50 @@ class TrimmedReservationScheduler(ReservationScheduler):
          self._journal_entries_carry) = ctx.saved["trim"]
 
     # ------------------------------------------------------------------
-    def machine_schedulers(self) -> list[ReallocatingScheduler]:
-        """This scheduler: it is the one machine's scheduler."""
-        return [self]
-
     @property
     def journal_entries_total(self) -> int:
         """Lifetime undo-journal entries, rebuild-replaced inners included."""
         return self._journal_entries_carry + self.inner.journal_entries_total
 
-    @property
-    def poisoned(self) -> bool:
-        return self.inner.poisoned
 
-    def active_levels(self) -> dict[int, int]:
-        return self.inner.active_levels()
+class TrimmedMachine(TrimmedReservationScheduler):
+    """One machine of a trimmed delegating stack: trims and places.
+
+    Its facade (:class:`DelegatingReservationScheduler`) aligned every
+    window already, so an insert goes straight to trimming; n* is kept
+    per machine.
+    """
+
+    def _apply_insert(self, job: Job) -> None:
+        self._insert_aligned(job)
+
+
+class DelegatingReservationScheduler(ReservationScheduler, DelegatingScheduler):
+    """m > 1 machines: the delegation layer is the facade (Section 3).
+
+    It aligns each insert once, assigns it to a machine by per-window
+    round-robin, migrates at most one job per delete, costs every
+    request and keeps the merged placement map
+    (:class:`~repro.multimachine.delegation.DelegatingScheduler`). Its
+    machines only trim and place (:class:`TrimmedMachine`), split into
+    phase sides (``DeamortizedMachine``), or, untrimmed, place
+    (``AlignedReservationScheduler``).
+    """
+
+    def __init__(self, num_machines: int = 2, **options: Any) -> None:
+        self._configure(num_machines, **options)
+        DelegatingScheduler.__init__(self, num_machines, self._new_machine)
+
+    def _new_machine(self) -> ReallocatingScheduler:
+        """One machine's scheduler, for the stack's trim and deamortized."""
+        options: dict[str, Any] = {"gamma": self.gamma, "policy": self.policy,
+                                   "journal": self.journal_impl}
+        if self.deamortized:
+            from ..reservation.deamortized import DeamortizedMachine
+            return DeamortizedMachine(**options)
+        if self.trim:
+            return TrimmedMachine(**options)
+        return AlignedReservationScheduler(self.policy, journal=self.journal_impl)
+
+    def _insert_aligned(self, job: Job) -> None:
+        DelegatingScheduler._apply_insert(self, job)

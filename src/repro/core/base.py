@@ -10,23 +10,24 @@ class diffs placements around each request to produce a
 uniform and scheduler-independent, exactly as the paper's job-centered
 cost model demands.
 
-Two costing modes exist. The default snapshots the whole placement map
-before each request and diffs after — O(n) per request, correct for any
-subclass. Schedulers on the fast path set ``_sparse_costing = True`` and
-call :meth:`_log_touch` before every placement mutation; the base class
-then diffs only the touched jobs (:func:`~repro.core.costs.diff_touched`),
-making cost accounting O(reallocations) per request — the paper's
-O(log* n) — instead of O(n). The largest active span (the paper's
-``Delta_i``) is likewise tracked incrementally instead of rescanned.
+Costing is sparse: a subclass calls :meth:`_log_touch` (or
+:meth:`_merge_touched`) before it changes any job's placement, and the
+base class diffs only the touched jobs
+(:func:`~repro.core.costs.diff_touched`), which equals a diff of full
+before/after snapshots at O(reallocations) per request — the paper's
+O(log* n) — instead of O(n). A scheduler that rebuilds its whole
+schedule logs every placement first, an O(n) request of its own. The
+largest active span (the paper's ``Delta_i``) is likewise tracked
+incrementally instead of rescanned.
 
 One ledger per stack: only the scheduler the caller invoked costs a
 request and records it. An owning layer adopts every scheduler it
 drives (:meth:`ReallocatingScheduler._adopt`), which marks it nested;
-a nested sparse layer publishes its touched log (``last_touched``) for
-its parent and builds no :class:`~repro.core.costs.RequestCost`, so an
-m=1 Theorem 1 stack allocates one cost entry per request instead of
-one per layer. Span tracking follows the ledger: a nested sparse layer
-keeps no span counts, since only the costed layer reads them. The same
+a nested layer publishes its touched log (``last_touched``) for its
+parent and builds no :class:`~repro.core.costs.RequestCost`, so a
+Theorem 1 stack allocates one cost entry per request instead of one
+per layer. Span tracking follows the ledger: a nested layer keeps no
+span counts, since only the costed layer reads them. The same
 mark decides batch costing: a nested layer's batch context is never
 the batch entry point (``ctx.top``).
 
@@ -99,14 +100,7 @@ import abc
 from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .costs import (
-    NO_JOBS,
-    BatchResult,
-    CostLedger,
-    RequestCost,
-    diff_placements,
-    diff_touched,
-)
+from .costs import NO_JOBS, BatchResult, CostLedger, RequestCost, diff_touched
 from .exceptions import InvalidRequestError, ReproError
 from .job import Job, JobId, Placement
 from .requests import Batch, DeleteJob, InsertJob, Request
@@ -140,20 +134,17 @@ class _BatchContext:
     transaction logs, structure snapshots).
     """
 
-    __slots__ = ("atomic", "top", "touched", "before", "inserted", "deleted",
+    __slots__ = ("atomic", "top", "touched", "inserted", "deleted",
                  "ledger_len", "saved", "ephemeral")
 
-    def __init__(self, *, atomic: bool, top: bool, sparse: bool,
-                 placements: Mapping[JobId, Placement], ledger_len: int,
+    def __init__(self, *, atomic: bool, top: bool, ledger_len: int,
                  ephemeral: bool = False, needs_touched: bool = True) -> None:
         self.atomic = atomic
         self.top = top
         self.ephemeral = ephemeral
         track = atomic and not ephemeral
         self.touched: dict[JobId, Placement | None] | None = (
-            {} if sparse and (top or (track and needs_touched)) else None)
-        self.before: dict[JobId, Placement] | None = (
-            dict(placements) if (top and not sparse) else None)
+            {} if top or (track and needs_touched) else None)
         self.inserted: dict[JobId, Job] | None = {} if track else None
         self.deleted: dict[JobId, Job] | None = {} if track else None
         self.ledger_len = ledger_len
@@ -196,9 +187,9 @@ class ReallocatingScheduler(abc.ABC):
     - ``_apply_insert(job)`` must place ``job`` (and may move others).
     - ``_apply_delete(job)`` must unplace ``job`` (and may move others).
     - ``placements`` must always reflect the live schedule.
-    - Sparse-costing subclasses (``_sparse_costing = True``) must call
-      :meth:`_log_touch` (or :meth:`_merge_touched`) before mutating any
-      job's placement, including wrapped sub-schedulers' moves.
+    - Subclasses must call :meth:`_log_touch` (or :meth:`_merge_touched`)
+      before mutating any job's placement, including wrapped
+      sub-schedulers' moves.
     - Wrappers name the sub-schedulers they drive right now in
       :meth:`_subs`; the base class carries every batch hook to them
       (begin, commit, abort, the flexible order key and size hint),
@@ -214,12 +205,8 @@ class ReallocatingScheduler(abc.ABC):
     state on failure, so callers can fall back to another scheduler.
     """
 
-    #: subclasses that log touched placements (pre-request values) set
-    #: this True to get O(reallocations) instead of O(n) cost diffing.
-    _sparse_costing = False
-
     #: True on a scheduler that an owning layer drives (set only by
-    #: :meth:`_adopt`): a nested sparse layer only publishes
+    #: :meth:`_adopt`): a nested layer only publishes
     #: ``last_touched`` — no cost diff, no ledger entry — and its batch
     #: contexts are never the entry point, so one ledger per stack
     #: records each request (see ``insert``)
@@ -233,8 +220,8 @@ class ReallocatingScheduler(abc.ABC):
         self.ledger = CostLedger()
         #: live touched-placement log (active only inside a request)
         self._touched: dict[JobId, Placement | None] | None = None
-        #: touched log of the most recent completed request (sparse mode
-        #: only) — wrappers fold it into their own log via _merge_touched
+        #: touched log of the most recent completed request — wrappers
+        #: fold it into their own log via _merge_touched
         self.last_touched: dict[JobId, Placement | None] | None = None
         #: spare touched dict recycled between requests (two-slot ring
         #: with ``last_touched``): consumers read ``last_touched``
@@ -244,7 +231,7 @@ class ReallocatingScheduler(abc.ABC):
         self._touched_spare: dict[JobId, Placement | None] | None = None
         #: span -> active-job count, for O(1) amortized max-span tracking
         #: (kept only while this layer costs its requests: empty on a
-        #: nested sparse layer)
+        #: nested layer)
         self._span_counts: dict[int, int] = {}
         self._max_span_cache = 1
         #: open batch context (None outside apply_batch)
@@ -255,8 +242,8 @@ class ReallocatingScheduler(abc.ABC):
 
         Every owning layer calls this on each sub-scheduler it creates
         or is handed, and this layer then costs the sub's requests. The
-        adopted scheduler becomes nested for good: as a sparse layer it
-        returns None from ``insert``/``delete``, records no ledger and
+        adopted scheduler becomes nested for good: it returns None from
+        ``insert``/``delete``, records no ledger and
         stops tracking spans, and its batch contexts open with
         ``top=False``.
         """
@@ -306,6 +293,30 @@ class ReallocatingScheduler(abc.ABC):
             if job_id not in t:
                 t[job_id] = old
 
+    def _mirror(self, sub: ReallocatingScheduler, subject: JobId,
+                merged: dict[JobId, Placement], machine: int,
+                scale: int = 1, offset: int = 0) -> None:
+        """Mirror a sub-request's placement changes into ``merged``.
+
+        For a wrapper whose placements are a merged map over its subs:
+        every job the sub's touched log names, and ``subject``, is
+        logged here first (so this layer's cost sees its old placement)
+        and then re-read, the sub's slot ``s`` becoming slot ``scale * s
+        + offset`` on ``machine``. O(changes) per sub-request.
+        """
+        touched = sub.last_touched
+        assert touched is not None  # every applied request publishes one
+        changed: Iterable[JobId] = (
+            touched if subject in touched else (subject, *touched))
+        sub_placements = sub.placements
+        for job_id in changed:
+            self._log_touch(job_id)
+            pl = sub_placements.get(job_id)
+            if pl is None:
+                merged.pop(job_id, None)
+            else:
+                merged[job_id] = Placement(machine, scale * pl.slot + offset)
+
     def _touched_acquire(self) -> dict[JobId, Placement | None]:
         """An empty touched dict for the starting request (ring reuse)."""
         spare = self._touched_spare
@@ -343,20 +354,15 @@ class ReallocatingScheduler(abc.ABC):
     def insert(self, job: Job) -> RequestCost | None:
         """Process an INSERTJOB request and return its measured cost.
 
-        A nested sparse layer (one an owner adopted, see :meth:`_adopt`)
+        A nested layer (one an owner adopted, see :meth:`_adopt`)
         suspends cost finalization and returns None; its parent reads
         ``last_touched``. It keeps no span counts either: only the layer
-        that costs a request reads ``_max_span_cache``. Dense layers
-        always cost (parents read their ``rescheduled`` set).
+        that costs a request reads ``_max_span_cache``.
         """
         if job.id in self.jobs:
             raise InvalidRequestError(f"job {job.id!r} already active")
         ctx = self._batch
-        sparse = self._sparse_costing
-        costed = not (sparse and self._nested)
-        before = dict(self.placements) if (costed and not sparse) else None
-        if sparse:
-            self._touched = self._touched_acquire()
+        self._touched = self._touched_acquire()
         self.jobs[job.id] = job
         try:
             self._apply_insert(job)
@@ -367,38 +373,29 @@ class ReallocatingScheduler(abc.ABC):
                 ctx.merge_touched(touched)  # the abort must see these
             self._touched_recycle(touched)
             raise
-        if costed:
-            self._span_add(job.span)
         # the batch-context calls are guarded inline: most layers of a
         # non-atomic batch keep neither a churn nor a touched log
         if ctx is not None and ctx.inserted is not None:
             ctx.note_insert(job)
-        if sparse:
-            touched, self._touched = self._touched, None
-            self._touched_publish(touched)
-            if ctx is not None and ctx.touched is not None:
-                ctx.merge_touched(touched)
-            if not costed:
-                return None
-            cost = diff_touched(
-                touched, self.placements,
-                kind="insert", subject=job.id,
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        else:
-            self.last_touched = None
-            cost = diff_placements(
-                before, self.placements,
-                kind="insert", subject=job.id,
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
+        touched, self._touched = self._touched, None
+        self._touched_publish(touched)
+        if ctx is not None and ctx.touched is not None:
+            ctx.merge_touched(touched)
+        if self._nested:
+            return None
+        self._span_add(job.span)
+        cost = diff_touched(
+            touched, self.placements,
+            kind="insert", subject=job.id,
+            n_active=len(self.jobs), max_span=self._max_span_cache,
+        )
         self.ledger.record(cost)
         return cost
 
     def delete(self, job_id: JobId) -> RequestCost | None:
         """Process a DELETEJOB request and return its measured cost.
 
-        Costing follows :meth:`insert`: nested sparse layers return None.
+        Costing follows :meth:`insert`: nested layers return None.
         """
         job = self.jobs.get(job_id)
         if job is None:
@@ -406,11 +403,7 @@ class ReallocatingScheduler(abc.ABC):
         n_active = len(self.jobs)
         max_span = self._max_span_cache
         ctx = self._batch
-        sparse = self._sparse_costing
-        costed = not (sparse and self._nested)
-        before = dict(self.placements) if (costed and not sparse) else None
-        if sparse:
-            self._touched = self._touched_acquire()
+        self._touched = self._touched_acquire()
         try:
             self._apply_delete(job)
         except Exception:
@@ -420,29 +413,20 @@ class ReallocatingScheduler(abc.ABC):
             self._touched_recycle(touched)
             raise
         del self.jobs[job_id]
-        if costed:
-            self._span_remove(job.span)
         if ctx is not None and ctx.deleted is not None:
             ctx.note_delete(job)
-        if sparse:
-            touched, self._touched = self._touched, None
-            self._touched_publish(touched)
-            if ctx is not None and ctx.touched is not None:
-                ctx.merge_touched(touched)
-            if not costed:
-                return None
-            cost = diff_touched(
-                touched, self.placements,
-                kind="delete", subject=job_id,
-                n_active=n_active, max_span=max_span,
-            )
-        else:
-            self.last_touched = None
-            cost = diff_placements(
-                before, self.placements,
-                kind="delete", subject=job_id,
-                n_active=n_active, max_span=max_span,
-            )
+        touched, self._touched = self._touched, None
+        self._touched_publish(touched)
+        if ctx is not None and ctx.touched is not None:
+            ctx.merge_touched(touched)
+        if self._nested:
+            return None
+        self._span_remove(job.span)
+        cost = diff_touched(
+            touched, self.placements,
+            kind="delete", subject=job_id,
+            n_active=n_active, max_span=max_span,
+        )
         self.ledger.record(cost)
         return cost
 
@@ -450,7 +434,7 @@ class ReallocatingScheduler(abc.ABC):
         """Dispatch a request object (insert or delete).
 
         Returns None exactly when :meth:`insert` / :meth:`delete` do: on
-        a nested sparse layer.
+        a nested layer.
         """
         if isinstance(request, InsertJob):
             return self.insert(request.job)
@@ -541,19 +525,11 @@ class ReallocatingScheduler(abc.ABC):
         # Net diff over whatever committed — on a non-atomic failure the
         # touched log covers exactly the committed prefix (the failing
         # request was rolled back before its touches merged).
-        ctx = self._batch
-        if self._sparse_costing:
-            net = diff_touched(
-                ctx.touched, self.placements,
-                kind="batch", subject="batch",
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        else:
-            net = diff_placements(
-                ctx.before, self.placements,
-                kind="batch", subject="batch",
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
+        net = diff_touched(
+            self._batch.touched, self.placements,
+            kind="batch", subject="batch",
+            n_active=len(self.jobs), max_span=self._max_span_cache,
+        )
         self._batch_commit()
         return BatchResult(
             costs=costs, net=net, size=len(batch), atomic=atomic,
@@ -765,9 +741,8 @@ class ReallocatingScheduler(abc.ABC):
         no journal, no snapshots — and runs at full batch speed.
         """
         self._batch = _BatchContext(
-            atomic=atomic, top=not self._nested, sparse=self._sparse_costing,
-            placements=self.placements, ledger_len=len(self.ledger.entries),
-            ephemeral=ephemeral,
+            atomic=atomic, top=not self._nested,
+            ledger_len=len(self.ledger.entries), ephemeral=ephemeral,
             needs_touched=self._batch_restore_needs_touched,
         )
         for sub in self._subs():
@@ -792,8 +767,8 @@ class ReallocatingScheduler(abc.ABC):
         self._batch = None
         if ctx is None or not ctx.atomic:  # pragma: no cover - defensive
             raise InvalidRequestError("no atomic batch to abort")
-        # a nested sparse layer keeps no span counts (see insert)
-        spans = not (self._sparse_costing and self._nested)
+        # a nested layer keeps no span counts (see insert)
+        spans = not self._nested
         for job in ctx.inserted.values():
             del self.jobs[job.id]
             if spans:

@@ -21,12 +21,13 @@ instances with an exact target underallocation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..core.job import Job, JobId
-from ..core.window import Window, aligned_window_covering
+from ..core.window import Window
 
+if TYPE_CHECKING:  # imported where used: the generators need no Fraction
+    from fractions import Fraction
 
 def interval_density_bound(jobs: Iterable[Job], num_machines: int) -> Fraction:
     """max over candidate intervals of  (#jobs with window inside I) / (m * |I|).
@@ -39,6 +40,7 @@ def interval_density_bound(jobs: Iterable[Job], num_machines: int) -> Fraction:
 
     Returns 0 for an empty instance.
     """
+    from fractions import Fraction
     job_list = list(jobs)
     if not job_list:
         return Fraction(0)
@@ -66,6 +68,7 @@ def underallocation_factor(jobs: Iterable[Job], num_machines: int) -> Fraction:
     ``gamma = 1 / max-density``; an empty instance is infinitely
     underallocated, reported as Fraction(10**9) for practical purposes.
     """
+    from fractions import Fraction
     density = interval_density_bound(jobs, num_machines)
     if density == 0:
         return Fraction(10**9)
@@ -145,6 +148,7 @@ class LaminarLoadTree:
 
     def max_density(self, num_machines: int) -> Fraction:
         """Max over tracked aligned windows of load / (m * span)."""
+        from fractions import Fraction
         best = Fraction(0)
         for w, load in self._load.items():
             d = Fraction(load, num_machines * w.span)

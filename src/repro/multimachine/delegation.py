@@ -15,7 +15,10 @@ invariant is maintained with at most one migration per request:
 Lemma 3 guarantees each machine's sub-instance stays 1-machine
 underallocated (losing a factor 6) when the full instance is; the
 delegator is scheduler-agnostic and works over any per-machine
-:class:`~repro.core.base.ReallocatingScheduler` factory.
+:class:`~repro.core.base.ReallocatingScheduler` factory. The Theorem 1
+stack at m > 1 is
+:class:`~repro.core.api.DelegatingReservationScheduler`, a subclass
+that also aligns each insert and builds its own machines.
 
 A burst crosses machines through ``apply_batch`` alone: the machines
 are this layer's sub-schedulers (``_subs``), so the base class opens,
@@ -30,7 +33,6 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from ..core.base import ReallocatingScheduler, _BatchContext
-from ..core.costs import RequestCost
 from ..core.job import Job, JobId, Placement
 from ..core.requests import DeleteJob
 from ..core.window import Window
@@ -39,25 +41,6 @@ from ..core.window import Window
 def _fresh_member_sets(m: int) -> list[set[JobId]]:
     """One empty job-id set per machine (a balancer membership table)."""
     return [set() for _ in range(m)]
-
-
-def _changed_ids(sub: ReallocatingScheduler, cost: RequestCost,
-                 subject: JobId) -> tuple[JobId, ...]:
-    """Ids whose placement a sub-request may have changed.
-
-    A sparse sub-scheduler's ``last_touched`` names every job whose
-    placement it may have changed (batch mode suspends sub-costs, so
-    the touched log is the one signal available in both modes); a
-    non-sparse sub reports them via ``cost.subject`` +
-    ``cost.rescheduled``. The request's subject is included explicitly,
-    so the merged map follows it even from a log that does not name it.
-    """
-    changed = sub.last_touched
-    if changed is None:
-        return (cost.subject, *cost.rescheduled)
-    if subject not in changed:
-        return (subject, *changed)
-    return tuple(changed)
 
 
 class WindowBalancer:
@@ -238,8 +221,6 @@ class DelegatingScheduler(ReallocatingScheduler):
     per-machine instances satisfy the ceil(n_W/m) bound of Lemma 3.
     """
 
-    _sparse_costing = True
-
     def __init__(
         self,
         num_machines: int,
@@ -253,51 +234,36 @@ class DelegatingScheduler(ReallocatingScheduler):
                 raise ValueError(f"sub-scheduler {i} is not single-machine")
         self.balancer = WindowBalancer(num_machines)
         #: merged machine-tagged placement map, maintained incrementally
-        #: from the sub-schedulers' touched logs / request costs
+        #: from the sub-schedulers' touched logs
         self._placements: dict[JobId, Placement] = {}
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
         return self._placements
 
-    def _sync_machine(self, machine: int, cost: RequestCost,
-                      subject: JobId) -> None:
-        """Mirror one sub-request's placement changes into the merged map.
-
-        The changed set comes from :func:`_changed_ids`; syncing it
-        keeps the merged map O(changes) per request.
-        """
-        sub = self.machines[machine]
-        sub_placements = sub.placements
-        placements = self._placements
-        for job_id in _changed_ids(sub, cost, subject):
-            self._log_touch(job_id)
-            pl = sub_placements.get(job_id)
-            if pl is None:
-                placements.pop(job_id, None)
-            else:
-                placements[job_id] = Placement(machine, pl.slot)
-
     def _apply_insert(self, job: Job) -> None:
         machine = self.balancer.choose_insert_machine(job.window)
-        cost = self.machines[machine].insert(job)
+        sub = self.machines[machine]
+        sub.insert(job)
         self.balancer.record_insert(job.id, job.window, machine)
-        self._sync_machine(machine, cost, job.id)
+        self._mirror(sub, job.id, self._placements, machine)
 
     def _apply_delete(self, job: Job) -> None:
         machine, mover = self.balancer.plan_delete(job.id)
-        cost = self.machines[machine].delete(job.id)
+        sub = self.machines[machine]
+        sub.delete(job.id)
         self.balancer.record_delete(job.id)
-        self._sync_machine(machine, cost, job.id)
+        self._mirror(sub, job.id, self._placements, machine)
         if mover is not None:
             # The single migration: mover leaves the donor machine and
             # re-enters on the machine that lost a job.
             donor = self.balancer.machine_of(mover)
-            mover_job = self.machines[donor].jobs[mover]
-            cost = self.machines[donor].delete(mover)
-            self._sync_machine(donor, cost, mover)
-            cost = self.machines[machine].insert(mover_job)
-            self._sync_machine(machine, cost, mover)
+            giver = self.machines[donor]
+            mover_job = giver.jobs[mover]
+            giver.delete(mover)
+            self._mirror(giver, mover, self._placements, donor)
+            sub.insert(mover_job)
+            self._mirror(sub, mover, self._placements, machine)
             self.balancer.record_migration(mover, machine)
 
     # ------------------------------------------------------------------
@@ -341,3 +307,7 @@ class DelegatingScheduler(ReallocatingScheduler):
 
     def check_balance(self) -> None:
         self.balancer.check_balance()
+
+    def machine_schedulers(self) -> list[ReallocatingScheduler]:
+        """The per-machine single-machine schedulers (diagnostics)."""
+        return list(self.machines)

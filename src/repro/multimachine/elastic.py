@@ -32,7 +32,7 @@ from typing import Callable
 from ..core.base import ReallocatingScheduler
 from ..core.costs import RequestCost, diff_placements
 from ..core.exceptions import InvalidRequestError
-from ..core.job import Job, JobId
+from ..core.job import Job, JobId, Placement
 from ..core.window import Window
 from .delegation import DelegatingScheduler, WindowBalancer
 
@@ -171,8 +171,6 @@ class ElasticScheduler(DelegatingScheduler):
         # compares against a relabel-corrected snapshot: only jobs that
         # physically changed machines (the evicted ones plus rebalance
         # moves) count as migrations.
-        from ..core.job import Placement
-
         def relabel(pl: Placement) -> Placement:
             if pl.machine > index:
                 return Placement(pl.machine - 1, pl.slot)
@@ -217,8 +215,6 @@ class ElasticScheduler(DelegatingScheduler):
         Machine indexes shift when the pool changes, so the incremental
         map is rebuilt wholesale — O(n), same order as the event itself.
         """
-        from ..core.job import Placement
-
         out: dict[JobId, Placement] = {}
         for mi, sub in enumerate(self.machines):
             for job_id, pl in sub.placements.items():

@@ -36,10 +36,15 @@ on every insert.
 The drain order (smallest effective span first, then ``str(id)``) comes
 from a heap built once per phase, on its first migration, so each
 migration costs O(log n) instead of a scan of the outgoing side. At
-phase end the retired side is freed by reference counting. Both inner
-schedulers are nested: this wrapper costs each request itself.
+phase end the retired side is freed by reference counting.
 
-The wrapper keeps no job-to-side map: a job's side is the parity of
+At m=1 :class:`DeamortizedReservationScheduler` is the whole stack: a
+:class:`~repro.core.api.ReservationScheduler` subclass that aligns each
+insert, costs each request and drives its phase sides, which are
+nested. At m > 1 each machine of the delegating facade is a
+:class:`DeamortizedMachine`, which takes the windows its facade aligned.
+
+The scheduler keeps no job-to-side map: a job's side is the parity of
 its real slot in the merged placement map. Its sub-schedulers
 (``_subs``) are the active side, plus the incoming side during a
 phase, so a batch reaches exactly the sides the next request would; an
@@ -49,13 +54,13 @@ atomic abort swaps back the saved pre-batch pair and aborts it.
 from __future__ import annotations
 
 from heapq import heapify, heappop
-from typing import Mapping
+from typing import Any, Mapping
 
+from ..core.api import ReservationScheduler
 from ..core.base import ReallocatingScheduler, _BatchContext
 from ..core.exceptions import InvalidRequestError
 from ..core.job import Job, JobId, Placement
 from ..core.window import Window
-from ..levels.policy import LevelPolicy, PAPER_POLICY
 from .scheduler import AlignedReservationScheduler
 from .trimming import MIN_N_STAR, trim_aligned
 
@@ -77,38 +82,27 @@ def virtual_window(window: Window) -> Window:
     return Window(window.release // 2, window.deadline // 2)
 
 
-class DeamortizedReservationScheduler(ReallocatingScheduler):
+class DeamortizedReservationScheduler(ReservationScheduler):
     """n*-trimmed reservation scheduler with O(1) worst-case rebuilds.
 
-    Parameters are the trimmed facade's ``gamma``, ``policy`` and
-    ``journal`` (see :class:`repro.core.api.TrimmedReservationScheduler`);
-    the underallocation requirement doubles (see module docstring). Each
-    in-phase request migrates ``MIGRATE_PER_REQUEST`` (the paper's 2)
-    jobs.
+    The m=1 deamortized stack (``ReservationScheduler(1,
+    deamortized=True)``). Parameters are the facade's (see
+    :class:`repro.core.api.ReservationScheduler`); ``trim`` is implied,
+    and the underallocation requirement doubles (see module docstring).
+    Each in-phase request migrates ``MIGRATE_PER_REQUEST`` (the paper's
+    2) jobs.
 
     Cost accounting is sparse: the merged real-coordinate placement map
     is maintained incrementally from the inner schedulers' touched logs
     (each inner touch is transformed through the parity virtualization
     ``real = 2 * virtual + parity``), so per-request cost diffing is
-    O(reallocations) instead of the former O(n) full-snapshot diff.
+    O(reallocations).
     """
 
-    _sparse_costing = True
-
-    def __init__(
-        self,
-        gamma: int = 8,
-        policy: LevelPolicy = PAPER_POLICY,
-        *,
-        journal: str = "arena",
-    ) -> None:
-        super().__init__(num_machines=1)
-        if gamma < 1 or gamma & (gamma - 1):
-            raise ValueError("gamma must be a positive power of two")
-        self.gamma = gamma
-        self.policy = policy
+    def __init__(self, num_machines: int = 1, *, deamortized: bool = True,
+                 **options: Any) -> None:
+        super().__init__(num_machines, deamortized=deamortized, **options)
         self.n_star = MIN_N_STAR
-        self.journal_impl = journal
         self.parity = 0
         self.active = self._new_side()
         self.incoming: AlignedReservationScheduler | None = None
@@ -135,7 +129,10 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         return max(1, self.gamma * self.n_star)
 
     def _effective(self, job: Job) -> Job:
-        vwin = trim_aligned(virtual_window(job.window), self.virtual_trim_span)
+        """``job`` on the virtual grid: ALIGNED(W) (a no-op on a window
+        already aligned), halved, then trimmed."""
+        vwin = trim_aligned(virtual_window(job.window.aligned_within()),
+                            self.virtual_trim_span)
         return job.with_window(vwin)
 
     def _new_side(self) -> AlignedReservationScheduler:
@@ -159,40 +156,14 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
     def placements(self) -> Mapping[JobId, Placement]:
         return self._placements
 
-    def _sync_inner(self, inner: AlignedReservationScheduler, parity: int,
-                    subject: JobId) -> None:
-        """Mirror one inner request's changes into the merged real map.
-
-        The inner's touched log names every job it may have moved (in
-        virtual coordinates); each is re-read and transformed through
-        the parity virtualization. Pre-change real placements are logged
-        first, so the wrapper's own sparse cost diff sees them.
-        """
-        touched = inner.last_touched
-        if touched is None:
-            changed = (subject,)
-        elif subject in touched:
-            changed = touched
-        else:
-            changed = (subject, *touched)
-        inner_placements = inner.placements
-        merged = self._placements
-        for job_id in changed:
-            self._log_touch(job_id)
-            pl = inner_placements.get(job_id)
-            if pl is None:
-                merged.pop(job_id, None)
-            else:
-                merged[job_id] = Placement(0, 2 * pl.slot + parity)
-
     # ------------------------------------------------------------------
     # online interface
     # ------------------------------------------------------------------
-    def _apply_insert(self, job: Job) -> None:
+    def _insert_aligned(self, job: Job) -> None:
         target_parity = self.incoming_parity if self.in_phase else self.parity
         inner = self._inner(target_parity)
         inner.insert(self._effective(job))
-        self._sync_inner(inner, target_parity, job.id)
+        self._mirror(inner, job.id, self._placements, 0, 2, target_parity)
         self._tick()
         if len(self.jobs) > self.n_star:
             self._start_phase(self.n_star * 2)
@@ -202,7 +173,7 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         parity = self._placements[job.id].slot & 1
         inner = self._inner(parity)
         inner.delete(job.id)
-        self._sync_inner(inner, parity, job.id)
+        self._mirror(inner, job.id, self._placements, 0, 2, parity)
         self._tick()
         active_after = len(self.jobs) - 1
         if active_after < self.n_star // 4 and self.n_star > MIN_N_STAR:
@@ -266,9 +237,10 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
                 job_id = heappop(drain)[3]
             original = self.jobs[job_id]
             active.delete(job_id)
-            self._sync_inner(active, self.parity, job_id)
+            self._mirror(active, job_id, self._placements, 0, 2, self.parity)
             incoming.insert(self._effective(original))
-            self._sync_inner(incoming, self.incoming_parity, job_id)
+            self._mirror(incoming, job_id, self._placements, 0, 2,
+                         self.incoming_parity)
         if not outgoing_jobs:
             self._finish_phase()
 
@@ -318,8 +290,27 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self._restore_placement_map(self._placements, ctx.touched)
 
     # ------------------------------------------------------------------
+    def check_balance(self) -> None:
+        """Section 3's balance: one machine is balanced by definition."""
+
+    def machine_schedulers(self) -> list[ReallocatingScheduler]:
+        """This scheduler: it is the one machine's scheduler."""
+        return [self]
+
     @property
     def poisoned(self) -> bool:
         return self.active.poisoned or (
             self.incoming is not None and self.incoming.poisoned
         )
+
+
+class DeamortizedMachine(DeamortizedReservationScheduler):
+    """One machine of a deamortized delegating stack.
+
+    Its facade (:class:`~repro.core.api.DelegatingReservationScheduler`)
+    aligned every window already, so an insert goes straight to the
+    phase sides; n* and the phase are kept per machine.
+    """
+
+    def _apply_insert(self, job: Job) -> None:
+        self._insert_aligned(job)

@@ -151,8 +151,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         ``REPRO_SANITIZE=1`` in the environment).
     """
 
-    _sparse_costing = True
-
     #: False suspends the per-request undo journal (failed-request
     #: rollback). Only safe when a failure may corrupt this instance —
     #: i.e. when the owner discards it wholesale on failure, as a

@@ -1,30 +1,66 @@
-"""The pre-flattening m=1 stack, kept as the test oracle.
+"""The pre-flattening stacks, kept as the test oracles.
 
-Before the one-machine facade trimmed for itself, ``ReservationScheduler(1)``
-drove three costed-request layers: alignment, an n*-trimming wrapper
-around :class:`AlignedReservationScheduler`, and the reservation
-scheduler. Both wrappers are kept here verbatim (imports made absolute,
-the trimming class renamed :class:`OracleTrimmed`, and
-:meth:`AligningScheduler._subs` added so atomic batches reach the
-stack) so the flattened facade can be compared with them request by
-request: ``AligningScheduler(lambda: OracleTrimmed(gamma=8))`` is that
-stack.
+Before each Theorem 1 stack became one costed layer, the facade aligned
+each insert and drove a separate single-machine scheduler: at m=1 an
+n*-trimming wrapper around :class:`AlignedReservationScheduler`, or
+the deamortized scheduler; at m > 1 a
+:class:`~repro.multimachine.delegation.DelegatingScheduler` over one of
+those per machine. The wrappers are kept here verbatim (imports made
+absolute, the classes renamed :class:`OracleTrimmed` and
+:class:`OracleDeamortized`, ``_sparse_costing`` dropped since every
+scheduler costs sparsely now, and :class:`AligningScheduler` given
+``_subs`` and the facade's touched-log merge) so the flattened stacks
+can be compared with them request by request. :func:`oracle_stack`
+builds the one that matches ``ReservationScheduler(...)``'s arguments.
+
+The costing oracle is here too: :func:`snapshot_costed` applies a
+request and diffs full placement snapshots taken around it, the O(n)
+costing every scheduler's sparse touched log must equal.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop
 from typing import Callable, Mapping
 
 from repro.alignment.align import align_job
 from repro.core.base import ReallocatingScheduler, _BatchContext
+from repro.core.costs import RequestCost, diff_placements
 from repro.core.events import EventTracer, NullTracer
 from repro.core.exceptions import InvalidRequestError
 from repro.core.job import Job, JobId, Placement
-from repro.core.requests import DeleteJob
+from repro.core.requests import DeleteJob, InsertJob, Request
 from repro.core.window import Window
 from repro.levels.policy import LevelPolicy, PAPER_POLICY
+from repro.multimachine.delegation import DelegatingScheduler
+from repro.reservation.deamortized import (
+    MIGRATE_PER_REQUEST,
+    virtual_window,
+)
 from repro.reservation.scheduler import AlignedReservationScheduler
 from repro.reservation.trimming import MIN_N_STAR, trim_aligned
+
+
+def snapshot_costed(sched: ReallocatingScheduler,
+                    request: Request) -> tuple[RequestCost, RequestCost]:
+    """Apply ``request``; return its cost and the full-snapshot oracle's.
+
+    The oracle diffs the whole placement map before and after the
+    request, with the active count and the largest active span
+    recounted from the job table (before a delete, after an insert).
+    """
+    before = dict(sched.placements)
+    if isinstance(request, InsertJob):
+        kind, subject = "insert", request.job.id
+    else:
+        kind, subject = "delete", request.job_id
+        n_active, max_span = len(sched.jobs), sched._max_span()
+    cost = sched.apply(request)
+    if kind == "insert":
+        n_active, max_span = len(sched.jobs), sched._max_span()
+    return cost, diff_placements(before, sched.placements, kind=kind,
+                                 subject=subject, n_active=n_active,
+                                 max_span=max_span)
 
 
 class OracleTrimmed(ReallocatingScheduler):
@@ -44,8 +80,6 @@ class OracleTrimmed(ReallocatingScheduler):
         :class:`AlignedReservationScheduler`). Rebuilds carry it to the
         fresh inner.
     """
-
-    _sparse_costing = True
 
     def __init__(
         self,
@@ -239,12 +273,293 @@ class AligningScheduler(ReallocatingScheduler):
     def placements(self) -> Mapping[JobId, Placement]:
         return self.inner.placements
 
+    # not in the original wrapper: the touched-log merges of the old
+    # facade, which costed each request of the stack
     def _apply_insert(self, job: Job) -> None:
         self.inner.insert(align_job(job))
+        self._merge_touched(self.inner.last_touched)
 
     def _apply_delete(self, job: Job) -> None:
         self.inner.delete(job.id)
+        self._merge_touched(self.inner.last_touched)
 
     # not in the original wrapper: names its sub so batches reach it
     def _subs(self) -> tuple[ReallocatingScheduler]:
         return (self.inner,)
+
+    # the old facade's diagnostics
+    def check_balance(self) -> None:
+        if isinstance(self.inner, DelegatingScheduler):
+            self.inner.check_balance()
+
+    def machine_schedulers(self) -> list[ReallocatingScheduler]:
+        inner = self.inner
+        if isinstance(inner, DelegatingScheduler):
+            return list(inner.machines)
+        return [inner]
+
+
+def oracle_stack(num_machines: int = 1, *, gamma: int = 8,
+                 trim: bool = True, deamortized: bool = False,
+                 ) -> AligningScheduler:
+    """The old stack ``ReservationScheduler(num_machines, ...)`` built:
+    alignment over one machine's scheduler, or over delegation to m of
+    them."""
+    def machine() -> ReallocatingScheduler:
+        if deamortized:
+            return OracleDeamortized(gamma=gamma)
+        if trim:
+            return OracleTrimmed(gamma=gamma)
+        return AlignedReservationScheduler()
+
+    if num_machines == 1:
+        return AligningScheduler(machine)
+    return AligningScheduler(
+        lambda: DelegatingScheduler(num_machines, machine))
+
+
+class OracleDeamortized(ReallocatingScheduler):
+    """n*-trimmed reservation scheduler with O(1) worst-case rebuilds.
+
+    Parameters are the facade's ``gamma``, ``policy`` and ``journal``
+    (see :class:`repro.core.api.ReservationScheduler`);
+    the underallocation requirement doubles (see module docstring). Each
+    in-phase request migrates ``MIGRATE_PER_REQUEST`` (the paper's 2)
+    jobs.
+
+    Cost accounting is sparse: the merged real-coordinate placement map
+    is maintained incrementally from the inner schedulers' touched logs
+    (each inner touch is transformed through the parity virtualization
+    ``real = 2 * virtual + parity``), so per-request cost diffing is
+    O(reallocations).
+    """
+
+    def __init__(
+        self,
+        gamma: int = 8,
+        policy: LevelPolicy = PAPER_POLICY,
+        *,
+        journal: str = "arena",
+    ) -> None:
+        super().__init__(num_machines=1)
+        if gamma < 1 or gamma & (gamma - 1):
+            raise ValueError("gamma must be a positive power of two")
+        self.gamma = gamma
+        self.policy = policy
+        self.n_star = MIN_N_STAR
+        self.journal_impl = journal
+        self.parity = 0
+        self.active = self._new_side()
+        self.incoming: AlignedReservationScheduler | None = None
+        self.incoming_parity = 1
+        #: drain order of the current phase: a heap of
+        #: ``(span, str(id), position, id)`` over the outgoing side's
+        #: jobs, built once per phase on the first migration; entries of
+        #: jobs deleted since are skipped lazily (None = not built)
+        self._drain: list[tuple[int, str, int, JobId]] | None = None
+        #: merged real-coordinate placement map (incremental)
+        self._placements: dict[JobId, Placement] = {}
+        self.phases_started = 0
+        self.bulk_finishes = 0
+        #: journal entries recorded by outgoing inners retired at phase
+        #: end (``journal_entries_total`` folds the live inners back in)
+        self._journal_entries_carry = 0
+
+    # ------------------------------------------------------------------
+    # geometry
+    # ------------------------------------------------------------------
+    @property
+    def virtual_trim_span(self) -> int:
+        """Virtual trim bound: half the real bound 2*gamma*n*."""
+        return max(1, self.gamma * self.n_star)
+
+    def _effective(self, job: Job) -> Job:
+        vwin = trim_aligned(virtual_window(job.window), self.virtual_trim_span)
+        return job.with_window(vwin)
+
+    def _new_side(self) -> AlignedReservationScheduler:
+        """A fresh inner (phase side) scheduler; this wrapper costs its
+        requests."""
+        return self._adopt(AlignedReservationScheduler(
+            self.policy, journal=self.journal_impl))
+
+    def _inner(self, parity: int) -> AlignedReservationScheduler:
+        if parity == self.parity:
+            return self.active
+        if self.incoming is None:  # pragma: no cover - defensive
+            raise AssertionError("no scheduler for requested parity")
+        return self.incoming
+
+    @property
+    def in_phase(self) -> bool:
+        return self.incoming is not None
+
+    @property
+    def placements(self) -> Mapping[JobId, Placement]:
+        return self._placements
+
+    def _sync_inner(self, inner: AlignedReservationScheduler, parity: int,
+                    subject: JobId) -> None:
+        """Mirror one inner request's changes into the merged real map.
+
+        The inner's touched log names every job it may have moved (in
+        virtual coordinates); each is re-read and transformed through
+        the parity virtualization. Pre-change real placements are logged
+        first, so the wrapper's own sparse cost diff sees them.
+        """
+        touched = inner.last_touched
+        if touched is None:
+            changed = (subject,)
+        elif subject in touched:
+            changed = touched
+        else:
+            changed = (subject, *touched)
+        inner_placements = inner.placements
+        merged = self._placements
+        for job_id in changed:
+            self._log_touch(job_id)
+            pl = inner_placements.get(job_id)
+            if pl is None:
+                merged.pop(job_id, None)
+            else:
+                merged[job_id] = Placement(0, 2 * pl.slot + parity)
+
+    # ------------------------------------------------------------------
+    # online interface
+    # ------------------------------------------------------------------
+    def _apply_insert(self, job: Job) -> None:
+        target_parity = self.incoming_parity if self.in_phase else self.parity
+        inner = self._inner(target_parity)
+        inner.insert(self._effective(job))
+        self._sync_inner(inner, target_parity, job.id)
+        self._tick()
+        if len(self.jobs) > self.n_star:
+            self._start_phase(self.n_star * 2)
+
+    def _apply_delete(self, job: Job) -> None:
+        # a job's real slot is 2 * virtual + parity of the side holding it
+        parity = self._placements[job.id].slot & 1
+        inner = self._inner(parity)
+        inner.delete(job.id)
+        self._sync_inner(inner, parity, job.id)
+        self._tick()
+        active_after = len(self.jobs) - 1
+        if active_after < self.n_star // 4 and self.n_star > MIN_N_STAR:
+            self._start_phase(max(MIN_N_STAR, self.n_star // 2))
+
+    # ------------------------------------------------------------------
+    # phase machinery
+    # ------------------------------------------------------------------
+    def _start_phase(self, new_n_star: int) -> None:
+        if self.in_phase:
+            # Defensive: finish the current phase in bulk. The 4x
+            # hysteresis makes this unreachable under the paper's
+            # assumptions; we count it if it ever happens.
+            self.bulk_finishes += 1
+            while self.incoming is not None:
+                self._migrate_some(len(self.active.jobs) or 1)
+        self.n_star = new_n_star
+        self.phases_started += 1
+        self.incoming_parity = 1 - self.parity
+        self.incoming = self._new_side()
+        ctx = self._batch
+        if ctx is not None:
+            # A phase opened mid-atomic-batch drains into a scheduler an
+            # abort simply discards (the saved pre-batch pair swaps
+            # back), so the incoming side skips rollback tracking.
+            self.incoming._batch_begin(atomic=ctx.atomic,
+                                       ephemeral=ctx.atomic or ctx.ephemeral)
+        if not self.active.jobs:
+            self._finish_phase()
+
+    def _tick(self) -> None:
+        if self.in_phase:
+            self._migrate_some(MIGRATE_PER_REQUEST)
+
+    def _migrate_some(self, count: int) -> None:
+        """Move up to ``count`` jobs from the outgoing to the incoming side.
+
+        Deterministic drain order: smallest span first (cheap to
+        re-place), then by ``str(id)``, ties by the outgoing side's job
+        order — the order of a ``min`` over its jobs. The heap holding
+        it is built once per phase, on the first migration; the
+        outgoing side only loses jobs during a phase, so the order
+        stays valid, and jobs deleted since are skipped when popped.
+        """
+        assert self.incoming is not None
+        active = self.active
+        incoming = self.incoming
+        outgoing_jobs = active.jobs
+        drain = self._drain
+        if drain is None:
+            drain = [(job.span, str(job_id), position, job_id)
+                     for position, (job_id, job)
+                     in enumerate(outgoing_jobs.items())]
+            heapify(drain)
+            self._drain = drain
+        for _ in range(count):
+            if not outgoing_jobs:
+                break
+            job_id = heappop(drain)[3]
+            while job_id not in outgoing_jobs:
+                job_id = heappop(drain)[3]
+            original = self.jobs[job_id]
+            active.delete(job_id)
+            self._sync_inner(active, self.parity, job_id)
+            incoming.insert(self._effective(original))
+            self._sync_inner(incoming, self.incoming_parity, job_id)
+        if not outgoing_jobs:
+            self._finish_phase()
+
+    def _finish_phase(self) -> None:
+        assert self.incoming is not None
+        self._journal_entries_carry += self.active.journal_entries_total
+        # The retired side is freed by reference counting once dropped.
+        self.active = self.incoming
+        self.parity = self.incoming_parity
+        self.incoming = None
+        self.incoming_parity = 1 - self.parity
+        self._drain = None
+
+    @property
+    def journal_entries_total(self) -> int:
+        """Lifetime undo-journal entries, retired phase inners included."""
+        total = self._journal_entries_carry + self.active.journal_entries_total
+        if self.incoming is not None:
+            total += self.incoming.journal_entries_total
+        return total
+
+    # ------------------------------------------------------------------
+    # batch lifecycle
+    # ------------------------------------------------------------------
+    def _subs(self) -> tuple[AlignedReservationScheduler, ...]:
+        if self.incoming is None:
+            return (self.active,)
+        return (self.active, self.incoming)
+
+    def _batch_begin(self, *, atomic: bool, ephemeral: bool = False) -> None:
+        super()._batch_begin(atomic=atomic, ephemeral=ephemeral)
+        if atomic and not ephemeral:
+            self._batch.saved["deam"] = (
+                self.parity, self.incoming_parity, self.active,
+                self.incoming, self.n_star, self.phases_started,
+                self.bulk_finishes, self._journal_entries_carry,
+            )
+
+    def _batch_restore(self, ctx: _BatchContext) -> None:
+        # the saved sides swap back, then abort (see _batch_abort)
+        (self.parity, self.incoming_parity, self.active, self.incoming,
+         self.n_star, self.phases_started, self.bulk_finishes,
+         self._journal_entries_carry) = ctx.saved["deam"]
+        # the batch's migrations popped drain entries of jobs the abort
+        # brought back: rebuild the heap on the next migration
+        self._drain = None
+        self._restore_placement_map(self._placements, ctx.touched)
+
+    # ------------------------------------------------------------------
+    @property
+    def poisoned(self) -> bool:
+        return self.active.poisoned or (
+            self.incoming is not None and self.incoming.poisoned
+        )
+

@@ -3,18 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_stack import snapshot_costed
+
 from repro.core import InfeasibleError, Job, Window, verify_schedule
+from repro.core.requests import InsertJob
 from repro.baselines import (
     EDFRebuildScheduler,
     LLFRebuildScheduler,
     MinChangeMatchingScheduler,
     NaivePeckingScheduler,
     SizedGreedyScheduler,
+    UniformSizedReservationScheduler,
     edf_schedule,
     llf_schedule,
     sized_first_fit,
 )
-from repro.feasibility import check_feasible
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
 
@@ -258,3 +261,44 @@ class TestSizedGreedy:
         # relocating the big job forces unit jobs out of its way; the
         # cost may land on the delete-rebuild or the insert-rebuild.
         assert c_del.reallocation_cost + c_ins.reallocation_cost >= 1
+
+
+# ----------------------------------------------------------------------
+# sparse costing: every baseline's cost equals the full-snapshot diff
+# ----------------------------------------------------------------------
+def _sized(seq, size):
+    """The same churn with size-``size`` jobs on a ``size``-times finer grid."""
+    for request in seq:
+        if isinstance(request, InsertJob):
+            job = request.job
+            window = Window(job.release * size, job.deadline * size)
+            yield InsertJob(Job(job.id, window, size=size))
+        else:
+            yield request
+
+
+BASELINES = {
+    "edf": (lambda: EDFRebuildScheduler(2), 2, 1),
+    "llf": (lambda: LLFRebuildScheduler(2), 2, 1),
+    "matching": (lambda: MinChangeMatchingScheduler(2), 2, 1),
+    "naive-pecking": (NaivePeckingScheduler, 1, 1),
+    "sized": (lambda: SizedGreedyScheduler(2), 2, 2),
+    "uniform-sized": (lambda: UniformSizedReservationScheduler(4, 2), 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_every_baseline_costs_like_a_snapshot_diff(name):
+    """Each request's cost, built from the baseline's touched log,
+    equals ``diff_placements`` of full before/after snapshots."""
+    factory, machines, size = BASELINES[name]
+    cfg = AlignedWorkloadConfig(num_requests=150, num_machines=machines,
+                                horizon=256, max_span=128, gamma=2,
+                                delete_fraction=0.3)
+    sched = factory()
+    for request in _sized(random_aligned_sequence(cfg, seed=6), size):
+        got, want = snapshot_costed(sched, request)
+        assert got == want, (name, request)
+    assert len(sched.ledger) == 150
+    # the slack is tight enough that every baseline moves jobs
+    assert sum(cost.reallocation_cost for cost in sched.ledger) > 0

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from oracle_stack import snapshot_costed
+
 from repro.core.api import ReservationScheduler
 from repro.core.exceptions import InvalidRequestError, ReproError
 from repro.core.job import Job
@@ -319,16 +321,12 @@ def test_batch_plan_invalidated_by_mid_batch_delete():
 # ----------------------------------------------------------------------
 def test_deamortized_sparse_costs_match_full_snapshot_oracle():
     seq = make_workload(500, seed=13)
-    sparse = DeamortizedReservationScheduler()
-    oracle = DeamortizedReservationScheduler()
-    oracle._sparse_costing = False  # legacy O(n) full-snapshot diffing
+    sched = DeamortizedReservationScheduler()
     for r in seq:
-        sparse.apply(r)
-        oracle.apply(r)
-    assert dict(sparse.placements) == dict(oracle.placements)
-    assert sparse.ledger.entries == oracle.ledger.entries
-    assert sparse.last_touched is not None  # sparse path actually used
-    assert oracle.last_touched is None
+        cost, want = snapshot_costed(sched, r)
+        assert cost == want, r
+    assert sched.phases_started > 0  # the phase migrations were costed
+    assert sum(c.reallocation_cost for c in sched.ledger) > 0
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 NOT_LOADED = (
     "numpy",
     "scipy",
+    "fractions",
     "repro.sim.metrics",
     "repro.sim.engine",
     "repro.sim.driver",

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_stack import snapshot_costed
+
 from repro.core.api import ReservationScheduler
 from repro.core.exceptions import (
     InfeasibleError,
@@ -195,39 +197,22 @@ class TestRunComparisonValidateEach:
 # ----------------------------------------------------------------------
 # Sparse cost accounting equals the full-snapshot diff
 # ----------------------------------------------------------------------
-class DenseReservationScheduler(AlignedReservationScheduler):
-    """Reference: same scheduler, legacy O(n) full-snapshot costing."""
-
-    _sparse_costing = False
-
-
 class TestSparseCosting:
     def test_ledger_matches_dense_reference(self):
         seq = small_sequence(150, seed=3)
-        sparse = AlignedReservationScheduler()
-        dense = DenseReservationScheduler()
-        run_sequence(sparse, seq, verify_each=False)
-        run_sequence(dense, seq, verify_each=False)
-        assert len(sparse.ledger) == len(dense.ledger)
-        for got, want in zip(sparse.ledger, dense.ledger):
-            assert got.rescheduled == want.rescheduled, got.subject
-            assert got.migrated == want.migrated
-            assert got.n_active == want.n_active
-            assert got.max_span == want.max_span
+        sched = AlignedReservationScheduler()
+        for request in seq:
+            got, want = snapshot_costed(sched, request)
+            assert got == want, request
+        assert len(sched.ledger) == len(seq)
 
     def test_theorem1_stack_matches_dense_reference(self):
         seq = small_sequence(150, seed=4)
-        fast = ReservationScheduler(2, gamma=8)
-        run_sequence(fast, seq, verify_each=True)
-
-        class DenseFacade(ReservationScheduler):
-            _sparse_costing = False
-
-        slow = DenseFacade(2, gamma=8)
-        run_sequence(slow, seq, verify_each=True)
-        for got, want in zip(fast.ledger, slow.ledger):
-            assert got.rescheduled == want.rescheduled, got.subject
-            assert got.migrated == want.migrated
+        sched = ReservationScheduler(2, gamma=8)
+        for request in seq:
+            got, want = snapshot_costed(sched, request)
+            assert got == want, request
+        assert sched.ledger.total_migrations > 0  # migrations were costed
 
 
 # ----------------------------------------------------------------------

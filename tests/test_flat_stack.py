@@ -1,35 +1,54 @@
-"""The one-machine Theorem 1 stack is one layer over its scheduler.
+"""Every Theorem 1 stack is one costed layer over its schedulers.
 
 Section 3's reduction balances each window's jobs over m machines by
 round-robin; with m=1 every job lands on machine 0 and nothing
 migrates, so delegation is the identity, and ``ReservationScheduler(1)``
-builds none. Alignment and n*-trimming are window transforms: the
-default m=1 scheduler, :class:`TrimmedReservationScheduler`, applies
-both itself and drives one :class:`AlignedReservationScheduler`.
+builds none. At m > 1 the delegation layer is the facade itself.
+Alignment and n*-trimming are window transforms: the top scheduler of
+each stack aligns each insert once and costs each request, and the
+schedulers below it only trim (or split into phase sides) and place.
 
-The stacks these replaced are the oracles: alignment over
-``DelegatingScheduler(1, factory)``, and alignment over the old
-trimming wrapper (``tests/oracle_stack.py``). Every stack must cost
-each request identically and end with the same placements and ledger;
-the trimmed one also rebuilds at the same requests to the same n*.
+The stacks these replaced are the oracles (``tests/oracle_stack.py``):
+alignment over the old single-machine schedulers, or over a
+``DelegatingScheduler`` of them. Every stack must cost each request
+identically and end with the same placements and ledger; the trimmed
+and deamortized ones also rebuild, or start phases, at the same
+requests to the same n*.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
+from collections import Counter
 from itertools import islice
 
 import pytest
 
-from oracle_stack import AligningScheduler, OracleTrimmed
+from oracle_stack import (
+    AligningScheduler,
+    OracleDeamortized,
+    OracleTrimmed,
+    oracle_stack,
+)
 
-from repro.core.api import ReservationScheduler, TrimmedReservationScheduler
+import repro.alignment.align
+from repro.core.api import (
+    DelegatingReservationScheduler,
+    ReservationScheduler,
+    TrimmedMachine,
+    TrimmedReservationScheduler,
+    UntrimmedReservationScheduler,
+)
 from repro.core.base import ReallocatingScheduler
 from repro.core.job import Job
-from repro.core.requests import DeleteJob, InsertJob
+from repro.core.requests import DeleteJob, InsertJob, iter_batches
 from repro.core.window import Window
 from repro.multimachine.delegation import DelegatingScheduler
-from repro.reservation.deamortized import DeamortizedReservationScheduler
+from repro.reservation.deamortized import (
+    DeamortizedMachine,
+    DeamortizedReservationScheduler,
+)
 from repro.reservation.scheduler import AlignedReservationScheduler
 from repro.workloads import (
     AlignedWorkloadConfig,
@@ -63,7 +82,7 @@ STREAMS = {"churn-storm": _churn_storm, "steady": _steady,
 
 STACKS = {
     "trimmed": (lambda: OracleTrimmed(gamma=8), False),
-    "deamortized": (lambda: DeamortizedReservationScheduler(gamma=8), True),
+    "deamortized": (lambda: OracleDeamortized(gamma=8), True),
 }
 
 
@@ -88,23 +107,22 @@ def test_flat_m1_matches_delegating_oracle(stack, stream):
 @pytest.mark.parametrize("deamortized", [False, True])
 def test_one_machine_builds_no_delegation(monkeypatch, deamortized):
     """``ReservationScheduler(1)`` never constructs a delegation layer.
-    Trimmed, it is itself the one machine's scheduler and drives one
-    reservation scheduler; deamortized, its single machine is the
-    facade's ``inner``."""
+    Trimmed or deamortized, it is itself the one machine's scheduler:
+    it drives one reservation scheduler, or two phase sides."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("m=1 constructed a DelegatingScheduler")
 
     monkeypatch.setattr(DelegatingScheduler, "__init__", refuse)
     sched = ReservationScheduler(1, gamma=8, deamortized=deamortized)
+    assert sched.machine_schedulers() == [sched]
     if deamortized:
-        assert type(sched) is ReservationScheduler
-        assert sched.machine_schedulers() == [sched.inner]
+        assert type(sched) is DeamortizedReservationScheduler
+        assert type(sched.active) is AlignedReservationScheduler
     else:
         assert type(sched) is TrimmedReservationScheduler
-        assert sched.machine_schedulers() == [sched]
         assert type(sched.inner) is AlignedReservationScheduler
-    assert not isinstance(sched.inner, DelegatingScheduler)
+    assert not isinstance(sched, DelegatingScheduler)
     sched.check_balance()  # one machine is balanced by definition
     with pytest.raises(AssertionError, match="DelegatingScheduler"):
         ReservationScheduler(2, gamma=8, deamortized=deamortized)
@@ -202,14 +220,188 @@ def test_trimmed_request_crosses_two_layers(monkeypatch):
 
 @pytest.mark.parametrize("options", [
     {}, {"deamortized": True}, {"trim": False}, {"num_machines": 3},
-], ids=["trimmed", "deamortized", "untrimmed", "m3"])
+    {"num_machines": 3, "trim": False},
+    {"num_machines": 3, "deamortized": True},
+], ids=["trimmed", "deamortized", "untrimmed", "m3", "m3-untrimmed",
+        "m3-deamortized"])
 def test_pickle_keeps_the_stack_class(options):
     """Pickle re-creates through ``__new__`` with no arguments; the
-    facade passes what picks its class, so a clone keeps its type."""
+    facade passes what picks its class, so a clone keeps its type, its
+    machines' types, and goes on like the original."""
     sched = ReservationScheduler(**{"num_machines": 1, "gamma": 8,
                                     **options})
-    sched.insert(Job("a", Window(0, 64)))
+    for i in range(6):
+        sched.insert(Job(f"a{i}", Window(0, 64)))
     clone = pickle.loads(pickle.dumps(sched))
     assert type(clone) is type(sched)
-    assert type(clone.inner) is type(sched.inner)
+    assert ([type(m) for m in clone.machine_schedulers()]
+            == [type(m) for m in sched.machine_schedulers()])
     assert dict(clone.placements) == dict(sched.placements)
+    for stack in (sched, clone):
+        stack.delete("a0")
+    assert clone.insert(Job("b", Window(0, 64))) == sched.insert(
+        Job("b", Window(0, 64)))
+    assert clone.ledger.entries == sched.ledger.entries
+
+
+# ----------------------------------------------------------------------
+# every flattened stack against its oracle stack
+# ----------------------------------------------------------------------
+FLAT_REQUESTS = 1500
+
+FLAT_STACKS = {
+    "m3-trimmed": (3, {}),
+    "m3-untrimmed": (3, {"trim": False}),
+    "m3-deamortized": (3, {"deamortized": True}),
+    "m1-deamortized": (1, {"deamortized": True}),
+    "m1-untrimmed": (1, {"trim": False}),
+}
+
+
+def _stack_stream(stack, seed=7):
+    """Churn storm, or for a deamortized stack the 2*gamma-slack,
+    span >= 2 stream it requires."""
+    machines, options = FLAT_STACKS[stack]
+    if options.get("deamortized"):
+        cfg = AlignedWorkloadConfig(
+            num_requests=FLAT_REQUESTS, num_machines=machines, gamma=16,
+            horizon=1 << 14, max_span=1 << 12, min_span=2,
+            delete_fraction=0.35)
+        return list(random_aligned_sequence(cfg, seed=seed))
+    return list(islice(iter_churn_storm(requests=FLAT_REQUESTS,
+                                        num_machines=machines, seed=seed),
+                       FLAT_REQUESTS))
+
+
+def machine_state(sched):
+    """Per machine: rebuilds, phases started and n* (None where the
+    machine's scheduler keeps no such count)."""
+    return [(getattr(m, "rebuilds", None), getattr(m, "phases_started", None),
+             getattr(m, "n_star", None)) for m in sched.machine_schedulers()]
+
+
+def assert_same_stack(new, old, where):
+    """Placements, ledger and per-machine rebuilds, phases and n* agree."""
+    assert dict(new.placements) == dict(old.placements), where
+    assert new.ledger.entries == old.ledger.entries, where
+    assert machine_state(new) == machine_state(old), where
+
+
+@pytest.mark.parametrize("drive", ["sequential", "atomic-flexible64"])
+@pytest.mark.parametrize("stack", sorted(FLAT_STACKS))
+def test_flat_stack_matches_oracle(stack, drive):
+    """Request by request (or burst by burst): the same costs,
+    placements, ledger, rebuilds and phases as the old nested stack.
+    Every fourth burst is first tried with a delete of an absent job at
+    its end, so both stacks also abort the same bursts to the same
+    state."""
+    machines, options = FLAT_STACKS[stack]
+    new = ReservationScheduler(machines, gamma=8, **options)
+    old = oracle_stack(machines, gamma=8, **options)
+    seq = _stack_stream(stack)
+    if drive == "sequential":
+        for i, request in enumerate(seq):
+            assert new.apply(request) == old.apply(request), (i, request)
+            assert machine_state(new) == machine_state(old), i
+    else:
+        for i, burst in enumerate(iter_batches(seq, 64)):
+            bursts = [burst]
+            if i % 4 == 0:
+                bursts.insert(0, [*burst, DeleteJob("absent")])  # aborts
+            for attempt in bursts:
+                got = new.apply_batch(attempt, atomic=True,
+                                      semantics="flexible")
+                want = old.apply_batch(attempt, atomic=True,
+                                       semantics="flexible")
+                assert (got.costs, got.net, got.failed, got.failure) == (
+                    want.costs, want.net, want.failed, want.failure), i
+                assert got.failed == (attempt is not burst), i
+                assert_same_stack(new, old, i)
+    assert_same_stack(new, old, "end")
+    new.check_balance()
+    if machines > 1:
+        assert new.ledger.total_migrations > 0
+    state = machine_state(new)
+    if options.get("deamortized"):
+        assert sum(phases for _, phases, _ in state) > 0
+    elif options.get("trim", True) and drive == "sequential":
+        assert sum(rebuilds for rebuilds, _, _ in state) > 0
+
+
+@pytest.mark.parametrize("stack", ["m3-trimmed", "m3-deamortized",
+                                   "m1-deamortized"])
+def test_align_job_runs_once_per_insert(monkeypatch, stack):
+    """The facade aligns each top-level insert exactly once: no machine,
+    phase migration or delegation migration aligns again."""
+    original = repro.alignment.align.align_job
+    calls = []
+
+    def counting(job):
+        calls.append(job.id)
+        return original(job)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "align_job", None) is original):
+            monkeypatch.setattr(module, "align_job", counting)
+    machines, options = FLAT_STACKS[stack]
+    sched = ReservationScheduler(machines, gamma=8, **options)
+    seq = _stack_stream(stack)[:800]
+    for request in seq[:400]:
+        sched.apply(request)
+    for burst in iter_batches(seq[400:], 64):
+        assert not sched.apply_batch(burst, atomic=True).failed
+    inserted = [r.job.id for r in seq if isinstance(r, InsertJob)]
+    assert Counter(calls) == Counter(inserted)
+    if machines > 1:
+        assert sched.ledger.total_migrations > 0
+    if options.get("deamortized"):
+        assert sum(m.phases_started for m in sched.machine_schedulers()) > 0
+
+
+@pytest.mark.parametrize("stack,layers", [
+    ("m3-trimmed", ["DelegatingReservationScheduler", "TrimmedMachine",
+                    "AlignedReservationScheduler"]),
+    ("m3-untrimmed", ["DelegatingReservationScheduler",
+                      "AlignedReservationScheduler"]),
+    ("m3-deamortized", ["DelegatingReservationScheduler",
+                        "DeamortizedMachine", "AlignedReservationScheduler"]),
+    ("m1-deamortized", ["DeamortizedReservationScheduler",
+                        "AlignedReservationScheduler"]),
+    ("m1-untrimmed", ["UntrimmedReservationScheduler",
+                      "AlignedReservationScheduler"]),
+])
+def test_request_crosses_one_layer_per_scheduler(monkeypatch, stack, layers):
+    """A request that rebuilds, phases and migrates nothing makes one
+    ``insert``/``delete`` call per scheduler of the stack, the facade's
+    first."""
+    calls = []
+    for name in ("insert", "delete"):
+        method = getattr(ReallocatingScheduler, name)
+
+        def counting(self, arg, method=method):
+            calls.append(type(self).__name__)
+            return method(self, arg)
+
+        monkeypatch.setattr(ReallocatingScheduler, name, counting)
+    machines, options = FLAT_STACKS[stack]
+    sched = ReservationScheduler(machines, gamma=8, **options)
+    sched.insert(Job("a", Window(3, 17)))
+    sched.delete("a")
+    assert calls == layers * 2
+
+
+def test_stack_classes_refuse_other_stacks():
+    """A concrete stack class builds only its own stack."""
+    for cls, options in [
+        (TrimmedReservationScheduler, {"trim": False}),
+        (TrimmedReservationScheduler, {"num_machines": 3}),
+        (UntrimmedReservationScheduler, {"trim": True}),
+        (DeamortizedReservationScheduler, {"deamortized": False}),
+        (DelegatingReservationScheduler, {"num_machines": 1}),
+    ]:
+        with pytest.raises(ValueError):
+            cls(**options)
+    assert isinstance(DelegatingReservationScheduler(2), DelegatingScheduler)
+    assert type(TrimmedMachine()) is TrimmedMachine
+    assert type(DeamortizedMachine()) is DeamortizedMachine

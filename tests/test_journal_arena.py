@@ -514,7 +514,7 @@ def inject_deamortized(monkeypatch, *, in_phase):
         sched.apply(r)
     injected = {InsertJob: 0, DeleteJob: 0}
     for r in seq[160:]:
-        if sched.inner.in_phase == in_phase:
+        if sched.in_phase == in_phase:
             injected[type(r)] += check_injected_rollbacks(sched, r,
                                                           monkeypatch)
         sched.apply(r)
