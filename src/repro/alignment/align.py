@@ -5,10 +5,10 @@ in it (span >= |W|/4). Lemma 10: if the original instance is m-machine
 4*gamma-underallocated, the aligned instance is gamma-underallocated —
 so the transform costs a constant factor of slack and nothing else.
 
-The transform is applied by the scheduler that costs each request
-(:class:`repro.core.api.ReservationScheduler` and its one-machine
-trimmed form), not by a scheduler layer of its own: the schedulers
-below it only ever see aligned windows. Placements remain valid for the
+The transform is applied once per insert by the scheduler that costs
+each request (the top of every :class:`repro.core.api.ReservationScheduler`
+stack), not by a scheduler layer of its own: the schedulers below it
+only ever see aligned windows. Placements remain valid for the
 original windows because ``ALIGNED(W)`` nests inside ``W``.
 """
 

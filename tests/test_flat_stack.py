@@ -258,16 +258,27 @@ FLAT_STACKS = {
 }
 
 
+def _widened(request):
+    """An insert's window one slot wider: unaligned, and ALIGNED() of
+    it is the original aligned window again."""
+    if isinstance(request, InsertJob):
+        job = request.job
+        return InsertJob(job.with_window(Window(job.release,
+                                                job.deadline + 1)))
+    return request
+
+
 def _stack_stream(stack, seed=7):
     """Churn storm, or for a deamortized stack the 2*gamma-slack,
-    span >= 2 stream it requires."""
+    span >= 2 stream it requires, with unaligned windows (so phase
+    migrations drain jobs the facade holds unaligned)."""
     machines, options = FLAT_STACKS[stack]
     if options.get("deamortized"):
         cfg = AlignedWorkloadConfig(
             num_requests=FLAT_REQUESTS, num_machines=machines, gamma=16,
             horizon=1 << 14, max_span=1 << 12, min_span=2,
             delete_fraction=0.35)
-        return list(random_aligned_sequence(cfg, seed=seed))
+        return [_widened(r) for r in random_aligned_sequence(cfg, seed=seed)]
     return list(islice(iter_churn_storm(requests=FLAT_REQUESTS,
                                         num_machines=machines, seed=seed),
                        FLAT_REQUESTS))
