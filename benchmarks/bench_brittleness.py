@@ -84,7 +84,7 @@ def test_e3_edf_cascades_linearly(benchmark, record_result):
 def test_e3_churn_mean_costs(benchmark, record_result):
     """Mean per-request cost on random churn: EDF pays a constant
     fraction of n per request; reservation pays a constant."""
-    from repro.sim import run_comparison
+    from repro.sim import ExecutionPlan, Session
     from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
     cfg = AlignedWorkloadConfig(
@@ -94,11 +94,12 @@ def test_e3_churn_mean_costs(benchmark, record_result):
     seq = random_aligned_sequence(cfg, seed=12)
 
     def compare():
-        return run_comparison({
-            "reservation": lambda: ReservationScheduler(1, gamma=8),
-            "EDF rebuild": lambda: EDFRebuildScheduler(1),
-            "LLF rebuild": lambda: LLFRebuildScheduler(1),
-        }, seq, verify_each=False)
+        return {label: Session(sched, seq, ExecutionPlan(
+                    verify="off", stop_on_error=True, name=label)).run()
+                for label, sched in (
+                    ("reservation", ReservationScheduler(1, gamma=8)),
+                    ("EDF rebuild", EDFRebuildScheduler(1)),
+                    ("LLF rebuild", LLFRebuildScheduler(1)))}
 
     results = benchmark.pedantic(compare, rounds=1, iterations=1)
     rows = [[name, r.ledger.max_reallocation,

@@ -17,7 +17,7 @@ how pessimistic the paper's constant is.
 from __future__ import annotations
 
 from repro.reservation import AlignedReservationScheduler
-from repro.sim import format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, format_series
 from repro.sim.report import experiment_header
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -28,10 +28,8 @@ def survives(gamma_w: int, seed: int) -> bool:
         delete_fraction=0.30,
     )
     seq = random_aligned_sequence(cfg, seed=seed)
-    result = run_sequence(
-        AlignedReservationScheduler(), seq,
-        verify_each=False, stop_on_error=False,
-    )
+    result = Session(AlignedReservationScheduler(), seq,
+                     ExecutionPlan(verify="off", stop_on_error=False)).run()
     return not result.failed
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.sim import format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, format_series
 from repro.sim.report import experiment_header
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -35,10 +35,9 @@ def test_e8_delegation_invariants(benchmark, record_result, seed):
             )
             seq = random_aligned_sequence(cfg, seed=seed)
             sched = ReservationScheduler(num_machines=m, gamma=8)
-            result = run_sequence(
-                sched, seq,
-                validate_each=lambda s: s.check_balance(),
-            )
+            result = Session(sched, seq, ExecutionPlan(
+                validator=lambda s: s.check_balance(),
+                stop_on_error=True)).run()
             assert not result.failed
             ins = [e for e in result.ledger if e.kind == "insert"]
             dels = [e for e in result.ledger if e.kind == "delete"]

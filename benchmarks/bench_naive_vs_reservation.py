@@ -20,13 +20,11 @@ that asymmetry is itself one of the paper's points.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.logstar import log_star
 from repro.baselines import NaivePeckingScheduler
 from repro.core import Job, Window
 from repro.reservation import AlignedReservationScheduler
-from repro.sim import fit_growth, format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, fit_growth, format_series
 from repro.sim.report import experiment_header
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -56,7 +54,7 @@ def reservation_max_cost(delta_log: int, seed: int = 0) -> int:
     )
     seq = random_aligned_sequence(cfg, seed=seed)
     sched = AlignedReservationScheduler()
-    result = run_sequence(sched, seq, verify_each=False)
+    result = Session(sched, seq, ExecutionPlan(verify="off", stop_on_error=True)).run()
     return result.ledger.max_reallocation
 
 
@@ -118,9 +116,9 @@ def test_e2_head_to_head_on_underallocated(benchmark, record_result):
     seq = random_aligned_sequence(cfg, seed=3)
 
     def run_both():
-        naive = run_sequence(NaivePeckingScheduler(), seq, verify_each=False)
-        res = run_sequence(AlignedReservationScheduler(), seq, verify_each=False)
-        return naive, res
+        plan = ExecutionPlan(verify="off", stop_on_error=True)
+        return (Session(NaivePeckingScheduler(), seq, plan).run(),
+                Session(AlignedReservationScheduler(), seq, plan).run())
 
     naive, res = benchmark.pedantic(run_both, rounds=1, iterations=1)
     table = (

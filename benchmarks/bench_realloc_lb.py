@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from repro.adversaries import ReallocLowerBound, staircase_toggle_sequence
 from repro.baselines import EDFRebuildScheduler, MinChangeMatchingScheduler
-from repro.sim import fit_growth, format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, fit_growth, format_series
 from repro.sim.report import experiment_header
 
 
 def staircase_total(scheduler_factory, eta: int) -> tuple[int, int]:
     seq = staircase_toggle_sequence(eta)
     sched = scheduler_factory()
-    result = run_sequence(sched, seq, verify_each=False)
+    result = Session(sched, seq, ExecutionPlan(verify="off", stop_on_error=True)).run()
     return len(seq), result.ledger.total_reallocations
 
 
@@ -83,8 +83,8 @@ def test_e5_underallocated_staircase_is_cheap(benchmark, record_result):
         seq.delete(f"probe{t}")
 
     def run():
-        return run_sequence(ReservationScheduler(1, gamma=8), seq,
-                            verify_each=True)
+        return Session(ReservationScheduler(1, gamma=8), seq,
+                       ExecutionPlan(stop_on_error=True)).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_result(

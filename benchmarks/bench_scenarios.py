@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.baselines import EDFRebuildScheduler
 from repro.core.api import ReservationScheduler
-from repro.sim import format_table, run_comparison
+from repro.sim import ExecutionPlan, Session, format_table
 from repro.sim.report import experiment_header
 from repro.workloads import appointment_book_sequence, cluster_trace_sequence
 
@@ -23,10 +23,11 @@ def test_e15_appointment_book(benchmark, record_result):
     seq = appointment_book_sequence(requests=400, seed=42)
 
     def run():
-        return run_comparison({
-            "reservation": lambda: ReservationScheduler(1, gamma=8),
-            "edf": lambda: EDFRebuildScheduler(1),
-        }, seq)
+        return {label: Session(sched, seq, ExecutionPlan(
+                    stop_on_error=True, name=label)).run()
+                for label, sched in (
+                    ("reservation", ReservationScheduler(1, gamma=8)),
+                    ("edf", EDFRebuildScheduler(1)))}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [[name, r.ledger.total_reallocations,
@@ -50,10 +51,11 @@ def test_e15_cluster_trace(benchmark, record_result):
     seq = cluster_trace_sequence(num_machines=m, requests=600, seed=7)
 
     def run():
-        return run_comparison({
-            "reservation": lambda: ReservationScheduler(m, gamma=8),
-            "edf": lambda: EDFRebuildScheduler(m),
-        }, seq)
+        return {label: Session(sched, seq, ExecutionPlan(
+                    stop_on_error=True, name=label)).run()
+                for label, sched in (
+                    ("reservation", ReservationScheduler(m, gamma=8)),
+                    ("edf", EDFRebuildScheduler(m)))}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [[name, r.ledger.total_migrations, r.ledger.max_migration,

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from repro.adversaries import SizedLowerBound, sized_pump_sequence
 from repro.baselines import SizedGreedyScheduler
-from repro.sim import fit_growth, format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, fit_growth, format_series
 from repro.sim.report import experiment_header
 
 
 def pump_cost(k: int, gamma: int = 2, sweeps: int = 3) -> tuple[int, int, int]:
     seq = sized_pump_sequence(k=k, gamma=gamma, sweeps=sweeps)
     sched = SizedGreedyScheduler(1)
-    result = run_sequence(sched, seq, verify_each=True)
+    result = Session(sched, seq, ExecutionPlan(stop_on_error=True)).run()
     bound = SizedLowerBound(k, gamma, sweeps).min_total_reallocations
     return len(seq), result.ledger.total_reallocations, bound
 
@@ -85,8 +85,8 @@ def test_e6_unit_jobs_immune(benchmark, record_result):
     def run():
         # trim=False: isolate reservation mechanics from amortized
         # rebuild spikes (see E12 for the deamortization story).
-        return run_sequence(ReservationScheduler(1, trim=False), seq,
-                            verify_each=True)
+        return Session(ReservationScheduler(1, trim=False), seq,
+                       ExecutionPlan(stop_on_error=True)).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_result(

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.logstar import log_star
 from repro.core.api import ReservationScheduler
-from repro.sim import fit_growth, format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, fit_growth, format_series
 from repro.sim.report import experiment_header
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -39,8 +39,7 @@ def build_sequence(n_target: int, seed: int = 0):
 def run_at_scale(n_target: int, machines: int = 1):
     seq = build_sequence(n_target)
     sched = ReservationScheduler(num_machines=machines, gamma=8)
-    result = run_sequence(sched, seq, verify_each=True)
-    return result
+    return Session(sched, seq, ExecutionPlan(stop_on_error=True)).run()
 
 
 @pytest.mark.parametrize("machines", [1, 4])
@@ -85,10 +84,11 @@ def test_e1_cost_flat_in_n(benchmark, record_result, machines):
     assert fit.best in ("constant", "logstar", "log")
     # Time one representative mid-scale run as the benchmark kernel.
     benchmark.pedantic(
-        lambda: run_sequence(
+        lambda: Session(
             ReservationScheduler(num_machines=machines, gamma=8),
-            build_sequence(256, seed=1), verify_each=False,
-        ),
+            build_sequence(256, seed=1),
+            ExecutionPlan(verify="off", stop_on_error=True),
+        ).run(),
         rounds=1, iterations=1,
     )
 
@@ -103,7 +103,8 @@ def test_e1_migration_guarantee_exhaustive(benchmark, record_result):
         for seed in range(3):
             seq = build_sequence(256, seed=seed)
             sched = ReservationScheduler(num_machines=4, gamma=8)
-            result = run_sequence(sched, seq, verify_each=False)
+            result = Session(sched, seq, ExecutionPlan(
+                verify="off", stop_on_error=True)).run()
             for entry in result.ledger:
                 total += 1
                 if entry.migration_cost > 1:

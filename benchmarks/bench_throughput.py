@@ -25,7 +25,7 @@ from repro.baselines import (
 )
 from repro.core.api import ReservationScheduler
 from repro.reservation import AlignedReservationScheduler
-from repro.sim import run_sequence
+from repro.sim import ExecutionPlan, Session
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
 
@@ -56,7 +56,8 @@ def test_e10_throughput(benchmark, name):
     sched_times = []
 
     def kernel():
-        result = run_sequence(factory(), seq, verify_each=False)
+        result = Session(factory(), seq, ExecutionPlan(
+            verify="off", stop_on_error=True)).run()
         sched_times.append(result.scheduler_time_s)
 
     benchmark.pedantic(kernel, rounds=3, iterations=1)
@@ -78,7 +79,8 @@ def test_e10b_scaling_crossover(benchmark, record_result):
             max_span=horizon, delete_fraction=0.25,
         )
         seq = random_aligned_sequence(cfg, seed=seed)
-        result = run_sequence(factory(), seq, verify_each=False)
+        result = Session(factory(), seq, ExecutionPlan(
+            verify="off", stop_on_error=True)).run()
         return 1e6 * result.scheduler_time_s / len(seq)
 
     ns = [64, 256, 1024]
@@ -127,11 +129,12 @@ def test_e10c_fastpath_10k(benchmark, record_result, record_json):
         # best-of-5 per mode: the recorded metric is the run with the
         # smallest scheduler time, the standard noise-robust estimator
         # (single-shot numbers on a shared box swing by 20%+)
-        for key, verify in (("off", False), ("incremental", True)):
+        for key in ("off", "incremental"):
             best = None
             for _ in range(5):
-                res = run_sequence(
-                    AlignedReservationScheduler(), seq, verify_each=verify)
+                res = Session(AlignedReservationScheduler(), seq,
+                              ExecutionPlan(verify=key,
+                                            stop_on_error=True)).run()
                 if best is None or res.scheduler_time_s < best.scheduler_time_s:
                     best = res
             results[key] = best

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.baselines import SizedGreedyScheduler, UniformSizedReservationScheduler
 from repro.core import Job, Window
 from repro.adversaries import sized_pump_sequence
-from repro.sim import fit_growth, format_series, run_sequence
+from repro.sim import ExecutionPlan, Session, fit_growth, format_series
 from repro.sim.report import experiment_header
 
 
@@ -37,7 +37,8 @@ def uniform_churn_cost(k: int) -> float:
 
 def mixed_pump_cost(k: int) -> float:
     seq = sized_pump_sequence(k=k, gamma=2, sweeps=3)
-    result = run_sequence(SizedGreedyScheduler(1), seq, verify_each=False)
+    result = Session(SizedGreedyScheduler(1), seq,
+                     ExecutionPlan(verify="off", stop_on_error=True)).run()
     return result.ledger.total_reallocations / len(seq)
 
 

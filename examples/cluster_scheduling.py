@@ -8,15 +8,14 @@ arrive in bursts on an m-machine cluster and finish (depart) over time.
 Migrating a task between machines is expensive (state transfer), so we
 track migrations separately from same-machine reallocations — the
 paper's central cost split. Theorem 1 promises at most ONE migration per
-request; EDF-style rebuilds migrate freely. (For driving bursts of a
-cluster trace through the batched backend, see
-``session_backends.py`` — ``run_comparison`` here is the sequential
-``Session`` adapter.)
+request; EDF-style rebuilds migrate freely. (Each scheduler here runs
+one sequential ``Session``; for driving bursts of a cluster trace
+through the batched backend, see ``session_backends.py``.)
 """
 
 from repro.baselines import EDFRebuildScheduler
 from repro.core.api import ReservationScheduler
-from repro.sim import format_table, run_comparison
+from repro.sim import ExecutionPlan, Session, format_table
 from repro.workloads import cluster_trace_sequence
 
 
@@ -29,10 +28,12 @@ def main() -> None:
     print(f"cluster trace: {len(seq)} requests on {m} machines, "
           f"peak {seq.max_active} concurrent tasks\n")
 
-    results = run_comparison({
-        "reservation (paper)": lambda: ReservationScheduler(m, gamma=8),
-        "EDF rebuild": lambda: EDFRebuildScheduler(m),
-    }, seq)
+    results = {
+        name: Session(sched, seq,
+                      ExecutionPlan(stop_on_error=True, name=name)).run()
+        for name, sched in (
+            ("reservation (paper)", ReservationScheduler(m, gamma=8)),
+            ("EDF rebuild", EDFRebuildScheduler(m)))}
 
     rows = []
     for name, result in results.items():

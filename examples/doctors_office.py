@@ -10,14 +10,14 @@ per booking*, since rescheduled patients are unhappy patients.
 
 We compare the paper's reservation scheduler against the naive policy of
 recomputing an earliest-deadline-first schedule after every change,
-which reschedules large swaths of the book. ``run_comparison`` is a
-thin adapter over the unified ``Session`` drive loop (``repro.sim``) —
-the same loop the CLI's demo/engine/sweep commands use.
+which reschedules large swaths of the book. Each scheduler runs one
+``Session`` (``repro.sim``) — the same drive loop the CLI's
+demo/compare/engine/sweep commands use.
 """
 
 from repro.baselines import EDFRebuildScheduler, MinChangeMatchingScheduler
 from repro.core.api import ReservationScheduler
-from repro.sim import format_table, run_comparison
+from repro.sim import ExecutionPlan, Session, format_table
 from repro.workloads import appointment_book_sequence
 
 
@@ -31,11 +31,13 @@ def main() -> None:
           f"({inserts} bookings, {len(seq) - inserts} cancellations), "
           f"peak {seq.max_active} concurrent patients\n")
 
-    results = run_comparison({
-        "reservation (paper)": lambda: ReservationScheduler(1, gamma=8),
-        "EDF rebuild": lambda: EDFRebuildScheduler(1),
-        "min-change matching": lambda: MinChangeMatchingScheduler(1),
-    }, seq)
+    results = {
+        name: Session(sched, seq,
+                      ExecutionPlan(stop_on_error=True, name=name)).run()
+        for name, sched in (
+            ("reservation (paper)", ReservationScheduler(1, gamma=8)),
+            ("EDF rebuild", EDFRebuildScheduler(1)),
+            ("min-change matching", MinChangeMatchingScheduler(1)))}
 
     rows = []
     for name, result in results.items():

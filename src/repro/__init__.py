@@ -13,9 +13,10 @@ Public API quick reference
 - :mod:`repro.sim` — the unified execution API: one
   :class:`~repro.sim.session.Session` drive loop with pluggable
   backends (sequential / batched), feasibility verification,
-  phase-split timing, and resumable JSONL traces;
-  ``run_sequence``/``run_engine``/``run_sweep`` are thin adapters over
-  it.
+  phase-split timing, and resumable JSONL traces. Every caller builds
+  an :class:`~repro.sim.session.ExecutionPlan` and runs
+  ``Session(scheduler, sequence, plan).run()``; ``run_sweep`` fans one
+  session out per (scenario, scheduler) cell.
 - :class:`repro.Batch` / :class:`repro.BatchResult` — the batch-first
   request surface: ``scheduler.apply_batch(batch, atomic=True)``
   applies a whole burst transactionally under one cost/journal context,

@@ -64,6 +64,9 @@ class UniformSizedReservationScheduler(ReallocatingScheduler):
         self.size = size
         self.inner = self._adopt(ReservationScheduler(
             num_machines, gamma=gamma, policy=policy))
+        #: the inner placements scaled to real slots, kept in step by
+        #: :meth:`_merge_scaled` at O(changes) per request
+        self._placements: dict[JobId, Placement] = {}
 
     # ------------------------------------------------------------------
     def _coarse_window(self, window: Window) -> Window:
@@ -78,10 +81,7 @@ class UniformSizedReservationScheduler(ReallocatingScheduler):
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
-        return {
-            job_id: Placement(pl.machine, pl.slot * self.size)
-            for job_id, pl in self.inner.placements.items()
-        }
+        return self._placements
 
     def _apply_insert(self, job: Job) -> None:
         if job.size != self.size:
@@ -91,19 +91,29 @@ class UniformSizedReservationScheduler(ReallocatingScheduler):
             )
         coarse = Job(job.id, self._coarse_window(job.window))
         self.inner.insert(coarse)
-        self._merge_scaled()
+        self._merge_scaled(job.id)
 
     def _apply_delete(self, job: Job) -> None:
         self.inner.delete(job.id)
-        self._merge_scaled()
+        self._merge_scaled(job.id)
 
-    def _merge_scaled(self) -> None:
-        """Fold the inner request's touched log into this one's, scaled
-        from coarse to real slots."""
+    def _merge_scaled(self, subject: JobId) -> None:
+        """Fold the inner request's touched log into this one's and
+        re-read its changed jobs, both scaled from coarse to real slots.
+
+        Each job keeps its own machine: the inner stack may be m>1.
+        """
         touched, k = self.inner.last_touched or {}, self.size
         self._merge_touched({
             job_id: None if pl is None else Placement(pl.machine, pl.slot * k)
             for job_id, pl in touched.items()})
+        inner_placements, scaled = self.inner.placements, self._placements
+        for job_id in (subject, *touched):
+            pl = inner_placements.get(job_id)
+            if pl is None:
+                scaled.pop(job_id, None)
+            else:
+                scaled[job_id] = Placement(pl.machine, pl.slot * k)
 
     def check_balance(self) -> None:
         self.inner.check_balance()

@@ -50,10 +50,9 @@ from .baselines.naive_pecking import NaivePeckingScheduler
 from .core.api import ReservationScheduler
 from .core.base import BATCH_SEMANTICS
 from .core.requests import RequestSequence
-from .sim.driver import run_comparison, run_sequence
-from .sim.engine import run_engine, run_sweep, sweep_table
+from .sim.engine import run_sweep, sweep_table
 from .sim.report import format_table
-from .sim.session import BACKENDS
+from .sim.session import BACKENDS, ExecutionPlan, Session
 from .workloads.random_aligned import AlignedWorkloadConfig, random_aligned_sequence
 from .workloads.scenarios import SCENARIOS
 
@@ -88,10 +87,13 @@ def _make_workload(args) -> RequestSequence:
 def cmd_demo(args) -> int:
     seq = _make_workload(args)
     sched = ReservationScheduler(args.machines, gamma=8)
-    result = run_sequence(sched, seq, batch_size=args.batch_size,
-                          atomic_batches=args.atomic_batches,
-                          batch_semantics=args.batch_semantics,
-                          backend=args.backend)
+    result = Session(sched, seq, ExecutionPlan(
+        batch_size=args.batch_size,
+        atomic_batches=args.atomic_batches,
+        batch_semantics=args.batch_semantics,
+        backend=args.backend,
+        stop_on_error=True,
+    )).run()
     rows = [[k, v] for k, v in result.summary.items()]
     title = f"Theorem 1 scheduler on {len(seq)} requests"
     if args.batch_size > 1:
@@ -109,16 +111,14 @@ def cmd_compare(args) -> int:
     seq = _make_workload(args)
     names = args.schedulers.split(",") if args.schedulers else [
         "reservation", "edf", "llf"]
-    factories = {}
     for name in names:
         if name not in SCHEDULERS:
             raise SystemExit(
                 f"unknown scheduler {name!r}; choices: {sorted(SCHEDULERS)}")
-        factories[name] = (lambda nm=name: SCHEDULERS[nm](args.machines))
-    results = run_comparison(factories, seq)
     rows = []
-    for name, r in results.items():
-        s = r.summary
+    for name in dict.fromkeys(names):
+        s = Session(SCHEDULERS[name](args.machines), seq,
+                    ExecutionPlan(stop_on_error=True, name=name)).run().summary
         rows.append([name, s["max_realloc"], s["mean_realloc"],
                      s["max_migration"], s["total_migrations"], s["wall_s"]])
     print(format_table(
@@ -138,8 +138,6 @@ def cmd_engine(args) -> int:
     if args.scheduler not in SCHEDULERS:
         raise SystemExit(
             f"unknown scheduler {args.scheduler!r}; choices: {sorted(SCHEDULERS)}")
-    seq = SCENARIOS[args.scenario](args.requests, args.seed, args.machines)
-    sched = SCHEDULERS[args.scheduler](args.machines)
 
     def progress(cp):
         print(f"  [{args.scenario}] {cp.processed} requests, "
@@ -147,8 +145,7 @@ def cmd_engine(args) -> int:
               f"(sched {cp.scheduler_time_s:.2f}s, verify {cp.verify_time_s:.2f}s, "
               f"validate {cp.validate_time_s:.2f}s)", file=sys.stderr)
 
-    result = run_engine(
-        sched, seq,
+    plan = ExecutionPlan(
         batch_size=args.batch_size,
         atomic_batches=args.atomic_batches,
         batch_semantics=args.batch_semantics,
@@ -161,6 +158,9 @@ def cmd_engine(args) -> int:
         resume=args.resume,
         name=f"{args.scenario}/{args.scheduler}",
     )
+    seq = SCENARIOS[args.scenario](args.requests, args.seed, args.machines)
+    result = Session(SCHEDULERS[args.scheduler](args.machines), seq,
+                     plan).run()
     rows = [[k, v] for k, v in result.summary.items()]
     print(format_table(["metric", "value"], rows,
                        title=f"engine: {args.scenario} x {args.scheduler}, "
@@ -228,7 +228,7 @@ def cmd_replay(args) -> int:
         raise SystemExit(
             f"unknown scheduler {args.scheduler!r}; choices: {sorted(SCHEDULERS)}")
     sched = SCHEDULERS[args.scheduler](args.machines)
-    result = run_sequence(sched, seq, stop_on_error=False)
+    result = Session(sched, seq, ExecutionPlan(stop_on_error=False)).run()
     rows = [[k, v] for k, v in result.summary.items()]
     print(format_table(["metric", "value"], rows,
                        title=f"{args.scheduler} on {args.trace}"))

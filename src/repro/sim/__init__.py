@@ -1,9 +1,10 @@
-"""Simulation harness: drivers, engine, metrics, growth fitting, reports.
+"""Simulation harness: the Session loop, sweeps, metrics, growth fits, reports.
 
-Every drive surface returns one result type, :class:`SessionResult`, and
-records one trace format, :class:`SessionTrace`. Each name below loads
-its submodule on first access, so ``from repro.sim import Session``
-does not import the growth fits or the engine.
+Every run drives a :class:`Session` with an :class:`ExecutionPlan`,
+returns one result type, :class:`SessionResult`, and records one trace
+format, :class:`SessionTrace`. Each name below loads its submodule on
+first access, so ``from repro.sim import Session`` does not import the
+growth fits or the sweep.
 """
 
 from .._exports import lazy_exports
@@ -15,11 +16,8 @@ _EXPORTS = {
     "movement_breakdown": ".breakdown",
     "replay_and_diff": ".replay",
     "shrink_failing_prefix": ".replay",
-    "run_comparison": ".driver",
-    "run_sequence": ".driver",
     "Checkpoint": ".session",
     "IncrementalVerifier": ".incremental",
-    "run_engine": ".engine",
     "run_sweep": ".engine",
     "sweep_table": ".engine",
     "BatchedBackend": ".session",

@@ -1,35 +1,15 @@
-"""The engine surface: scenario-scale adapters over the Session loop.
+"""Scenario sweeps over the Session loop.
 
-:func:`run_engine` is the scaled-up sibling of
-:func:`~repro.sim.driver.run_sequence`, built for driving 10^4-10^6
-request workloads. Like the driver it no longer owns a drive loop —
-both are thin adapters over :class:`~repro.sim.session.Session`, the
-one shared loop (timing split, verifier wiring, checkpoint cadence,
-failure handling) with pluggable drive backends, and both return the
-one result type, :class:`~repro.sim.session.SessionResult`. What this
-module adds is the engine-shaped call surface:
-
-- **Separated timing phases** — scheduler, verify, and validate time
-  reported independently, so throughput is always computed over pure
-  scheduler time even in audited runs.
-- **Checkpointed progress** — every ``checkpoint_every`` requests the
-  session records (and optionally reports through ``on_checkpoint``)
-  the running request rate and phase split.
-- **Backends as a first-class axis** — ``backend="sequential"`` /
-  ``"batched"`` selects how requests are driven.
-- **Disk-backed traces** — ``trace_path=`` writes the session's JSONL
-  checkpoint trace so a killed multi-hour run resumes from its last
-  checkpoint (``resume=True``, deterministic prefix replay) and runs
-  stay comparable across PRs.
-
-:func:`run_sweep` fans one or many schedulers across a dictionary of
-scenario sequences — the CLI's ``sweep`` command builds the scenario set
-from :data:`~repro.workloads.scenarios.SCENARIOS` — and returns per-cell
-results, which :func:`sweep_table` formats as a comparison table. With
-``trace_dir=`` every cell writes its own trace and a re-run with
-``resume=True`` rebuilds completed cells from their ``final`` record
-(:meth:`~repro.sim.session.SessionResult.from_record`) and resumes the
-interrupted one.
+Every run drives one :class:`~repro.sim.session.Session` with one
+:class:`~repro.sim.session.ExecutionPlan`; this module adds only the
+fan-out. :func:`run_sweep` runs one or many schedulers across a
+dictionary of scenario sequences — the CLI's ``sweep`` command builds
+the scenario set from :data:`~repro.workloads.scenarios.SCENARIOS` —
+and returns per-cell results, which :func:`sweep_table` formats as a
+comparison table. With ``trace_dir=`` every cell writes its own trace
+and a re-run with ``resume=True`` rebuilds completed cells from their
+``final`` record (:meth:`~repro.sim.session.SessionResult.from_record`)
+and resumes the interrupted one.
 """
 
 from __future__ import annotations
@@ -50,86 +30,6 @@ from .session import (
     SessionTrace,
     sequence_fingerprint,
 )
-
-
-def run_engine(
-    scheduler: ReallocatingScheduler,
-    sequence: RequestSequence,
-    *,
-    batch_size: int = 1,
-    atomic_batches: bool = False,
-    batch_semantics: str = "strict",
-    backend: "str | DriveBackend" = "auto",
-    verify: str = "incremental",
-    full_audit_every: int | None = None,
-    validator: Callable[[ReallocatingScheduler], None] | None = None,
-    validate_every: int = 1,
-    checkpoint_every: int = 0,
-    on_checkpoint: Callable[[Checkpoint], None] | None = None,
-    stop_on_error: bool = False,
-    stop_after: int = 0,
-    trace_path: "str | Path | None" = None,
-    resume: bool = False,
-    name: str | None = None,
-) -> SessionResult:
-    """Drive ``sequence`` through ``scheduler`` with phase-split timing.
-
-    Parameters
-    ----------
-    batch_size:
-        Chunk the stream into bursts of this size and drive them
-        through the batch-shaped backends (1 = per-request loop).
-        Verification then checks once per batch commit, and the
-        validator / the checkpoint cadence fire on batch boundaries.
-    atomic_batches:
-        Batched backend: apply each burst all-or-nothing.
-    batch_semantics:
-        ``"strict"`` (default, placement-identical replay) or
-        ``"flexible"`` (jointly planned bursts — bounds-equivalent, see
-        :class:`~repro.sim.session.ExecutionPlan`).
-    backend:
-        ``"auto"`` (default), ``"sequential"``, ``"batched"``, or a
-        DriveBackend instance.
-    verify:
-        ``"incremental"`` (default), ``"full"``, or ``"off"``.
-    full_audit_every:
-        Full-audit period for incremental verification (None = the
-        shared :data:`~repro.sim.session.DEFAULT_FULL_AUDIT_EVERY`).
-    validator:
-        Optional invariant validator (e.g. ``validate_scheduler``),
-        called every ``validate_every`` requests (0 disables it, like
-        the other periodic knobs); timed separately.
-    checkpoint_every:
-        Record a :class:`Checkpoint` every this many requests (0 = off).
-    stop_on_error:
-        If True, scheduler failures raise; by default the engine ends
-        the run gracefully with ``failed=True`` (sweeps keep going).
-    stop_after:
-        End the run gracefully after this many requests this session
-        (0 = off) — pairs with ``trace_path`` for resumable runs.
-    trace_path / resume:
-        Write (and with ``resume=True`` continue from) the session's
-        JSONL trace; see :class:`~repro.sim.session.SessionTrace`.
-    """
-    plan = ExecutionPlan(
-        batch_size=batch_size,
-        atomic_batches=atomic_batches,
-        batch_semantics=batch_semantics,
-        backend=backend,
-        verify=verify,
-        full_audit_every=(full_audit_every if full_audit_every is not None
-                          else DEFAULT_FULL_AUDIT_EVERY),
-        validator=validator,
-        validate_every=validate_every,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
-        stop_on_error=stop_on_error,
-        stop_after=stop_after,
-        trace_path=trace_path,
-        resume=resume,
-        name=name,
-    )
-    return Session(scheduler, sequence, plan).run()
 
 
 def _cell_trace_path(trace_dir: "str | Path", label: str) -> Path:
@@ -170,7 +70,7 @@ def run_sweep(
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
     verify: str = "incremental",
-    full_audit_every: int | None = None,
+    full_audit_every: int = DEFAULT_FULL_AUDIT_EVERY,
     checkpoint_every: int = 0,
     on_checkpoint: Callable[[str, Checkpoint], None] | None = None,
     stop_after: int = 0,
@@ -209,8 +109,7 @@ def run_sweep(
                     cell_resume = current
             hook = (None if on_checkpoint is None
                     else (lambda cp, _l=label: on_checkpoint(_l, cp)))
-            results[(scen_name, sched_name)] = run_engine(
-                factory(), sequence,
+            plan = ExecutionPlan(
                 batch_size=batch_size,
                 atomic_batches=atomic_batches,
                 batch_semantics=batch_semantics,
@@ -224,6 +123,8 @@ def run_sweep(
                 resume=cell_resume,
                 name=label,
             )
+            results[(scen_name, sched_name)] = Session(
+                factory(), sequence, plan).run()
     return results
 
 

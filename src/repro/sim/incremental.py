@@ -18,7 +18,7 @@ That is O(reallocations) = O(log* n) per request for the paper's
 scheduler. The one blind spot — a scheduler that moves a job *without
 reporting it* in the request cost — is covered by :meth:`full_audit`,
 which re-verifies the whole schedule from scratch *and* compares the
-mirror against the scheduler's placement map; the driver runs it every
+mirror against the scheduler's placement map; a session runs it every
 ``full_audit_every`` requests and once at the end of every run.
 """
 
@@ -43,11 +43,13 @@ class IncrementalVerifier:
     full_audit_every:
         Run a from-scratch audit every this many observed requests
         (0 disables periodic audits; call :meth:`full_audit` manually).
+        Required: a session passes its plan's value, whose default is
+        :data:`~repro.sim.session.DEFAULT_FULL_AUDIT_EVERY`.
     where:
         Label prefixed to failure messages.
     """
 
-    def __init__(self, num_machines: int, *, full_audit_every: int = 256,
+    def __init__(self, num_machines: int, *, full_audit_every: int,
                  where: str = "schedule") -> None:
         self.num_machines = num_machines
         self.full_audit_every = full_audit_every

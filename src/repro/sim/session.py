@@ -1,11 +1,10 @@
-"""The unified execution API: one drive loop, pluggable backends.
+"""The one drive surface: ``Session(scheduler, sequence, plan).run()``.
 
-Every way of running a request stream through a scheduler — the classic
-per-request driver, the batch engine, scenario sweeps, benchmarks —
-used to carry its own copy of the drive loop, and the copies drifted
-(timing splits, verifier wiring, failure handling, even the
-``full_audit_every`` default). :class:`Session` is the one loop they
-all share now:
+Every way of running a request stream through a scheduler — the CLI,
+scenario sweeps, benchmarks, examples, tests — builds an
+:class:`ExecutionPlan` and runs a :class:`Session`. One loop with one
+set of knobs keeps the timing split, verifier wiring, failure handling
+and defaults from drifting apart between callers:
 
 - an :class:`ExecutionPlan` bundles every policy knob — batching,
   verification, validation, checkpoint cadence, trace/resume, failure
@@ -35,19 +34,19 @@ all share now:
 Every run reports one result type, :class:`SessionResult`, and records
 one trace format, :class:`SessionTrace`. A trace's ``final`` record is
 :meth:`SessionResult.to_record`, and :meth:`SessionResult.from_record`
-rebuilds the result from it. ``repro.sim.driver.run_sequence``,
-``repro.sim.engine.run_engine``, and ``repro.sim.engine.run_sweep`` are
-thin adapters over ``Session.run()`` that return it.
+rebuilds the result from it. ``repro.sim.engine.run_sweep`` fans one
+plan's settings out over (scenario x scheduler) cells, one session per
+cell.
 
 The one full-audit period
 -------------------------
 :data:`DEFAULT_FULL_AUDIT_EVERY` is 1024, defined here and nowhere
-else (the driver used 256 and the engine 1024 before they were
-collapsed). Rationale: periodic full audits are O(n) each and exist
-only to *localize* an unreported placement change earlier than the
-mandatory end-of-run audit would; at 1024 their cost is negligible even
-at engine scale (10^5+ requests), while the old 256 default bought
-nothing for driver-scale runs (a few hundred requests) because those
+else: the verifier takes the period as a required keyword, and a
+session passes its plan's value. Rationale: periodic full audits are
+O(n) each and exist only to *localize* an unreported placement change
+earlier than the mandatory end-of-run audit would; at 1024 their cost
+is negligible even at engine scale (10^5+ requests), while a 256
+period buys nothing for runs of a few hundred requests because those
 are covered by the final audit anyway.
 """
 
@@ -180,6 +179,10 @@ class ExecutionPlan:
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for knob in ("stop_after", "checkpoint_every", "validate_every",
+                     "full_audit_every"):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be >= 0 (0 = off)")
         resolve_batch_semantics(self.batch_semantics)
 
 
@@ -394,8 +397,8 @@ class SessionTrace:
 class SessionResult:
     """Outcome of one :meth:`Session.run`, with per-phase timing.
 
-    The one result type of every drive surface (``Session.run``,
-    ``run_sequence``, ``run_comparison``, ``run_engine``, ``run_sweep``).
+    The one result type of every run (``Session.run``, and per cell
+    ``run_sweep``).
     ``name`` is the run label (the plan's ``name``, else the scheduler
     class name) and ``scheduler_name`` the scheduler class name.
     ``scheduler_time_s`` covers only the backend's apply calls (the

@@ -400,8 +400,8 @@ def iter_burst_arrivals(
     reuse one focus window, stressing the delegator's per-window
     grouping and the round-robin continuation) or a delete burst
     clearing a random ``delete_burst_fraction`` slice of the active set
-    back-to-back. Feed it to ``run_engine(batch_size=burst_size)`` for
-    aligned burst/batch boundaries.
+    back-to-back. Drive it with ``ExecutionPlan(batch_size=burst_size)``
+    for aligned burst/batch boundaries.
     """
     import numpy as np
 

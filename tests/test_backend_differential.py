@@ -149,7 +149,8 @@ def diverging_stages(reference, candidate, *, semantics="strict"):
 def run_backend(seq, backend, *, machines, batch_size, atomic,
                 semantics="strict", verify=False, deamortized=False):
     sched = ReservationScheduler(machines, gamma=8, deamortized=deamortized)
-    verifier = (IncrementalVerifier(machines, where=f"{backend}/{semantics}")
+    verifier = (IncrementalVerifier(machines, full_audit_every=256,
+                                    where=f"{backend}/{semantics}")
                 if verify else None)
     drive(sched, seq, backend, batch_size=batch_size, atomic=atomic,
           semantics=semantics, verifier=verifier)

@@ -30,7 +30,7 @@ from repro.multimachine.elastic import ElasticScheduler
 from repro.reservation import AlignedReservationScheduler
 from repro.reservation.deamortized import DeamortizedReservationScheduler
 from repro.reservation.validation import validate_scheduler
-from repro.sim import IncrementalVerifier, run_engine, run_sequence
+from repro.sim import ExecutionPlan, IncrementalVerifier, Session
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 from repro.workloads.scenarios import burst_arrivals_sequence, churn_storm_sequence
 
@@ -284,7 +284,7 @@ def test_verify_batch_detects_unreported_change():
     from repro.core.job import Placement
 
     sched = AlignedReservationScheduler()
-    verifier = IncrementalVerifier(1)
+    verifier = IncrementalVerifier(1, full_audit_every=256)
     seq = make_workload(100, seed=6)
     for batch in iter_batches(seq, 32):
         verifier.verify_batch(sched, sched.apply_batch(batch))
@@ -355,13 +355,14 @@ def test_elastic_events_rejected_mid_batch():
 
 
 # ----------------------------------------------------------------------
-# driver / engine integration
+# session integration
 # ----------------------------------------------------------------------
 def test_run_sequence_batched_equals_sequential():
     seq = make_workload(400, seed=8)
-    r_seq = run_sequence(ReservationScheduler(1, gamma=8), seq)
-    r_bat = run_sequence(ReservationScheduler(1, gamma=8), seq,
-                         batch_size=64, atomic_batches=True)
+    r_seq = Session(ReservationScheduler(1, gamma=8), seq,
+                    ExecutionPlan(stop_on_error=True)).run()
+    r_bat = Session(ReservationScheduler(1, gamma=8), seq, ExecutionPlan(
+        batch_size=64, atomic_batches=True, stop_on_error=True)).run()
     assert r_bat.requests_processed == r_seq.requests_processed == len(seq)
     assert r_bat.ledger.summary() == r_seq.ledger.summary()
     assert not r_bat.failed
@@ -376,12 +377,11 @@ def test_run_sequence_batched_failure_semantics():
         pass
 
     sched = AlignedReservationScheduler()
-    result = run_sequence(sched, FakeSeq(bad), batch_size=8,
-                          stop_on_error=False)
+    result = Session(sched, FakeSeq(bad), ExecutionPlan(batch_size=8)).run()
     assert result.failed and "InvalidRequestError" in result.failure
     with pytest.raises(InvalidRequestError):
-        run_sequence(AlignedReservationScheduler(), FakeSeq(bad),
-                     batch_size=8, stop_on_error=True)
+        Session(AlignedReservationScheduler(), FakeSeq(bad),
+                ExecutionPlan(batch_size=8, stop_on_error=True)).run()
 
 
 def test_run_engine_batched_with_checkpoints():
@@ -391,13 +391,13 @@ def test_run_engine_batched_with_checkpoints():
         pass
 
     hits = []
-    result = run_engine(
-        ReservationScheduler(1, gamma=8), FakeSeq(seq),
-        batch_size=64, atomic_batches=True,
-        checkpoint_every=256, on_checkpoint=hits.append,
-    )
+    result = Session(ReservationScheduler(1, gamma=8), FakeSeq(seq),
+                     ExecutionPlan(batch_size=64, atomic_batches=True,
+                                   checkpoint_every=256,
+                                   on_checkpoint=hits.append)).run()
     assert not result.failed
     assert result.requests_processed == len(seq)
     assert len(hits) == len(seq) // 256
-    sequential = run_engine(ReservationScheduler(1, gamma=8), FakeSeq(seq))
+    sequential = Session(ReservationScheduler(1, gamma=8), FakeSeq(seq),
+                         ExecutionPlan()).run()
     assert result.ledger_summary == sequential.ledger_summary

@@ -15,10 +15,10 @@ from repro.analysis.bounds import (
     theorem1_cost_bound,
 )
 from repro.cli import main as cli_main
-from repro.core import Job, ValidationError, Window
+from repro.core import ValidationError
 from repro.core.requests import RequestSequence
 from repro.reservation import AlignedReservationScheduler
-from repro.sim import run_engine
+from repro.sim import ExecutionPlan, Session
 from repro.sim.replay import replay_and_diff, shrink_failing_prefix
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
@@ -69,8 +69,8 @@ class TestReplay:
     def record(self, path, seq, **kwargs):
         """Trace one run, checkpointing after every request by default."""
         kwargs.setdefault("checkpoint_every", 1)
-        run_engine(AlignedReservationScheduler(), seq, trace_path=path,
-                   **kwargs)
+        Session(AlignedReservationScheduler(), seq,
+                ExecutionPlan(trace_path=path, **kwargs)).run()
         return path
 
     def test_record_and_replay_identical(self, tmp_path):
@@ -138,6 +138,13 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "reservation" in out and "edf" in out
+
+    @pytest.mark.parametrize("flag", ["--stop-after", "--checkpoint-every"])
+    def test_engine_rejects_negative_counts(self, flag):
+        # -5 used to stop after one request, and a negative checkpoint
+        # period recorded no checkpoint at all
+        with pytest.raises(ValueError, match=flag[2:].replace("-", "_")):
+            cli_main(["engine", "--requests", "300", flag, "-5"])
 
     def test_compare_unknown_scheduler(self):
         with pytest.raises(SystemExit):

@@ -30,7 +30,6 @@ NOT_LOADED = (
     "fractions",
     "repro.sim.metrics",
     "repro.sim.engine",
-    "repro.sim.driver",
     "repro.sim.breakdown",
     "repro.sim.replay",
     "repro.sim.report",

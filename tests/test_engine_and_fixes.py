@@ -1,8 +1,7 @@
 """Regression tests for the fast-path engine PR.
 
-Covers the three driver/scheduler bugfixes (timing contamination,
-failed-request partial state, run_comparison dropping validate_each),
-the sparse cost accounting, the incremental verifier, the batch engine,
+Covers the driver/scheduler bugfixes (timing contamination,
+failed-request partial state), the sparse cost accounting, the incremental verifier, the batch engine,
 and the Observation 7 history-independence guard for the memoized
 fulfillment target.
 """
@@ -26,13 +25,7 @@ from repro.core.exceptions import (
 from repro.core.job import Job, Placement
 from repro.core.window import Window
 from repro.reservation import AlignedReservationScheduler, validate_scheduler
-from repro.sim import (
-    IncrementalVerifier,
-    run_comparison,
-    run_engine,
-    run_sequence,
-    run_sweep,
-)
+from repro.sim import ExecutionPlan, IncrementalVerifier, Session, run_sweep
 from repro.workloads import (
     SCENARIOS,
     AlignedWorkloadConfig,
@@ -61,10 +54,8 @@ class TestTimingSplit:
         def slow_validator(_sched):
             time.sleep(0.002)
 
-        result = run_sequence(
-            AlignedReservationScheduler(), seq,
-            verify_each=False, validate_each=slow_validator,
-        )
+        result = Session(AlignedReservationScheduler(), seq, ExecutionPlan(
+            verify="off", validator=slow_validator, stop_on_error=True)).run()
         # ~80ms of validator sleep must land in audit, not scheduler, time
         assert result.audit_time_s >= 0.05
         assert result.scheduler_time_s < result.audit_time_s / 2
@@ -72,7 +63,8 @@ class TestTimingSplit:
 
     def test_phase_fields_present_and_consistent(self):
         seq = small_sequence(60)
-        result = run_sequence(AlignedReservationScheduler(), seq)
+        result = Session(AlignedReservationScheduler(), seq,
+                         ExecutionPlan(stop_on_error=True)).run()
         assert result.scheduler_time_s > 0
         assert result.audit_time_s > 0
         assert result.wall_time_s >= result.scheduler_time_s
@@ -175,26 +167,6 @@ class TestFailedRequestRollback:
 
 
 # ----------------------------------------------------------------------
-# Bugfix 3: run_comparison forwards validate_each
-# ----------------------------------------------------------------------
-class TestRunComparisonValidateEach:
-    def test_validator_called_for_every_scheduler_and_request(self):
-        seq = small_sequence(30)
-        calls = []
-        results = run_comparison(
-            {"a": AlignedReservationScheduler,
-             "b": AlignedReservationScheduler},
-            seq,
-            validate_each=calls.append,
-        )
-        assert len(calls) == 2 * len(seq)
-        # two distinct scheduler instances; ``calls`` keeps both alive,
-        # since a dead object's id() may be reused by the next one
-        assert len({id(sched) for sched in calls}) == 2
-        assert all(not r.failed for r in results.values())
-
-
-# ----------------------------------------------------------------------
 # Sparse cost accounting equals the full-snapshot diff
 # ----------------------------------------------------------------------
 class TestSparseCosting:
@@ -221,15 +193,13 @@ class TestSparseCosting:
 class TestIncrementalVerifier:
     def test_clean_run_passes_and_audits(self):
         seq = small_sequence(200, seed=5)
-        result = run_sequence(
-            AlignedReservationScheduler(), seq,
-            verify_each=True, verify_mode="incremental", full_audit_every=50,
-        )
+        result = Session(AlignedReservationScheduler(), seq, ExecutionPlan(
+            verify="incremental", full_audit_every=50)).run()
         assert not result.failed
 
     def test_detects_out_of_window_placement(self):
         sched = AlignedReservationScheduler()
-        verifier = IncrementalVerifier(1)
+        verifier = IncrementalVerifier(1, full_audit_every=256)
         cost = sched.insert(Job("ok", Window(0, 32)))
         verifier.observe(sched, cost)
         # corrupt: teleport the job outside its window
@@ -240,7 +210,7 @@ class TestIncrementalVerifier:
 
     def test_detects_unreported_move_at_full_audit(self):
         sched = AlignedReservationScheduler()
-        verifier = IncrementalVerifier(1)
+        verifier = IncrementalVerifier(1, full_audit_every=256)
         for i in range(4):
             cost = sched.insert(Job(f"j{i}", Window(0, 32)))
             verifier.observe(sched, cost)
@@ -251,7 +221,7 @@ class TestIncrementalVerifier:
 
     def test_detects_double_booking(self):
         sched = AlignedReservationScheduler()
-        verifier = IncrementalVerifier(1)
+        verifier = IncrementalVerifier(1, full_audit_every=256)
         c1 = sched.insert(Job("a", Window(0, 32)))
         verifier.observe(sched, c1)
         c2 = sched.insert(Job("b", Window(0, 32)))
@@ -269,13 +239,12 @@ class TestEngine:
         seq = steady_state_sequence(requests=600, horizon=1 << 12,
                                     max_span=1 << 10, target_active=60, seed=1)
         seen = []
-        result = run_engine(
-            AlignedReservationScheduler(), seq,
+        result = Session(AlignedReservationScheduler(), seq, ExecutionPlan(
             verify="incremental", checkpoint_every=200,
             on_checkpoint=seen.append,
             validator=lambda s: validate_scheduler(s, check_lemma8=False),
             validate_every=100,
-        )
+        )).run()
         assert not result.failed
         assert result.requests_processed == len(seq)
         assert len(result.checkpoints) == len(seen) == 3

@@ -16,8 +16,8 @@ flexible planner's individual contracts with hand-written cases:
 - the arena sanitizer (checking container proxies) stays silent over
   flexible drives — the joint planner funnels every mutation through
   the journaled per-request path;
-- the semantics knob threads through ``ExecutionPlan``/``run_sequence``
-  /``run_engine`` and the CLI.
+- the semantics knob threads through ``ExecutionPlan``/``Session`` and
+  the CLI.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from repro.reservation.scheduler import (
     AlignedReservationScheduler,
     flexible_span_order,
 )
-from repro.sim.driver import run_sequence
-from repro.sim.engine import run_engine
-from repro.sim.session import ExecutionPlan
+from repro.sim.session import ExecutionPlan, Session
 from repro.workloads.scenarios import churn_storm_sequence
 
 from test_backend_differential import fingerprint, mixed_churn
@@ -240,15 +238,16 @@ def test_flexible_under_arena_sanitize(atomic):
 
 
 # ----------------------------------------------------------------------
-# driver / engine / CLI plumbing
+# session / CLI plumbing
 # ----------------------------------------------------------------------
 def test_run_sequence_flexible_bounds_equivalent():
     seq = churn_storm_sequence(requests=600, seed=5, num_machines=3)
 
     def run(semantics):
         sched = ReservationScheduler(3, gamma=8)
-        res = run_sequence(sched, seq, batch_size=64,
-                           batch_semantics=semantics, backend="batched")
+        res = Session(sched, seq, ExecutionPlan(
+            batch_size=64, batch_semantics=semantics, backend="batched",
+            stop_on_error=True)).run()
         assert not res.failed
         return sched, res
 
@@ -262,10 +261,9 @@ def test_run_sequence_flexible_bounds_equivalent():
 
 def test_run_engine_flexible_smoke(tmp_path):
     seq = churn_storm_sequence(requests=400, seed=6, num_machines=3)
-    result = run_engine(ReservationScheduler(3, gamma=8), seq,
-                        batch_size=64, batch_semantics="flexible",
-                        backend="batched", atomic_batches=True,
-                        verify="incremental")
+    result = Session(ReservationScheduler(3, gamma=8), seq, ExecutionPlan(
+        batch_size=64, batch_semantics="flexible", backend="batched",
+        atomic_batches=True, verify="incremental")).run()
     assert not result.failed
     assert result.requests_processed == len(seq)
 

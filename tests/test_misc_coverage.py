@@ -10,8 +10,13 @@ from repro.core.schedule import format_schedule
 from repro.levels import PAPER_POLICY
 from repro.reservation.deamortized import DeamortizedReservationScheduler
 from repro.reservation.interval import Interval
-from repro.sim import SessionResult, sparkline, summarize_series
-from repro.sim.driver import run_sequence
+from repro.sim import (
+    ExecutionPlan,
+    Session,
+    SessionResult,
+    sparkline,
+    summarize_series,
+)
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 
 
@@ -123,8 +128,8 @@ class TestDriverNames:
         cfg = AlignedWorkloadConfig(num_requests=10, horizon=64, max_span=64)
         seq = random_aligned_sequence(cfg, seed=0)
         from repro.reservation import AlignedReservationScheduler
-        result = run_sequence(AlignedReservationScheduler(), seq,
-                              name="custom")
+        result = Session(AlignedReservationScheduler(), seq,
+                         ExecutionPlan(name="custom")).run()
         assert result.name == "custom"
         assert result.summary["run"] == "custom"
         assert result.summary["scheduler"] == "AlignedReservationScheduler"

@@ -31,10 +31,10 @@ def checked(sched):
     verify_schedule(sched.jobs, sched.placements, 1)
 
 
-def run_sequence(sched, seq, *, validate_each=True):
+def apply_all(sched, seq, *, check_each=True):
     for req in seq:
         sched.apply(req)
-        if validate_each:
+        if check_each:
             checked(sched)
 
 
@@ -244,7 +244,7 @@ class TestRandomizedChurn:
         )
         seq = random_aligned_sequence(cfg, seed=seed)
         s = AlignedReservationScheduler()
-        run_sequence(s, seq)
+        apply_all(s, seq)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_two_level_churn(self, seed):
@@ -254,7 +254,7 @@ class TestRandomizedChurn:
         )
         seq = random_aligned_sequence(cfg, seed=seed)
         s = AlignedReservationScheduler()
-        run_sequence(s, seq)
+        apply_all(s, seq)
 
     def test_insert_only_saturation(self):
         cfg = AlignedWorkloadConfig(
@@ -263,7 +263,7 @@ class TestRandomizedChurn:
         )
         seq = random_aligned_sequence(cfg, seed=11)
         s = AlignedReservationScheduler()
-        run_sequence(s, seq)
+        apply_all(s, seq)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -274,7 +274,7 @@ class TestRandomizedChurn:
         )
         seq = random_aligned_sequence(cfg, seed=seed)
         s = AlignedReservationScheduler()
-        run_sequence(s, seq)
+        apply_all(s, seq)
 
 
 class TestCostProperties:
@@ -286,7 +286,7 @@ class TestCostProperties:
         )
         seq = random_aligned_sequence(cfg, seed=5)
         s = AlignedReservationScheduler()
-        run_sequence(s, seq, validate_each=False)
+        apply_all(s, seq, check_each=False)
         checked(s)
         # 2 levels above base: each request moves O(1) jobs per level.
         assert s.ledger.max_reallocation <= 12
@@ -296,7 +296,7 @@ class TestCostProperties:
         cfg = AlignedWorkloadConfig(num_requests=100, horizon=256, max_span=256)
         seq = random_aligned_sequence(cfg, seed=3)
         s = AlignedReservationScheduler()
-        run_sequence(s, seq, validate_each=False)
+        apply_all(s, seq, check_each=False)
         assert s.ledger.total_migrations == 0
 
 

@@ -3,14 +3,13 @@
 The contract under test (sim/session.py module docstring): one shared
 drive loop with pluggable backends, where SequentialBackend and
 BatchedBackend produce identical placements, ledger entries, and
-max-span tracking on the same sequence; run_sequence /
-run_engine / run_sweep are thin adapters over it; traces make runs
-resumable via deterministic prefix replay.
+max-span tracking on the same sequence; every caller builds an
+ExecutionPlan and runs a Session (run_sweep fans one out per cell);
+traces make runs resumable via deterministic prefix replay.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 
 import pytest
@@ -20,7 +19,7 @@ from repro.core.exceptions import ReproError, UnderallocationError
 from repro.core.job import Job
 from repro.core.window import Window
 from repro.reservation.scheduler import AlignedReservationScheduler as _ARS
-from repro.sim import run_comparison, run_engine, run_sequence, run_sweep
+from repro.sim import run_sweep
 from repro.sim.session import (
     DEFAULT_FULL_AUDIT_EVERY,
     ExecutionPlan,
@@ -83,11 +82,6 @@ def test_all_backends_identical_on_theorem1(machines):
 # ----------------------------------------------------------------------
 def test_full_audit_default_defined_once_on_the_plan():
     assert ExecutionPlan().full_audit_every == DEFAULT_FULL_AUDIT_EVERY == 1024
-    # the adapters no longer carry their own (previously drifted 256 vs
-    # 1024) defaults — both defer to the plan
-    for fn in (run_sequence, run_engine):
-        default = inspect.signature(fn).parameters["full_audit_every"].default
-        assert default is None, fn.__name__
 
 
 # ----------------------------------------------------------------------
@@ -98,22 +92,23 @@ def test_resume_round_trip_matches_uninterrupted(tmp_path):
     trace = tmp_path / "run.jsonl"
 
     full_sched = ReservationScheduler(3, gamma=8)
-    full = run_engine(full_sched, seq, batch_size=64, backend="batched",
-                      atomic_batches=True, checkpoint_every=500)
+    full = Session(full_sched, seq, ExecutionPlan(
+        batch_size=64, backend="batched", atomic_batches=True,
+        checkpoint_every=500)).run()
 
     part_sched = ReservationScheduler(3, gamma=8)
-    partial = run_engine(part_sched, seq, batch_size=64, backend="batched",
-                         atomic_batches=True, checkpoint_every=500,
-                         trace_path=trace, stop_after=1000)
+    partial = Session(part_sched, seq, ExecutionPlan(
+        batch_size=64, backend="batched", atomic_batches=True,
+        checkpoint_every=500, trace_path=trace, stop_after=1000)).run()
     assert partial.interrupted and partial.requests_processed < len(seq)
     records = SessionTrace.read_records(trace)
     assert records[0]["type"] == "header"
     assert SessionTrace.final_record(records) is None  # killed mid-run
 
     res_sched = ReservationScheduler(3, gamma=8)
-    resumed = run_engine(res_sched, seq, batch_size=64, backend="batched",
-                         atomic_batches=True, checkpoint_every=500,
-                         trace_path=trace, resume=True)
+    resumed = Session(res_sched, seq, ExecutionPlan(
+        batch_size=64, backend="batched", atomic_batches=True,
+        checkpoint_every=500, trace_path=trace, resume=True)).run()
     assert resumed.resumed_from == partial.requests_processed
     assert resumed.requests_processed == len(seq)
     assert not resumed.interrupted
@@ -128,10 +123,10 @@ def test_resumed_checkpoint_rate_excludes_the_replayed_prefix(tmp_path):
     (the replayed prefix is in ``processed`` but not in the timings)."""
     seq = make_workload(1200, seed=5)
     trace = tmp_path / "run.jsonl"
-    run_engine(ReservationScheduler(1, gamma=8), seq, checkpoint_every=200,
-               trace_path=trace, stop_after=700)
-    resumed = run_engine(ReservationScheduler(1, gamma=8), seq,
-                         checkpoint_every=200, trace_path=trace, resume=True)
+    Session(ReservationScheduler(1, gamma=8), seq, ExecutionPlan(
+        checkpoint_every=200, trace_path=trace, stop_after=700)).run()
+    resumed = Session(ReservationScheduler(1, gamma=8), seq, ExecutionPlan(
+        checkpoint_every=200, trace_path=trace, resume=True)).run()
     assert resumed.resumed_from == 700
     assert resumed.checkpoints
     for cp in resumed.checkpoints:
@@ -143,11 +138,12 @@ def test_resume_refuses_a_different_sequence(tmp_path):
     trace = tmp_path / "run.jsonl"
     seq_a = make_workload(300, seed=1)
     seq_b = make_workload(300, seed=2)
-    run_engine(ReservationScheduler(1, gamma=8), seq_a, batch_size=32,
-               checkpoint_every=100, trace_path=trace, stop_after=100)
+    Session(ReservationScheduler(1, gamma=8), seq_a, ExecutionPlan(
+        batch_size=32, checkpoint_every=100, trace_path=trace,
+        stop_after=100)).run()
     with pytest.raises(ValueError, match="fingerprint"):
-        run_engine(ReservationScheduler(1, gamma=8), seq_b, batch_size=32,
-                   trace_path=trace, resume=True)
+        Session(ReservationScheduler(1, gamma=8), seq_b, ExecutionPlan(
+            batch_size=32, trace_path=trace, resume=True)).run()
 
 
 def test_resume_restarts_on_burst_boundaries(tmp_path):
@@ -155,12 +151,13 @@ def test_resume_restarts_on_burst_boundaries(tmp_path):
     trailing partial burst) must floor to the last burst boundary."""
     trace = tmp_path / "run.jsonl"
     seq = make_workload(300, seed=4)
-    run_engine(ReservationScheduler(1, gamma=8), seq, batch_size=64,
-               checkpoint_every=50, trace_path=trace, stop_after=150)
+    Session(ReservationScheduler(1, gamma=8), seq, ExecutionPlan(
+        batch_size=64, checkpoint_every=50, trace_path=trace,
+        stop_after=150)).run()
     records = SessionTrace.read_records(trace)
     assert SessionTrace.resume_offset(records) % 64 == 0
-    resumed = run_engine(ReservationScheduler(1, gamma=8), seq,
-                         batch_size=64, trace_path=trace, resume=True)
+    resumed = Session(ReservationScheduler(1, gamma=8), seq, ExecutionPlan(
+        batch_size=64, trace_path=trace, resume=True)).run()
     assert resumed.requests_processed == len(seq)
 
 
@@ -216,8 +213,8 @@ def test_traced_run_accepts_a_one_shot_iterator(tmp_path):
     """Fingerprinting must not exhaust generator-shaped sequences."""
     trace = tmp_path / "run.jsonl"
     requests = list(make_workload(200, seed=0))
-    result = run_engine(ReservationScheduler(1, gamma=8), iter(requests),
-                        batch_size=32, trace_path=trace)
+    result = Session(ReservationScheduler(1, gamma=8), iter(requests),
+                     ExecutionPlan(batch_size=32, trace_path=trace)).run()
     assert not result.failed
     assert result.requests_processed == 200
 
@@ -242,10 +239,9 @@ def test_sweep_resume_reruns_stale_cell_traces(tmp_path):
 def test_trace_records_are_json_lines(tmp_path):
     trace = tmp_path / "run.jsonl"
     seq = make_workload(200, seed=0)
-    run_sequence_result = run_engine(
-        ReservationScheduler(1, gamma=8), seq,
-        checkpoint_every=50, trace_path=trace)
-    assert not run_sequence_result.failed
+    result = Session(ReservationScheduler(1, gamma=8), seq, ExecutionPlan(
+        checkpoint_every=50, trace_path=trace)).run()
+    assert not result.failed
     with open(trace) as fh:
         records = [json.loads(line) for line in fh]
     assert records[0]["type"] == "header"
@@ -259,10 +255,10 @@ def test_trace_records_are_json_lines(tmp_path):
     assert final["ledger"]["requests"] == len(seq)
     assert final["placements"]
     # the final record is the result's own field list, and round-trips
-    assert final == run_sequence_result.to_record()
+    assert final == result.to_record()
     rebuilt = SessionResult.from_record(final)
     assert rebuilt.to_record() == final
-    assert rebuilt.summary.keys() == run_sequence_result.summary.keys()
+    assert rebuilt.summary.keys() == result.summary.keys()
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +351,16 @@ def test_plan_validation():
         ExecutionPlan(batch_size=0)
 
 
+@pytest.mark.parametrize("knob", ["stop_after", "checkpoint_every",
+                                  "validate_every", "full_audit_every"])
+def test_plan_rejects_negative_counts(knob):
+    """A negative count is no period: -5 would stop after one request
+    and -100 would record no checkpoint, so the plan refuses both."""
+    with pytest.raises(ValueError, match=knob):
+        ExecutionPlan(**{knob: -1})
+    assert getattr(ExecutionPlan(**{knob: 0}), knob) == 0
+
+
 def test_auto_backend_resolution():
     seq = make_workload(60, seed=0)
     r1 = Session(ReservationScheduler(1, gamma=8), seq,
@@ -364,24 +370,3 @@ def test_auto_backend_resolution():
                  ExecutionPlan(batch_size=16)).run()
     assert r2.backend == "batched"
     assert r1.ledger.entries == r2.ledger.entries
-
-
-def test_adapters_share_the_session_loop():
-    """run_sequence, run_comparison, run_engine, and run_sweep are
-    adapters: one result type with one summary key set, same ledger,
-    same processed counts, phase timing split preserved."""
-    seq = make_workload(300, seed=8)
-
-    def factory():
-        return ReservationScheduler(1, gamma=8)
-
-    rs = run_sequence(factory(), seq)
-    rc = run_comparison({"r": factory}, seq)["r"]
-    re_ = run_engine(factory(), seq)
-    rw = run_sweep({"s": seq}, {"r": factory})[("s", "r")]
-    results = [rs, rc, re_, rw]
-    assert all(type(r) is SessionResult for r in results)
-    assert len({tuple(r.summary) for r in results}) == 1
-    assert all(r.ledger_summary == rs.ledger.summary() for r in results)
-    assert all(r.requests_processed == len(seq) for r in results)
-    assert rs.audit_time_s >= 0 and re_.audit_time_s >= 0

@@ -3,18 +3,17 @@
 import pytest
 
 from repro.baselines import EDFRebuildScheduler, NaivePeckingScheduler
-from repro.core import Job, UnderallocationError, Window
 from repro.core.api import ReservationScheduler
 from repro.feasibility import check_feasible
 from repro.reservation import AlignedReservationScheduler
 from repro.sim import (
+    ExecutionPlan,
+    Session,
     doubling_series,
     experiment_header,
     fit_growth,
     format_series,
     format_table,
-    run_comparison,
-    run_sequence,
     sparkline,
     summarize_series,
 )
@@ -34,7 +33,8 @@ class TestDriver:
         return random_aligned_sequence(cfg, seed=1)
 
     def test_run_sequence_basic(self):
-        result = run_sequence(AlignedReservationScheduler(), self.seq())
+        result = Session(AlignedReservationScheduler(), self.seq(),
+                         ExecutionPlan()).run()
         assert result.requests_processed == 60
         assert not result.failed
         assert result.summary["requests"] == 60
@@ -47,8 +47,8 @@ class TestDriver:
             validate_scheduler(s)
             calls.append(1)
 
-        run_sequence(AlignedReservationScheduler(), self.seq(),
-                     validate_each=validator)
+        Session(AlignedReservationScheduler(), self.seq(),
+                ExecutionPlan(validator=validator, stop_on_error=True)).run()
         assert len(calls) == 60
 
     def test_graceful_failure_mode(self):
@@ -58,8 +58,8 @@ class TestDriver:
         bad = RequestSequence()
         bad.insert("a", 0, 1)
         bad.insert("b", 0, 1)
-        result = run_sequence(AlignedReservationScheduler(), bad,
-                              stop_on_error=False)
+        result = Session(AlignedReservationScheduler(), bad,
+                         ExecutionPlan()).run()
         assert result.failed
         assert result.requests_processed == 1
         assert "Infeasible" in result.failure
@@ -71,17 +71,18 @@ class TestDriver:
         bad.insert("a", 0, 1)
         bad.insert("b", 0, 1)
         with pytest.raises(InfeasibleError):
-            run_sequence(AlignedReservationScheduler(), bad)
+            Session(AlignedReservationScheduler(), bad,
+                    ExecutionPlan(stop_on_error=True)).run()
 
     def test_run_comparison(self):
         seq = self.seq()
-        results = run_comparison({
-            "reservation": lambda: AlignedReservationScheduler(),
-            "edf": lambda: EDFRebuildScheduler(1),
-            "naive": lambda: NaivePeckingScheduler(),
-        }, seq)
-        assert set(results) == {"reservation", "edf", "naive"}
-        for r in results.values():
+        results = {
+            name: Session(sched, seq, ExecutionPlan(name=name)).run()
+            for name, sched in (("reservation", AlignedReservationScheduler()),
+                                ("edf", EDFRebuildScheduler(1)),
+                                ("naive", NaivePeckingScheduler()))}
+        for name, r in results.items():
+            assert r.name == name and not r.failed
             assert r.requests_processed == 60
 
 
@@ -156,14 +157,14 @@ class TestScenarioWorkloads:
     def test_appointments_run_on_theorem1_scheduler(self):
         seq = appointment_book_sequence(requests=200, seed=3)
         sched = ReservationScheduler(num_machines=1, gamma=8)
-        result = run_sequence(sched, seq)
+        result = Session(sched, seq, ExecutionPlan()).run()
         assert not result.failed
         assert result.ledger.max_migration == 0
 
     def test_cluster_trace_multi_machine(self):
         seq = cluster_trace_sequence(num_machines=4, requests=200, seed=1)
         sched = ReservationScheduler(num_machines=4, gamma=8)
-        result = run_sequence(sched, seq)
+        result = Session(sched, seq, ExecutionPlan()).run()
         assert not result.failed
         assert result.ledger.max_migration <= 1
 

@@ -22,7 +22,7 @@ import tracemalloc
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.sim import run_engine
+from repro.sim import ExecutionPlan, Session
 from repro.workloads.scenarios import (
     SCENARIO_STREAMS,
     SCENARIOS,
@@ -70,14 +70,13 @@ def test_session_consumes_a_stream_directly():
     matches the materialized run."""
     n = 2000
     materialized = churn_storm_sequence(requests=n, seed=2, num_machines=3)
+    plan = ExecutionPlan(batch_size=64, backend="batched",
+                         atomic_batches=True)
     ref_sched = ReservationScheduler(3, gamma=8)
-    ref = run_engine(ref_sched, materialized, batch_size=64,
-                     backend="batched", atomic_batches=True)
+    ref = Session(ref_sched, materialized, plan).run()
     sched = ReservationScheduler(3, gamma=8)
-    result = run_engine(sched, iter_churn_storm(requests=n, seed=2,
-                                                num_machines=3),
-                        batch_size=64, backend="batched",
-                        atomic_batches=True)
+    result = Session(sched, iter_churn_storm(requests=n, seed=2,
+                                             num_machines=3), plan).run()
     assert not result.failed
     assert result.requests_processed == n
     assert result.ledger_summary == ref.ledger_summary

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import UniformSizedReservationScheduler
 from repro.core import (
+    InfeasibleError,
     InvalidRequestError,
     Job,
     UnderallocationError,
@@ -79,6 +80,31 @@ class TestUniformSized:
             assert cost.migration_cost <= 1
         s.check_balance()
         verify_schedule(s.jobs, s.placements, 2)
+
+    def test_placements_track_the_scaled_inner_map(self):
+        """The kept map equals the inner map scaled to real slots after
+        every request, each job on its own machine, and an insert the
+        inner stack rejects leaves it as it was."""
+        s = make(size=4, m=2)
+
+        def scaled():
+            return {job_id: (pl.machine, 4 * pl.slot)
+                    for job_id, pl in s.inner.placements.items()}
+
+        for i in range(40):
+            s.insert(Job(i, Window(0, 1024), size=4))
+            if i % 3 == 2:
+                s.delete(i - 1)
+            assert {j: (pl.machine, pl.slot)
+                    for j, pl in s.placements.items()} == scaled()
+        assert {pl.machine for pl in s.placements.values()} == {0, 1}
+        with pytest.raises(InfeasibleError):
+            for k in range(64):
+                before = dict(s.placements)
+                s.insert(Job(f"x{k}", Window(0, 64), size=4))
+        assert dict(s.placements) == before
+        assert {j: (pl.machine, pl.slot)
+                for j, pl in s.placements.items()} == scaled()
 
     def test_size_one_degenerates_to_unit(self):
         s = make(size=1)
